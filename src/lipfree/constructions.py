@@ -36,8 +36,10 @@ from .metric_core import (
     LipFunction,
     MetricFamily,
     as_fraction,
+    distance_matrix,
     fraction_str,
     is_ultrametric,
+    truncate,
     validate_metric,
 )
 from .norm_engine import free_norm_flow, free_norm_lp, lip_norm
@@ -93,10 +95,7 @@ class EmbeddingPlan:
 
 @lru_cache(maxsize=256)
 def _plan_space(plan: EmbeddingPlan, n_points: int) -> FiniteMetricSpace:
-    mat = [
-        [plan.rho(i + 1, j + 1) for j in range(n_points)] for i in range(n_points)
-    ]
-    return validate_metric(mat)
+    return validate_metric(distance_matrix(lambda i, j: plan.rho(i + 1, j + 1), n_points))
 
 
 def make_plan(family: MetricFamily, x_idx, r, case: Optional[str] = None) -> EmbeddingPlan:
@@ -693,7 +692,7 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: Optional[int]
     H = _horizon(horizon)
     scan = min(H, family.size or H, 512)
     probe = min(scan, 40)
-    ok, witness = is_ultrametric(_family_prefix_space(family, probe))
+    ok, witness = is_ultrametric(truncate(family, probe))
     if not ok:
         raise NotUltrametric(witness)
 
@@ -742,11 +741,6 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: Optional[int]
         return plan
 
     raise HorizonExhausted("no ultrametric subsequence of the required shape found")
-
-
-def _family_prefix_space(family: MetricFamily, n: int) -> FiniteMetricSpace:
-    mat = [[family.distance(i + 1, j + 1) for j in range(n)] for i in range(n)]
-    return validate_metric(mat)
 
 
 def _thin_decreasing(d_vals: list[Fraction], d_inf: Fraction, needed: int) -> Optional[list[int]]:

@@ -4,6 +4,9 @@ All catalog arithmetic is exact (`fractions.Fraction`).  A float path with a
 small tolerance exists only for custom file input whose entries are not
 rational; such spaces are flagged ``approximate``.
 
+The O(n^3) checks in ``validate_metric`` and ``is_ultrametric`` run exactly
+on integers: entries and tolerance are scaled by the lcm of their denominators.
+
 Conventions:
 
 * a ``FiniteMetricSpace`` has points labelled ``0..n-1`` with base point 0;
@@ -17,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, compress
+from operator import sub
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -25,8 +30,7 @@ from .errors import (
     NegativeOrZeroOffDiagonal,
     TriangleViolation,
 )
-
-Rational = Fraction
+from .simplex import integer_row
 
 FLOAT_TOLERANCE = Fraction(1, 10**9)
 
@@ -62,11 +66,12 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return len(self.dist)
 
-    def rho(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
 
-    def points(self) -> range:
-        return range(self.n)
+def _integer_matrix(mat, tol: Fraction = Fraction(0)):
+    """Rows of ``mat`` and ``tol`` as ints over one common denominator."""
+    n = len(mat)
+    flat = integer_row([tol, *(v for row in mat for v in row)])
+    return [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0]
 
 
 def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpace:
@@ -83,36 +88,34 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
     n = len(dist)
     if n == 0 or any(len(row) != n for row in dist):
         raise InvalidFamilyParameters("distance matrix must be square and nonempty")
-    mat = [[as_fraction(v) for v in row] for row in dist]
-    tol = Fraction(tolerance) if tolerance is not None else Fraction(0)
+    try:
+        mat = [[as_fraction(v) for v in row] for row in dist]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidFamilyParameters(f"distance entries must be rationals: {exc}") from exc
+    ints, tol = _integer_matrix(mat, Fraction(tolerance or 0))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(mat[i][j] - mat[j][i]) > tol:
-                raise Asymmetric(i, j)
-            mat[j][i] = mat[i][j]
-    for i in range(n):
-        if abs(mat[i][i]) > tol:
+    for i, j in combinations(range(n), 2):
+        if abs(ints[i][j] - ints[j][i]) > tol:
+            raise Asymmetric(i, j)
+        ints[j][i] = ints[i][j]
+    for i, row in enumerate(ints):
+        if abs(row[i]) > tol:
             raise NegativeOrZeroOffDiagonal(i, i)
-        mat[i][i] = Fraction(0)
-        for j in range(n):
-            if i != j and mat[i][j] <= tol:
+        row[i] = 0
+        for j, v in enumerate(row):
+            if i != j and v <= tol:
                 raise NegativeOrZeroOffDiagonal(i, j)
-    for i in range(n):
-        row_i = mat[i]
-        for j in range(n):
-            if j == i:
-                continue
-            d_ij = row_i[j]
-            row_j = mat[j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if row_i[k] > d_ij + row_j[k] + tol:
-                    raise TriangleViolation(i, j, k)
+    # a triangle fails iff dist[i][k] - dist[j][k] > dist[i][j] + tol, which no
+    # k = i, k = j or j = i can meet, so one max() tests a whole row pair
+    for i, row_i in enumerate(ints):
+        for j, row_j in enumerate(ints):
+            bound = row_i[j] + tol
+            if max(map(sub, row_i, row_j)) > bound:
+                k = next(k for k, (a, b) in enumerate(zip(row_i, row_j)) if a - b > bound)
+                raise TriangleViolation(i, j, k)
 
     return FiniteMetricSpace(
-        dist=tuple(tuple(row) for row in mat),
+        dist=tuple(map(tuple, distance_matrix(lambda i, j: mat[i][j], n))),
         approximate=tolerance is not None,
     )
 
@@ -129,12 +132,10 @@ class MetricFamily:
     family_id: str
     label: str
     oracle: Callable[[int, int], Fraction]  # called with i < j only
-    params: tuple = ()
     size: Optional[int] = None  # None means infinite
     d_k: Optional[Callable[[int], Fraction]] = None  # k -> lim_n rho(x_k, x_n)
     d_limit: Optional[Fraction] = None  # lim_k d_k
     bounded: Optional[bool] = None
-    uniformly_separated: Optional[bool] = None
     converges_to_base: bool = False  # rho(x_n, x_1) -> 0
     delta_unbounded: bool = False  # pairing (2t, 2t+1) has delta_t -> infinity
     ultrametric: bool = False
@@ -155,6 +156,14 @@ class MetricFamily:
         return self.oracle(i, j)
 
 
+def distance_matrix(distance: Callable[[int, int], Fraction], n: int) -> list[list[Fraction]]:
+    """Symmetric n x n matrix, zero diagonal, one ``distance(i, j)`` call per i < j."""
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        mat[i][j] = mat[j][i] = distance(i, j)
+    return mat
+
+
 def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
     """Finite space on the family points x_1..x_N, base point x_1 relabelled 0."""
     if N < 1:
@@ -163,28 +172,25 @@ def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
         raise InvalidFamilyParameters(
             f"family {family.label} has only {family.size} points"
         )
-    mat = [[family.distance(i + 1, j + 1) for j in range(N)] for i in range(N)]
-    return validate_metric(mat)
+    return validate_metric(distance_matrix(lambda i, j: family.distance(i + 1, j + 1), N))
 
 
 def is_ultrametric(space: FiniteMetricSpace):
-    """Strong triangle inequality check.
+    """Strong triangle inequality check, exact on integers.
 
     Returns ``(True, None)`` or ``(False, (x, y, z))`` for the first triple in
     lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).
     """
-    d = space.dist
-    n = space.n
-    for x in range(n):
-        for y in range(n):
-            if y == x:
-                continue
-            dxy = d[x][y]
-            for z in range(n):
-                if z == x or z == y:
-                    continue
-                if dxy > d[x][z] and dxy > d[z][y]:
-                    return False, (x, y, z)
+    rows, _ = _integer_matrix(space.dist)
+    columns = list(zip(*rows))
+    for x, row_x in enumerate(rows):
+        for y, col_y in enumerate(columns):
+            dxy = row_x[y]
+            # least rho(z, y) over the z with rho(x, z) < rho(x, y); z = y is never
+            # among them and z = x gives rho(x, y) itself, whatever the diagonal
+            if y != x and min(compress(col_y, map(dxy.__gt__, row_x)), default=dxy) < dxy:
+                z = next(z for z, (a, b) in enumerate(zip(row_x, col_y)) if a < dxy and b < dxy)
+                return False, (x, y, z)
     return True, None
 
 
@@ -271,17 +277,19 @@ def load_space(source) -> FiniteMetricSpace:
 
     Entries may be numbers or 'p/q' strings.  Non-integral float entries
     switch validation to the tolerant path and flag the space approximate.
-    The matrix must be full, not triangular.
+    The matrix must be full, not triangular.  Text that is not JSON, a
+    "dist" that is not a list of rows and entries that are not rationals
+    raise InvalidFamilyParameters.
     """
-    if isinstance(source, (str, bytes)):
-        obj = json.loads(source)
-    elif hasattr(source, "read"):
-        obj = json.load(source)
-    else:
-        obj = source
-    if not isinstance(obj, dict) or "dist" not in obj:
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        obj = json.loads(source) if isinstance(source, (str, bytes)) else source
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidFamilyParameters(f"custom space is not valid JSON: {exc}") from exc
+    dist = obj.get("dist") if isinstance(obj, dict) else None
+    if not isinstance(dist, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in dist):
         raise InvalidFamilyParameters('custom space JSON needs a "dist" matrix')
-    dist = obj["dist"]
     n = obj.get("n", len(dist))
     if n != len(dist):
         raise InvalidFamilyParameters('"n" does not match the matrix size')

@@ -73,11 +73,9 @@ def uniform(d) -> MetricFamily:
         family_id="uniform",
         label=f"uniform:{d}",
         oracle=lambda i, j: d,
-        params=(d,),
         d_k=lambda k: d,
         d_limit=d,
         bounded=True,
-        uniformly_separated=True,
         ultrametric=True,
     )
 
@@ -92,7 +90,6 @@ def convergent_line() -> MetricFamily:
         value,
         d_k=lambda k: value(k),
         bounded=True,
-        uniformly_separated=False,
         converges_to_base=True,
     )
 
@@ -104,7 +101,6 @@ def integer_line() -> MetricFamily:
         "intline",
         value,
         bounded=False,
-        uniformly_separated=True,
         delta_unbounded=True,
         first_index_beyond=_monotone_line_seek(value, None),
     )
@@ -117,7 +113,6 @@ def geometric_line() -> MetricFamily:
         "geomline",
         value,
         bounded=False,
-        uniformly_separated=True,
         delta_unbounded=True,
         first_index_beyond=_monotone_line_seek(value, None),
     )
@@ -153,11 +148,9 @@ def remark(which) -> MetricFamily:
         label=f"remark:{which}",
         # the metric is stated for n > k; min(index pair) plays the role of k
         oracle=lambda i, j: formula(i, j),
-        params=(which,),
         d_k=_REMARK_DK.get(which),
         d_limit=_REMARK_D.get(which),
         bounded=which != 1,
-        uniformly_separated=True,
     )
 
 
@@ -210,7 +203,6 @@ def ultrametric_from_codes(codes: Sequence[tuple], levels: Sequence, label: str)
         oracle=oracle,
         size=len(codes),
         bounded=True,
-        uniformly_separated=True,
         ultrametric=True,
     )
 
@@ -274,9 +266,16 @@ def family_from_space(space: FiniteMetricSpace, label: str = "custom") -> Metric
         oracle=lambda i, j: space.dist[i - 1][j - 1],
         size=space.n,
         bounded=True,
-        uniformly_separated=True,
         ultrametric=ultra,
     )
+
+
+def _load_space_file(path: str) -> FiniteMetricSpace:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return load_space(handle)
+    except OSError as exc:
+        raise InvalidFamilyParameters(f"cannot read custom space {path}: {exc.strerror}") from exc
 
 
 def make_family(family_id: str, *params) -> MetricFamily:
@@ -300,8 +299,7 @@ def make_family(family_id: str, *params) -> MetricFamily:
             (source,) = params
             if isinstance(source, FiniteMetricSpace):
                 return family_from_space(source)
-            with open(source, "r", encoding="utf-8") as handle:
-                return family_from_space(load_space(handle), label=f"file:{source}")
+            return family_from_space(_load_space_file(source), label=f"file:{source}")
     except (ValueError, TypeError) as exc:
         raise InvalidFamilyParameters(f"bad parameters for {family_id}: {exc}") from exc
     raise InvalidFamilyParameters(f"unknown family id {family_id!r}")
@@ -320,8 +318,7 @@ def parse_space(label: str):
     or ``file:path.json`` for a custom finite space."""
     parts = label.split(":")
     if parts[0] == "file":
-        with open(":".join(parts[1:]), "r", encoding="utf-8") as handle:
-            return load_space(handle)
+        return _load_space_file(":".join(parts[1:]))
     if len(parts) < 2:
         raise InvalidFamilyParameters("space shorthand needs a truncation size")
     from .metric_core import truncate

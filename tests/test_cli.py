@@ -59,6 +59,35 @@ class TestErrors:
         assert code == 1
         assert err.startswith("TriangleViolation:")
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"dist": [[0, "1/0"], ["1/0", 0]]}',
+            '{"dist": [[0, "x"], ["x", 0]]}',
+            '{"dist": [[0, Infinity], [Infinity, 0]]}',
+            '{"dist": [[0, 1], [1, 0]',
+            None,
+            '{"dist": [1, 2]}',
+            b"\xff\xfe",
+        ],
+        ids=[
+            "zero-denominator", "not-rational", "infinite", "malformed-json", "missing-file",
+            "rows-not-lists", "not-utf8",
+        ],
+    )
+    def test_bad_custom_space_is_a_named_error(self, run, tmp_path, content):
+        path = tmp_path / "space.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        code, out, err = run(
+            "norm", "--space", f"file:{path}", "--element", '[{"point":1,"coef":"1"}]'
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("InvalidFamilyParameters:")
+
     def test_usage_error_exit_code(self, run):
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags

@@ -64,7 +64,6 @@ def unbounded_ultrametric_family() -> MetricFamily:
         label="geo-ultra",
         oracle=lambda i, j: F(2 ** max(i, j)),
         bounded=False,
-        uniformly_separated=True,
         ultrametric=True,
         delta_unbounded=True,
     )

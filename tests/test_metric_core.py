@@ -1,10 +1,12 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from lipfree import (
     Asymmetric,
+    FiniteMetricSpace,
     FreeElement,
     LipFunction,
     NegativeOrZeroOffDiagonal,
@@ -17,7 +19,8 @@ from lipfree import (
     truncate,
     validate_metric,
 )
-from oracles import triangle_scan, ultrametric_scan
+from lipfree.metric_core import FLOAT_TOLERANCE
+from oracles import dendrogram_lca_bruteforce, triangle_scan, ultrametric_scan
 
 
 class TestValidateMetric:
@@ -57,6 +60,128 @@ class TestValidateMetric:
         space = validate_metric([["0", "1/3"], ["1/3", 0]])
         assert space.dist[0][1] == F(1, 3)
         assert not space.approximate
+
+
+BIG_PRIME = 2**61 - 1
+
+
+def _distinct_primes(count, start):
+    found, p = [], start
+    while len(found) < count:
+        p += 1
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            found.append(p)
+    return found
+
+
+def _big_denominator_matrix(rng, n, kind):
+    """Entries in (1, 2] above the diagonal, mirrored, so always a metric.
+
+    ``convline`` entries are 1 + 1/(ab) as in the convergent line;
+    ``primes`` gives every pair its own prime denominator; ``mixed`` draws
+    from both and from the integers 1 and 2.
+    """
+    primes = iter(_distinct_primes(n * n, rng.randrange(10**4, 10**5)))
+    d = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            pick = kind if kind != "mixed" else rng.choice(["convline", "primes", "int"])
+            if pick == "convline":
+                v = 1 + F(1, rng.randint(1, n) * rng.randint(1, n))
+            elif pick == "primes":
+                p = next(primes)
+                v = 1 + F(rng.randrange(1, p), p)
+            else:
+                v = F(rng.randint(1, 2))
+            d[i][j] = d[j][i] = v
+    return d
+
+
+def _set(d, i, j, value):
+    d[i][j] = d[j][i] = value
+
+
+class TestIntegerKernelParity:
+    """The integer scans name the same witness as the reference scans."""
+
+    @pytest.mark.parametrize("kind", ["convline", "primes", "mixed"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_triangle_witness_matches_oracle(self, kind, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 12)
+        d = _big_denominator_matrix(rng, n, kind)
+        assert validate_metric(d).dist == tuple(map(tuple, d))
+        p, k, q = rng.sample(range(n), 3)
+        # tight (accepted at this triple) or over by 1/BIG_PRIME (rejected)
+        slack = rng.choice([F(0), F(1, BIG_PRIME)])
+        _set(d, p, q, d[p][k] + d[k][q] + slack)
+        expected = triangle_scan(d)
+        if slack:
+            assert expected is not None
+        if expected is None:
+            validate_metric(d)
+        else:
+            with pytest.raises(TriangleViolation) as info:
+                validate_metric(d)
+            assert (info.value.i, info.value.j, info.value.k) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_asymmetry_and_positivity_witnesses(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 10)
+        d = _big_denominator_matrix(rng, n, "mixed")
+        i, j = sorted(rng.sample(range(n), 2))
+        d[j][i] += F(1, BIG_PRIME)
+        with pytest.raises(Asymmetric) as info:
+            validate_metric(d)
+        assert (info.value.i, info.value.j) == (i, j)
+        _set(d, i, j, F(0))
+        with pytest.raises(NegativeOrZeroOffDiagonal) as info:
+            validate_metric(d)
+        assert (info.value.i, info.value.j) == (i, j)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_ultrametric_witness_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        n, depth = rng.randint(4, 14), rng.randint(1, 4)
+        primes = _distinct_primes(depth + 1, rng.randrange(10**4, 10**5))
+        levels = sorted((1 + F(rng.randrange(1, p), p) for p in primes), reverse=True)
+        codes = [tuple(rng.randrange(2) for _ in range(depth)) for _ in range(n)]
+        d = dendrogram_lca_bruteforce(codes, levels)
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.sample(range(n), 2)
+            _set(d, i, j, d[i][j] + rng.choice([1, -1]) * F(1, BIG_PRIME))
+        ok, witness = is_ultrametric(FiniteMetricSpace(dist=tuple(map(tuple, d))))
+        assert witness == ultrametric_scan(d)
+        assert ok == (witness is None)
+
+
+class TestToleranceScaling:
+    """Float input: defects below FLOAT_TOLERANCE pass, defects above fail."""
+
+    @staticmethod
+    def _tight_triangle(excess):
+        # dist[0][1] = dist[0][2] + dist[2][1] + excess
+        return json.dumps({"dist": [[0, 1.5 + excess, 0.75], [1.5 + excess, 0, 0.75], [0.75, 0.75, 0]]})
+
+    def test_triangle_defect_below_tolerance_accepted(self):
+        assert float(FLOAT_TOLERANCE) == 1e-9
+        space = load_space(self._tight_triangle(1e-10))
+        assert space.approximate
+        assert space.dist[0][1] > space.dist[0][2] + space.dist[2][1]
+
+    def test_triangle_defect_above_tolerance_rejected(self):
+        with pytest.raises(TriangleViolation) as info:
+            load_space(self._tight_triangle(1e-8))
+        assert (info.value.i, info.value.j, info.value.k) == (0, 2, 1)
+
+    def test_asymmetry_and_positivity_against_tolerance(self):
+        with pytest.raises(Asymmetric):
+            load_space('{"dist": [[0, 0.50000001], [0.5, 0]]}')
+        with pytest.raises(NegativeOrZeroOffDiagonal):
+            load_space('{"dist": [[0, 1e-10], [1e-10, 0]]}')
+        space = load_space('{"dist": [[1e-10, 0.5], [0.5, 0]]}')
+        assert space.dist[0][0] == 0
 
 
 class TestTruncate:
