@@ -1,23 +1,27 @@
-"""Worst case for the common denominator of ``validate_metric``.
+"""Worst case for the common denominator of the metric scans.
 
-    PYTHONPATH=src python3 bench/adversarial.py [--sizes 40 64] [--repeats 5]
+    PYTHONPATH=src python3 bench/adversarial.py
 
 Every entry above the diagonal of an n-point matrix is 1 + 1/p for its own
 prime p, so the lcm of the denominators is the product of n(n-1)/2 primes.
 All entries lie in (1, 2), so the matrix is a metric and the full triangle
-scan runs.  Prints one JSON object: the median wall seconds of
-``validate_metric`` per size, over the repeats.
+scan runs; it is not an ultrametric.  Prints one JSON object: per size, the
+median wall seconds over ``REPEATS`` runs of ``validate_metric`` on the
+matrix and of ``is_ultrametric`` on the validated space (a ``file:`` family
+runs both).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 from fractions import Fraction
 from time import perf_counter
 
-from lipfree import validate_metric
+from lipfree import is_ultrametric, validate_metric
+
+SIZES = (40, 64, 96, 128, 192)
+REPEATS = 3
 
 
 def primes(count: int, start: int = 1000) -> list[int]:
@@ -39,21 +43,25 @@ def adversarial_matrix(n: int) -> list[list[Fraction]]:
     return mat
 
 
+def median_seconds(call) -> float:
+    times = []
+    for _ in range(REPEATS):
+        start = perf_counter()
+        call()
+        times.append(perf_counter() - start)
+    return statistics.median(times)
+
+
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[40, 64])
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
     out = {}
-    for n in args.sizes:
+    for n in SIZES:
         mat = adversarial_matrix(n)
-        times = []
-        for _ in range(args.repeats):
-            start = perf_counter()
-            validate_metric(mat)
-            times.append(perf_counter() - start)
-        out[f"n={n}"] = {"median_s": statistics.median(times), "repeats": args.repeats}
-    print(json.dumps(out))
+        space = validate_metric(mat)
+        out[f"n={n}"] = {
+            "validate_metric_s": median_seconds(lambda: validate_metric(mat)),
+            "is_ultrametric_s": median_seconds(lambda: is_ultrametric(space)),
+        }
+    print(json.dumps({"repeats": REPEATS, "sizes": out}))
 
 
 if __name__ == "__main__":

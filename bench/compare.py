@@ -1,17 +1,15 @@
 """Alternating parent/change benchmark pairs, written as one BENCH json.
 
-    python3 bench/compare.py --parent DIR --change DIR --pairs 10 --seed 1 \
-        --out BENCH_2.json
+    python3 bench/compare.py --parent DIR --change DIR --seed 1 --out BENCH_2.json
 
-DIR is a full checkout (with ``perfbench/`` and ``src/``) of each side.  Pair
-p runs ``perfbench/run.py --workload all`` once per side, the parent first
-when p is even and the change first when p is odd.  For every end-to-end
-metric of every workload the output holds each side's runs, median and
-quartiles (``statistics.quantiles(n=4)``), and how many pairs the change won
-in the direction ``BENCHMARK.json`` calls better.  One traced run per side
-adds the per-layer figures, ``bench/counters.py`` the exact work counters of
-a fixed set of operations, and ``bench/adversarial.py`` runs on both sides'
-sources.
+DIR is a full checkout (with ``perfbench/`` and ``src/``) of each side.  Each
+of the ``PAIRS`` pairs p runs ``perfbench/run.py --workload all`` once per
+side, the parent first when p is even and the change first when p is odd.
+For every end-to-end metric of every workload the output holds each side's
+runs, median and quartiles (``statistics.quantiles(n=4)``), and how many
+pairs the change won in the direction ``BENCHMARK.json`` calls better.  One
+traced run per side adds the per-layer figures, and ``bench/adversarial.py``
+runs on both sides' sources.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+PAIRS = 10
 
 
 def run_benchmark(checkout: str, seed: int, trace: int) -> dict:
@@ -46,16 +45,6 @@ def adversarial(checkout: str) -> dict:
     return json.loads(done.stdout)
 
 
-def counters(checkout: str, seed: int) -> dict:
-    done = subprocess.run(
-        [sys.executable, os.path.join(HERE, "counters.py"), "--checkout", checkout,
-         "--seed", str(seed)],
-        env={**os.environ, "PYTHONHASHSEED": "0"},
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout)
-
-
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"runs": values, "q1": q1, "median": statistics.median(values), "q3": q3}
@@ -65,7 +54,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
@@ -74,7 +62,7 @@ def main() -> None:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
 
     runs = {"parent": [], "change": []}
-    for p in range(args.pairs):
+    for p in range(PAIRS):
         order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_benchmark(sides[side], args.seed, 0))
@@ -89,16 +77,15 @@ def main() -> None:
         change = [r["metrics"][name] for r in runs["change"]]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         metrics[name] = {"parent": summary(parent), "change": summary(change),
-                         "change_wins": wins, "pairs": args.pairs}
+                         "change_wins": wins, "pairs": PAIRS}
     out = {
         "seed": args.seed,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in sides},
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in sides},
         "end_to_end": metrics,
         "traced": {side: run_benchmark(sides[side], args.seed, 1)["metrics"] for side in sides},
-        "counters_fixed_ops": {side: counters(sides[side], args.seed) for side in sides},
-        "adversarial_validate_metric": {side: adversarial(sides[side]) for side in sides},
+        "adversarial": {side: adversarial(sides[side]) for side in sides},
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(out, handle, indent=1)

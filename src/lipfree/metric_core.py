@@ -4,8 +4,8 @@ All catalog arithmetic is exact (`fractions.Fraction`).  A float path with a
 small tolerance exists only for custom file input whose entries are not
 rational; such spaces are flagged ``approximate``.
 
-The O(n^3) checks in ``validate_metric`` and ``is_ultrametric`` run exactly
-on integers: entries and tolerance are scaled by the lcm of their denominators.
+The O(n^3) checks in ``validate_metric`` and ``is_ultrametric`` run on
+integers over one common denominator and stay exact (see ``_integer_matrix``).
 
 Conventions:
 
@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, compress
+from math import lcm
 from operator import sub
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +31,6 @@ from .errors import (
     NegativeOrZeroOffDiagonal,
     TriangleViolation,
 )
-from .simplex import integer_row
 
 FLOAT_TOLERANCE = Fraction(1, 10**9)
 
@@ -67,11 +67,27 @@ class FiniteMetricSpace:
         return len(self.dist)
 
 
+_SCAN_BITS = 256
+
+
 def _integer_matrix(mat, tol: Fraction = Fraction(0)):
-    """Rows of ``mat`` and ``tol`` as ints over one common denominator."""
+    """Rows of ``mat`` and ``tol`` as floor(v * scale), and the slack of those floors.
+
+    The scale is the lcm of the denominators, so the ints are exact (slack 0),
+    unless that lcm has more than ``_SCAN_BITS`` bits: it is then 2**_SCAN_BITS
+    and a sum of floors may be off by less than the slack of 1.  The scans flag
+    what fails against bounds loosened by the slack and settle it on Fractions.
+    """
     n = len(mat)
-    flat = integer_row([tol, *(v for row in mat for v in row)])
-    return [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0]
+    flat = [tol, *(v for row in mat for v in row)]
+    scale, slack = 1, 0
+    for d in {v.denominator for v in flat}:
+        scale = lcm(scale, d)
+        if scale.bit_length() > _SCAN_BITS:
+            scale, slack = 1 << _SCAN_BITS, 1
+            break
+    flat = [v.numerator * scale // v.denominator for v in flat]
+    return [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0], slack
 
 
 def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpace:
@@ -92,32 +108,32 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
         mat = [[as_fraction(v) for v in row] for row in dist]
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InvalidFamilyParameters(f"distance entries must be rationals: {exc}") from exc
-    ints, tol = _integer_matrix(mat, Fraction(tolerance or 0))
+    exact_tol = Fraction(tolerance or 0)
+    ints, tol, slack = _integer_matrix(mat, exact_tol)
 
     for i, j in combinations(range(n), 2):
-        if abs(ints[i][j] - ints[j][i]) > tol:
+        if abs(ints[i][j] - ints[j][i]) > tol - slack and abs(mat[i][j] - mat[j][i]) > exact_tol:
             raise Asymmetric(i, j)
         ints[j][i] = ints[i][j]
+    sym = distance_matrix(lambda i, j: mat[i][j], n)
     for i, row in enumerate(ints):
-        if abs(row[i]) > tol:
+        if abs(row[i]) > tol - slack and abs(mat[i][i]) > exact_tol:
             raise NegativeOrZeroOffDiagonal(i, i)
-        row[i] = 0
+        row[i] = slack  # 1 when rounded: keeps k = i, k = j and j = i under the bound
         for j, v in enumerate(row):
-            if i != j and v <= tol:
+            if i != j and v <= tol and sym[i][j] <= exact_tol:
                 raise NegativeOrZeroOffDiagonal(i, j)
     # a triangle fails iff dist[i][k] - dist[j][k] > dist[i][j] + tol, which no
     # k = i, k = j or j = i can meet, so one max() tests a whole row pair
     for i, row_i in enumerate(ints):
         for j, row_j in enumerate(ints):
-            bound = row_i[j] + tol
+            bound = row_i[j] + tol - slack
             if max(map(sub, row_i, row_j)) > bound:
-                k = next(k for k, (a, b) in enumerate(zip(row_i, row_j)) if a - b > bound)
-                raise TriangleViolation(i, j, k)
+                for k, (a, b) in enumerate(zip(row_i, row_j)):
+                    if a - b > bound and sym[i][k] - sym[j][k] > sym[i][j] + exact_tol:
+                        raise TriangleViolation(i, j, k)
 
-    return FiniteMetricSpace(
-        dist=tuple(map(tuple, distance_matrix(lambda i, j: mat[i][j], n))),
-        approximate=tolerance is not None,
-    )
+    return FiniteMetricSpace(dist=tuple(map(tuple, sym)), approximate=tolerance is not None)
 
 
 @dataclass(frozen=True)
@@ -181,16 +197,21 @@ def is_ultrametric(space: FiniteMetricSpace):
     Returns ``(True, None)`` or ``(False, (x, y, z))`` for the first triple in
     lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).
     """
-    rows, _ = _integer_matrix(space.dist)
+    d = space.dist
+    rows, _, slack = _integer_matrix(d)
+    # a diagonal above every entry keeps z = x and z = y out of the filters below
+    top = max(map(max, rows), default=0) + 1
+    for x, row in enumerate(rows):
+        row[x] = top
     columns = list(zip(*rows))
     for x, row_x in enumerate(rows):
         for y, col_y in enumerate(columns):
-            dxy = row_x[y]
-            # least rho(z, y) over the z with rho(x, z) < rho(x, y); z = y is never
-            # among them and z = x gives rho(x, y) itself, whatever the diagonal
+            dxy = row_x[y] + slack
+            # least rho(z, y) over the z with rho(x, z) < rho(x, y), up to the slack
             if y != x and min(compress(col_y, map(dxy.__gt__, row_x)), default=dxy) < dxy:
-                z = next(z for z, (a, b) in enumerate(zip(row_x, col_y)) if a < dxy and b < dxy)
-                return False, (x, y, z)
+                for z, (a, b) in enumerate(zip(row_x, col_y)):
+                    if a < dxy and b < dxy and d[x][y] > max(d[x][z], d[z][y]):
+                        return False, (x, y, z)
     return True, None
 
 

@@ -24,7 +24,7 @@ class LPSolution:
     x: tuple[Fraction, ...]
 
 
-def integer_row(values) -> list[int]:
+def _integer_row(values) -> list[int]:
     # ints and Fractions both expose numerator/denominator; scale by the lcm
     scale = 1
     for v in values:
@@ -47,7 +47,7 @@ def solve_lp_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LPSolu
     for row, b in zip(rows, rhs):
         if len(row) != n:
             raise ValueError("constraint row length mismatch")
-        tableau.append(integer_row([*row, b]))
+        tableau.append(_integer_row([*row, b]))
     obj_scale = lcm(*(v.denominator for v in c)) if c else 1
     obj = [v.numerator * (obj_scale // v.denominator) for v in c]
 

@@ -19,7 +19,7 @@ from lipfree import (
     truncate,
     validate_metric,
 )
-from lipfree.metric_core import FLOAT_TOLERANCE
+from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE, _integer_matrix
 from oracles import dendrogram_lca_bruteforce, triangle_scan, ultrametric_scan
 
 
@@ -149,6 +149,68 @@ class TestIntegerKernelParity:
         codes = [tuple(rng.randrange(2) for _ in range(depth)) for _ in range(n)]
         d = dendrogram_lca_bruteforce(codes, levels)
         for _ in range(rng.randint(0, 2)):
+            i, j = rng.sample(range(n), 2)
+            _set(d, i, j, d[i][j] + rng.choice([1, -1]) * F(1, BIG_PRIME))
+        ok, witness = is_ultrametric(FiniteMetricSpace(dist=tuple(map(tuple, d))))
+        assert witness == ultrametric_scan(d)
+        assert ok == (witness is None)
+
+
+class TestRoundedScans:
+    """Common denominators of more than _SCAN_BITS bits: the scans run on
+    rounded ints and settle every flagged triple on the Fractions."""
+
+    @staticmethod
+    def _prime_line(rng, n, tiny_gap=False):
+        # point k sits in (k, k + 1) at a fraction with its own prime denominator,
+        # so every triple along the line is tight and every pair's denominator differs
+        primes = _distinct_primes(n, rng.randrange(10**4, 10**5))
+        pos = [k + F(rng.randrange(1, p), p) for k, p in enumerate(primes)]
+        if tiny_gap:
+            pos.insert(1, pos[0] + F(1, 2 ** (2 * _SCAN_BITS)))
+        d = [[abs(a - b) for b in pos] for a in pos]
+        assert _integer_matrix(d)[2] == 1
+        return d
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tight_line_accepted_and_violation_found(self, seed):
+        rng = random.Random(seed)
+        d = self._prime_line(rng, 24, tiny_gap=seed % 2 == 1)
+        assert validate_metric(d).dist == tuple(map(tuple, d))
+        i, j = sorted(rng.sample(range(len(d)), 2))
+        if j - i < 2:
+            j = i + 2
+        _set(d, i, j, d[i][j] + F(1, BIG_PRIME))
+        expected = triangle_scan(d)
+        assert expected is not None
+        with pytest.raises(TriangleViolation) as info:
+            validate_metric(d)
+        assert (info.value.i, info.value.j, info.value.k) == expected
+
+    def test_asymmetry_and_positivity_witnesses(self):
+        d = self._prime_line(random.Random(1), 24)
+        d[7][3] += F(1, BIG_PRIME)
+        with pytest.raises(Asymmetric) as info:
+            validate_metric(d)
+        assert (info.value.i, info.value.j) == (3, 7)
+        _set(d, 3, 7, F(0))
+        with pytest.raises(NegativeOrZeroOffDiagonal) as info:
+            validate_metric(d)
+        assert (info.value.i, info.value.j) == (3, 7)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ultrametric_witness_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        # a caterpillar: points a < b branch at depth a, so n - 1 levels occur
+        n = 24
+        primes = _distinct_primes(n, rng.randrange(10**4, 10**5))
+        levels = sorted((1 + F(rng.randrange(1, p), p) for p in primes), reverse=True)
+        codes = [(1,) * m + (0,) * (n - m) for m in range(n)]
+        d = dendrogram_lca_bruteforce(codes, levels)
+        space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
+        assert _integer_matrix(space.dist)[2] == 1
+        assert is_ultrametric(space) == (True, None)
+        for _ in range(rng.randint(1, 3)):
             i, j = rng.sample(range(n), 2)
             _set(d, i, j, d[i][j] + rng.choice([1, -1]) * F(1, BIG_PRIME))
         ok, witness = is_ultrametric(FiniteMetricSpace(dist=tuple(map(tuple, d))))
