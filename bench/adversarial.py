@@ -8,19 +8,25 @@ All entries lie in (1, 2), so the matrix is a metric and the full triangle
 scan runs; it is not an ultrametric.  Prints one JSON object: per size, the
 median wall seconds over ``REPEATS`` runs of ``validate_metric`` on the
 matrix and of ``is_ultrametric`` on the validated space (a ``file:`` family
-runs both).
+runs both), and per size in ``NORM_SIZES`` of ``free_norm_flow`` on a seeded
+element that supports every point (``free_norm(...).value`` where that
+exists, the Fraction transport of earlier versions otherwise), with a hash
+of the norm it returned.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import statistics
 from fractions import Fraction
 from time import perf_counter
 
-from lipfree import is_ultrametric, validate_metric
+from lipfree import FreeElement, free_norm_flow, is_ultrametric, validate_metric
 
-SIZES = (40, 64, 96, 128, 192)
+SIZES = (24, 40, 64, 96, 128, 192)
+NORM_SIZES = (24, 40, 64)
 REPEATS = 3
 
 
@@ -61,6 +67,15 @@ def main() -> None:
             "validate_metric_s": median_seconds(lambda: validate_metric(mat)),
             "is_ultrametric_s": median_seconds(lambda: is_ultrametric(space)),
         }
+        if n in NORM_SIZES:
+            rng = random.Random(n)
+            element = FreeElement.from_pairs(
+                (p, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)))
+                for p in range(1, n)
+            )
+            out[f"n={n}"]["free_norm_s"] = median_seconds(lambda: free_norm_flow(element, space))
+            value = str(free_norm_flow(element, space)).encode()
+            out[f"n={n}"]["free_norm_sha256"] = hashlib.sha256(value).hexdigest()[:16]
     print(json.dumps({"repeats": REPEATS, "sizes": out}))
 
 

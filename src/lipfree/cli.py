@@ -25,7 +25,7 @@ from .constructions import (
 )
 from .errors import InvalidFamilyParameters, LipfreeError
 from .metric_core import as_fraction, fraction_str, free_element_from_json
-from .norm_engine import ball_section, free_norm_lp, two_point_norm
+from .norm_engine import ball_section, free_norm, free_norm_lp, two_point_norm
 from .space_catalog import FAMILY_INFO, parse_family, parse_space
 from .svg import ball_section_csv, render_ball_section
 
@@ -34,9 +34,22 @@ CASES = ("auto", "accum", "bounded", "unbounded", "udelta", "ultra")
 
 def _read_arg(value: str) -> str:
     if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as handle:
-            return handle.read()
+        try:
+            with open(value[1:], "r", encoding="utf-8") as handle:
+                return handle.read()
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            raise InvalidFamilyParameters(f"cannot read {value[1:]}: {exc}") from exc
     return value
+
+
+def _coeffs_from_json(text: str) -> list:
+    try:
+        values = json.loads(text)
+        if not isinstance(values, list):
+            raise ValueError("a JSON list of rationals is needed")
+        return [as_fraction(v) for v in values]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidFamilyParameters(f"bad --coeffs: {exc!r}") from exc
 
 
 def _emit(obj) -> None:
@@ -69,7 +82,7 @@ def _construct_plan(family_label: str, case: str, n_pairs: int):
 def _cmd_norm(args) -> None:
     space = parse_space(args.space)
     element = free_element_from_json(_read_arg(args.element))
-    result = free_norm_lp(element, space)
+    result = (free_norm_lp if args.norm == "lp" else free_norm)(element, space)
     out = {"norm": fraction_str(result.value)}
     if args.with_function:
         out["function"] = [fraction_str(v) for v in result.function.values]
@@ -124,7 +137,7 @@ def _cmd_verify(args) -> None:
         plan = _construct_plan(args.family, args.case, args.N)
     else:
         raise InvalidFamilyParameters("verify needs --plan or --family")
-    coeffs = [as_fraction(v) for v in json.loads(_read_arg(args.coeffs))]
+    coeffs = _coeffs_from_json(_read_arg(args.coeffs))
     value = verify_l1_isometry(plan, coeffs, norm=args.norm)
     _emit({"l1_norm": fraction_str(value), "exact": plan.exact})
 
@@ -162,6 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help="family:params:N or file:path.json")
     p.add_argument("--element", required=True, help='JSON [{"point": i, "coef": "p/q"}], or @file')
     p.add_argument("--with-function", action="store_true", help="include an attaining function")
+    p.add_argument(
+        "--norm", choices=("flow", "lp"), default="flow",
+        help="certified transport (default) or the defining LP as a cross-check",
+    )
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("two-point", help="closed-form norm of a*delta_x + b*delta_y")
@@ -190,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=CASES, default="auto")
     p.add_argument("--N", type=int, help="number of pairs")
     p.add_argument("--coeffs", required=True, help="JSON list of rationals, or @file")
-    p.add_argument("--norm", choices=("lp", "flow"), default="lp")
+    p.add_argument("--norm", choices=("flow", "lp"), default="flow")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("admissibility", help="best worst-pair ratio LP on a prefix")

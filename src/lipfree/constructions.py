@@ -294,11 +294,12 @@ def l1_combination(plan: EmbeddingPlan, coeffs: Sequence) -> FreeElement:
     return FreeElement.from_pairs(pairs)
 
 
-def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence, norm: str = "lp") -> Fraction:
+def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence, norm: str = "flow") -> Fraction:
     """Free norm of sum a_n e_n; equals sum |a_n| exactly on exact plans.
 
-    ``norm`` selects the computation route: "lp" (the defining linear
-    program) or "flow" (the transportation oracle); the two agree exactly.
+    ``norm`` selects the computation route: "flow" (the certified transport
+    engine) or "lp" (the defining linear program, the independent oracle);
+    the two agree exactly.
     Raises ExactnessRequired when the plan is not exact, since then only the
     upper inequality holds.
     """
@@ -306,7 +307,9 @@ def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence, norm: str = "lp") 
         raise ExactnessRequired("the tight pair condition r_2n + r_2n+1 = rho is needed")
     coeffs = [as_fraction(a) for a in coeffs]
     if len(coeffs) > plan.pair_count:
-        raise ValueError("more coefficients than plan pairs")
+        raise InvalidFamilyParameters(
+            f"{len(coeffs)} coefficients for a plan of {plan.pair_count} pairs"
+        )
     element = l1_combination(plan, coeffs)
     space = plan.space(2 * len(coeffs) + 1)
     if norm == "lp":

@@ -56,6 +56,12 @@ class TooFewPoints(LipfreeError):
     pass
 
 
+class PointOutsideSpace(LipfreeError):
+    def __init__(self, point: int, n: int):
+        self.point, self.n = point, n
+        super().__init__(f"point {point} outside space of size {n}")
+
+
 class SeparationViolation(LipfreeError):
     def __init__(self, m: int, n: int, r_sum=None, rho=None):
         self.m, self.n = m, n

@@ -29,6 +29,7 @@ from .errors import (
     Asymmetric,
     InvalidFamilyParameters,
     NegativeOrZeroOffDiagonal,
+    PointOutsideSpace,
     TriangleViolation,
 )
 
@@ -260,7 +261,7 @@ class FreeElement:
     def check_supported(self, space: FiniteMetricSpace) -> None:
         for p, _ in self.support:
             if not 0 <= p < space.n:
-                raise ValueError(f"support point {p} outside space of size {space.n}")
+                raise PointOutsideSpace(p, space.n)
 
 
 def delta(point: int) -> FreeElement:
@@ -326,7 +327,14 @@ def free_element_to_json(element: FreeElement) -> list:
 
 
 def free_element_from_json(source) -> FreeElement:
-    obj = json.loads(source) if isinstance(source, (str, bytes)) else source
-    if not isinstance(obj, list):
-        raise ValueError("free element JSON must be a list of {point, coef}")
-    return FreeElement.from_pairs((item["point"], item["coef"]) for item in obj)
+    """Parse [{"point": i, "coef": "p/q"}, ...]; malformed input raises
+    InvalidFamilyParameters."""
+    try:
+        obj = json.loads(source) if isinstance(source, (str, bytes)) else source
+        if not isinstance(obj, list) or not all(isinstance(item, dict) for item in obj):
+            raise ValueError("a list of {point, coef} objects is needed")
+        if any(type(item["point"]) is not int for item in obj):
+            raise ValueError("points must be integers")
+        return FreeElement.from_pairs((item["point"], item["coef"]) for item in obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidFamilyParameters(f"bad free element JSON: {exc!r}") from exc

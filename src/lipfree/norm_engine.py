@@ -1,16 +1,20 @@
 """Exact norms over finite pointed metric spaces.
 
-Two independent routes compute the free-space norm of a finitely supported
-element:
+The free-space norm of a finitely supported element has one primary engine
+and one independent oracle:
 
-* ``free_norm_lp``   solves the defining linear program over base-normalised
-  Lipschitz functions (the dual-space definition of the norm) with an exact
-  rational simplex, and returns an attaining function;
-* ``free_norm_flow`` solves the balanced transportation problem between the
-  positive and negative parts (the classical transportation dual) with an
-  exact min-cost flow.
-
-The two must agree exactly on every input; the test suite enforces this.
+* ``free_norm`` ships the positive part onto the negative part at metric
+  cost (Kantorovich-Rubinstein duality) with the exact min-cost transport of
+  ``flow``, and returns the value with a certificate: the optimal plan,
+  whose cost bounds the norm from above, and an attaining 1-Lipschitz
+  function built from the transport duals, whose pairing bounds it from
+  below.  The engine checks that both bounds meet the value before it
+  returns, so the value does not rest on the solver being right.
+  ``free_norm_flow`` is its value alone.
+* ``free_norm_lp`` solves the defining linear program over base-normalised
+  Lipschitz functions with an exact rational simplex, and returns an
+  attaining function.  It shares no code with the transport route; the test
+  suite requires the two to agree exactly.
 
 The restriction of the LP to the support plus the base point is justified by
 1-Lipschitz extension: any function feasible on those points extends to the
@@ -23,8 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from .errors import DegeneratePair, InvalidTriple, TooFewPoints
+from .errors import DegeneratePair, InvalidTriple, PointOutsideSpace, TooFewPoints
 from .flow import min_cost_transport
 from .geometry import canonical_ccw, intersect_halfplanes
 from .metric_core import FiniteMetricSpace, FreeElement, LipFunction, as_fraction
@@ -57,6 +62,8 @@ def pairing(f: LipFunction, element: FreeElement) -> Fraction:
 class FreeNormResult:
     value: Fraction
     function: LipFunction  # attaining function, Lipschitz constant <= 1
+    # (source point, sink point, mass) of an optimal transport plan; None from the LP
+    plan: Optional[tuple[tuple[int, int, Fraction], ...]] = None
 
 
 def _mcshane_extension(space: FiniteMetricSpace, anchors: dict[int, Fraction]) -> LipFunction:
@@ -118,28 +125,59 @@ def free_norm_lp(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResu
     return FreeNormResult(value=solution.value, function=_mcshane_extension(space, anchors))
 
 
-def free_norm_flow(element: FreeElement, space: FiniteMetricSpace) -> Fraction:
-    """Free-space norm as an exact balanced transportation optimum.
+def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
+    """Free-space norm as an exact optimal transport, with its certificate.
 
-    The balancing coefficient a_0 = -sum a_i is appended at the base point;
-    the positive part ships onto the negative part at metric cost.
+    The balancing coefficient a_0 = -sum a_i is appended at the base point,
+    and the positive part ships onto the negative part at metric cost.  The
+    attaining function is the c-transform of the sink duals beta_j,
+    f(x) = min_j (beta_j + rho(x, y_j)) - f(0), which is 1-Lipschitz on the
+    whole space (on an approximate space, up to its tolerance).  Before returning, the plan's marginals, the plan's cost and
+    the pairing of f with the element are each checked to equal the value.
     """
     element.check_supported(space)
-    masses = {p: c for p, c in element.support}
+    masses = dict(element.support)
     balance = -sum(masses.values(), Fraction(0))
     if balance != 0:
         masses[0] = balance
     sources = [(p, c) for p, c in sorted(masses.items()) if c > 0]
     sinks = [(p, -c) for p, c in sorted(masses.items()) if c < 0]
     if not sources:
-        return Fraction(0)
-    src_pts = [p for p, _ in sources]
-    snk_pts = [p for p, _ in sinks]
-    return min_cost_transport(
+        return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
+    dist = space.dist
+    transport = min_cost_transport(
         [c for _, c in sources],
         [c for _, c in sinks],
-        lambda i, j: space.dist[src_pts[i]][snk_pts[j]],
+        lambda i, j: dist[sources[i][0]][sinks[j][0]],
     )
+    value = transport.cost
+    k = len(sources)
+    beta = [-p for p in transport.potentials[k:]]
+    values = [min(b + dist[x][y] for b, (y, _) in zip(beta, sinks)) for x in range(space.n)]
+    # on a metric the c-transform already takes beta_j at y_j; pinning it keeps
+    # the pairing exact on an approximate space, whose triangles hold only
+    # up to the float tolerance
+    for b, (y, _) in zip(beta, sinks):
+        values[y] = b
+    function = LipFunction(tuple(v - values[0] for v in values))
+    plan = tuple((sources[i][0], sinks[j][0], m) for i, j, m in transport.plan)
+
+    shipped = dict.fromkeys(masses, Fraction(0))
+    for x, y, m in plan:
+        shipped[x] += m
+        shipped[y] -= m
+    if shipped != masses:
+        raise AssertionError("transport plan marginals differ from the element")
+    if sum((m * dist[x][y] for x, y, m in plan), Fraction(0)) != value:
+        raise AssertionError("transport plan cost differs from the norm")
+    if pairing(function, element) != value:
+        raise AssertionError("pairing of the dual function differs from the norm")
+    return FreeNormResult(value, function, plan)
+
+
+def free_norm_flow(element: FreeElement, space: FiniteMetricSpace) -> Fraction:
+    """The value of ``free_norm``: the exact balanced transportation optimum."""
+    return free_norm(element, space).value
 
 
 def _check_triple(dx0: Fraction, dy0: Fraction, dxy: Fraction) -> None:
@@ -213,6 +251,9 @@ def ball_section(space: FiniteMetricSpace, x: int, y: int) -> BallSection:
         raise DegeneratePair(f"points must differ, got x = y = {x}")
     if x == 0 or y == 0:
         raise DegeneratePair("section points must differ from the base point")
+    for p in (x, y):
+        if not 0 <= p < space.n:
+            raise PointOutsideSpace(p, space.n)
     return _section_from_distances(
         x, y, space.dist[x][0], space.dist[y][0], space.dist[x][y]
     )
@@ -229,9 +270,9 @@ def nonrotund_witness(space: FiniteMetricSpace) -> tuple[FreeElement, FreeElemen
     x, y = 1, 2
     u = FreeElement.from_pairs([(x, 1 / space.dist[x][0])])
     v = FreeElement.from_pairs([(y, 1 / space.dist[y][0])])
-    norm_u = free_norm_lp(u, space).value
-    norm_v = free_norm_lp(v, space).value
-    norm_sum = free_norm_lp(u.plus(v), space).value
+    norm_u = free_norm(u, space).value
+    norm_v = free_norm(v, space).value
+    norm_sum = free_norm(u.plus(v), space).value
     if not (norm_u == 1 and norm_v == 1 and norm_sum == 2):
         raise AssertionError("witness post-conditions failed; norm engine is broken")
     return u, v

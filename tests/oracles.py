@@ -95,6 +95,28 @@ def one_point_extension(rng: random.Random, space: FiniteMetricSpace) -> FiniteM
     return validate_metric(d)
 
 
+def assert_certificate(result, element: FreeElement, space: FiniteMetricSpace) -> None:
+    """The transport certificate, recomputed from scratch.
+
+    The pairing of the attaining function with the element equals the value,
+    and the plan moves exactly the positive part (base balance included)
+    onto the negative part at a total metric cost equal to the value.  The
+    Lipschitz bound is left to ``lip_norm``.
+    """
+    values = result.function.values
+    assert values[0] == 0 and len(values) == space.n
+    assert sum(c * values[p] for p, c in element.support) == result.value
+    masses = dict(element.support)
+    masses[0] = -sum(masses.values(), Fraction(0))
+    moved = {p: Fraction(0) for p in masses}
+    for x, y, m in result.plan:
+        assert m > 0 and masses[x] > 0 > masses[y]
+        moved[x] += m
+        moved[y] -= m
+    assert moved == masses
+    assert sum(m * space.dist[x][y] for x, y, m in result.plan) == result.value
+
+
 def free_norm_vertex_enum(element: FreeElement, space: FiniteMetricSpace) -> Fraction:
     """Free norm by enumerating vertices of the feasible Lipschitz-value polytope.
 

@@ -17,10 +17,12 @@ from lipfree import (
     admissibility_lp,
     ball_section,
     check_plan,
+    free_norm,
     free_norm_flow,
     free_norm_lp,
     lin_comb_function,
     lip_norm,
+    load_space,
     make_family,
     nonrotund_witness,
     radii_bounded_separated,
@@ -35,6 +37,7 @@ from lipfree import (
     verify_projection,
 )
 from oracles import (
+    assert_certificate,
     one_point_extension,
     rand_fraction,
     random_element,
@@ -112,14 +115,53 @@ def exact_plans():
 
 
 def test_criterion_01_oracle_equivalence():
-    with criterion(1, "oracle equivalence lp = flow, 1000 instances", budget=10.0):
+    with criterion(1, "oracle equivalence lp = certified flow, 1000 instances", budget=10.0):
         rng = random.Random(20260809)
         for i in range(1000):
             n = rng.randint(2, 8)
             space = random_metric_space(rng, n)
             smax = n - 1 if i % 10 == 0 else min(n - 1, 4)
             mu = random_element(rng, n, rng.randint(1, smax))
-            assert free_norm_lp(mu, space).value == free_norm_flow(mu, space)
+            result = free_norm(mu, space)
+            assert result.value == free_norm_lp(mu, space).value
+            assert lip_norm(result.function, space) <= 1
+            assert_certificate(result, mu, space)
+            assert free_norm_flow(mu, space) == result.value
+
+
+# dyadic floats, so the tolerant path runs on a space whose triangles hold exactly
+FLOAT_SPACE = (
+    '{"dist": [[0, 0.5, 1.25, 2.0], [0.5, 0, 0.75, 1.5],'
+    ' [1.25, 0.75, 0, 0.875], [2.0, 1.5, 0.875, 0]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "space_label, pairs",
+    [
+        ("uniform:1:4", []),
+        ("remark:3:7", [(2, "-1/2"), (4, "-3"), (6, "-2/7")]),
+        ("convline:6", [(3, "5/4")]),
+        ("file", [(1, "1"), (2, "-1/3"), (3, "-1")]),
+    ],
+    ids=["zero-element", "all-negative", "one-point-support", "float-file-space"],
+)
+def test_criterion_01_certificate_edge_cases(space_label, pairs):
+    if space_label == "file":
+        space = load_space(FLOAT_SPACE)
+        assert space.approximate
+    else:
+        family, *params, n = space_label.split(":")
+        space = truncate(make_family(family, *params), int(n))
+    mu = FreeElement.from_pairs(pairs)
+    result = free_norm(mu, space)
+    assert result.value == free_norm_lp(mu, space).value
+    assert lip_norm(result.function, space) <= 1
+    assert_certificate(result, mu, space)
+    if not pairs:
+        assert result.value == 0 and result.plan == ()
+    elif all(F(c) < 0 for _, c in pairs):
+        assert {x for x, _, _ in result.plan} == {0}  # the base point is the only source
 
 
 def test_criterion_02_two_point_closed_form():

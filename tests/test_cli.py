@@ -88,6 +88,48 @@ class TestErrors:
         assert out == ""
         assert err.startswith("InvalidFamilyParameters:")
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("norm", "--element", '[{"pt": 1, "coef": "1"}]'), "InvalidFamilyParameters"),
+            (("norm", "--element", '[{"point": 1}]'), "InvalidFamilyParameters"),
+            (("norm", "--element", '[{"point": 1, "coef": "x"}]'), "InvalidFamilyParameters"),
+            (("norm", "--element", '[{"point": 1, "coef": "1/0"}]'), "InvalidFamilyParameters"),
+            (("norm", "--element", '[{"point": "1", "coef": "1"}]'), "InvalidFamilyParameters"),
+            (("norm", "--element", '[{"point": -1, "coef": "1"}]'), "InvalidFamilyParameters"),
+            (("norm", "--element", '{"point": 1, "coef": "1"}'), "InvalidFamilyParameters"),
+            (("norm", "--element", "[1, 2]"), "InvalidFamilyParameters"),
+            (("norm", "--element", '[{"point": 1'), "InvalidFamilyParameters"),
+            (("norm", "--element", "@/nonexistent/element.json"), "InvalidFamilyParameters"),
+            (("norm", "--element", '[{"point": 9, "coef": "1"}]'), "PointOutsideSpace"),
+            (("ball-section", "--x", "1", "--y", "9"), "PointOutsideSpace"),
+            (("ball-section", "--x", "-1", "--y", "1"), "PointOutsideSpace"),
+        ],
+        ids=[
+            "missing-point", "missing-coef", "coef-not-rational", "coef-zero-denominator",
+            "point-not-int", "point-negative", "not-a-list", "items-not-objects",
+            "malformed-json", "missing-file", "point-outside-space", "section-point-outside",
+            "section-point-negative",
+        ],
+    )
+    def test_bad_element_or_point_is_a_named_error(self, run, argv, error):
+        code, out, err = run(*argv[:1], "--space", "uniform:1:3", *argv[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{error}:")
+
+    @pytest.mark.parametrize(
+        "coeffs", ['["x"]', '["1/0"]', '{"a": 1}', "[1,", "[1, 1, 1]"],
+        ids=["not-rational", "zero-denominator", "not-a-list", "malformed-json", "too-many"],
+    )
+    def test_bad_coeffs_are_a_named_error(self, run, coeffs):
+        code, out, err = run(
+            "verify", "--family", "uniform:1", "--case", "ultra", "--N", "2", "--coeffs", coeffs
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("InvalidFamilyParameters:")
+
     def test_usage_error_exit_code(self, run):
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags
@@ -231,6 +273,18 @@ class TestElementFromFile:
         code, out, _ = run("norm", "--space", "uniform:2:4", "--element", f"@{path}")
         assert code == 0
         assert json.loads(out) == {"norm": "2"}
+
+    def test_lp_cross_check_and_repeat_bytes(self, run):
+        args = (
+            "norm", "--space", "remark:3:9", "--with-function",
+            "--element", '[{"point": 2, "coef": "3/2"}, {"point": 5, "coef": "-2"}]',
+        )
+        code, flow, _ = run(*args)
+        assert code == 0
+        assert run(*args)[1] == flow
+        code, lp, _ = run(*args, "--norm", "lp")
+        assert code == 0
+        assert json.loads(lp)["norm"] == json.loads(flow)["norm"]
 
     def test_with_function_output(self, run):
         code, out, _ = run(

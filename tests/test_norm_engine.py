@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -13,9 +14,11 @@ from lipfree import (
     TooFewPoints,
     ball_section,
     delta,
+    free_norm,
     free_norm_flow,
     free_norm_lp,
     lip_norm,
+    load_space,
     make_family,
     nonrotund_witness,
     pairing,
@@ -23,7 +26,9 @@ from lipfree import (
     two_point_norm,
     validate_metric,
 )
+from lipfree.metric_core import FLOAT_TOLERANCE
 from oracles import (
+    assert_certificate,
     free_norm_vertex_enum,
     halfplane_vertices_bruteforce,
     one_point_extension,
@@ -153,6 +158,23 @@ class TestFreeNormLP:
             f = LipFunction.from_values([v / constant for v in f.values])
         norm = free_norm_lp(mu, space).value
         assert pairing(f, mu) <= norm
+
+
+class TestFreeNorm:
+    def test_approximate_space_keeps_an_exact_certificate(self):
+        # float differences break some triangles by ~1e-17, inside the tolerance
+        xs = [0.0, 0.1, 0.3, 0.6, 1.0, 1.7]
+        space = load_space(json.dumps({"dist": [[abs(a - b) for b in xs] for a in xs]}))
+        assert space.approximate
+        rng = random.Random(5)
+        for _ in range(60):
+            mu = random_element(rng, space.n, rng.randint(1, space.n - 1))
+            result = free_norm(mu, space)
+            assert_certificate(result, mu, space)
+            assert lip_norm(result.function, space) <= 1 + FLOAT_TOLERANCE
+            # the LP may relay through a broken triangle; direct transport may not
+            lp = free_norm_lp(mu, space).value
+            assert 0 <= result.value - lp < FLOAT_TOLERANCE
 
 
 class TestPairing:
