@@ -25,7 +25,9 @@ from .constructions import (
 )
 from .errors import InvalidFamilyParameters, LipfreeError
 from .metric_core import as_fraction, fraction_str, free_element_from_json
-from .norm_engine import ball_section, free_norm, free_norm_lp, two_point_norm
+# free_norm_lp is unused here; perfbench's CROSS_MODULE_BINDINGS still names
+# cli.free_norm_lp, until the next benchmark change binds free_norm instead
+from .norm_engine import ball_section, free_norm, free_norm_lp, two_point_norm  # noqa: F401
 from .space_catalog import FAMILY_INFO, parse_family, parse_space
 from .svg import ball_section_csv, render_ball_section
 
@@ -82,7 +84,7 @@ def _construct_plan(family_label: str, case: str, n_pairs: int):
 def _cmd_norm(args) -> None:
     space = parse_space(args.space)
     element = free_element_from_json(_read_arg(args.element))
-    result = (free_norm_lp if args.norm == "lp" else free_norm)(element, space)
+    result = free_norm(element, space)
     out = {"norm": fraction_str(result.value)}
     if args.with_function:
         out["function"] = [fraction_str(v) for v in result.function.values]
@@ -175,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True, help="family:params:N or file:path.json")
     p.add_argument("--element", required=True, help='JSON [{"point": i, "coef": "p/q"}], or @file')
     p.add_argument("--with-function", action="store_true", help="include an attaining function")
-    p.add_argument(
-        "--norm", choices=("flow", "lp"), default="flow",
-        help="certified transport (default) or the defining LP as a cross-check",
-    )
     p.set_defaults(func=_cmd_norm)
 
     p = sub.add_parser("two-point", help="closed-form norm of a*delta_x + b*delta_y")

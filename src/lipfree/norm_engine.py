@@ -132,9 +132,16 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     and the positive part ships onto the negative part at metric cost.  The
     attaining function is the c-transform of the sink duals beta_j,
     f(x) = min_j (beta_j + rho(x, y_j)) - f(0), which is 1-Lipschitz on the
-    whole space (on an approximate space, up to its tolerance).  Before returning, the plan's marginals, the plan's cost and
+    whole space.  Before returning, the plan's marginals, the plan's cost and
     the pairing of f with the element are each checked to equal the value.
+
+    An approximate space (float entries, accepted within the validation
+    tolerance) may break a triangle by up to that tolerance, so direct
+    transport can exceed the defining LP and its c-transform need not be
+    1-Lipschitz.  There the result is that of ``free_norm_lp``, with no plan.
     """
+    if space.approximate:
+        return free_norm_lp(element, space)
     element.check_supported(space)
     masses = dict(element.support)
     balance = -sum(masses.values(), Fraction(0))
@@ -154,11 +161,6 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     k = len(sources)
     beta = [-p for p in transport.potentials[k:]]
     values = [min(b + dist[x][y] for b, (y, _) in zip(beta, sinks)) for x in range(space.n)]
-    # on a metric the c-transform already takes beta_j at y_j; pinning it keeps
-    # the pairing exact on an approximate space, whose triangles hold only
-    # up to the float tolerance
-    for b, (y, _) in zip(beta, sinks):
-        values[y] = b
     function = LipFunction(tuple(v - values[0] for v in values))
     plan = tuple((sources[i][0], sinks[j][0], m) for i, j, m in transport.plan)
 
