@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .constructions import (
     admissibility_lp,
-    check_plan,
     plan_from_json,
     plan_to_json,
     radii_accumulation,
@@ -34,14 +34,16 @@ from .svg import ball_section_csv, render_ball_section
 CASES = ("auto", "accum", "bounded", "unbounded", "udelta", "ultra")
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise InvalidFamilyParameters(f"cannot read {path}: {exc}") from exc
+
+
 def _read_arg(value: str) -> str:
-    if value.startswith("@"):
-        try:
-            with open(value[1:], "r", encoding="utf-8") as handle:
-                return handle.read()
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-            raise InvalidFamilyParameters(f"cannot read {value[1:]}: {exc}") from exc
-    return value
+    return _read_file(value[1:]) if value.startswith("@") else value
 
 
 def _coeffs_from_json(text: str) -> list:
@@ -129,10 +131,7 @@ def _cmd_construct(args) -> None:
 
 def _cmd_verify(args) -> None:
     if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = plan_from_json(json.load(handle))
-        if args.N is not None:
-            check_plan(plan, 2 * args.N + 1)
+        plan = plan_from_json(_read_file(args.plan))
     elif args.family:
         if args.N is None:
             raise InvalidFamilyParameters("--N is required with --family")
@@ -140,7 +139,7 @@ def _cmd_verify(args) -> None:
     else:
         raise InvalidFamilyParameters("verify needs --plan or --family")
     coeffs = _coeffs_from_json(_read_arg(args.coeffs))
-    value = verify_l1_isometry(plan, coeffs, norm=args.norm)
+    value = verify_l1_isometry(plan, coeffs)
     _emit({"l1_norm": fraction_str(value), "exact": plan.exact})
 
 
@@ -166,7 +165,9 @@ def _cmd_spaces(args) -> None:
         _emit(FAMILY_INFO)
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lipfree",
         description="Exact norms and embedding constructions in Lipschitz-free spaces",
@@ -203,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", help="plan JSON path")
     p.add_argument("--family", help="alternatively, construct the plan first")
     p.add_argument("--case", choices=CASES, default="auto")
-    p.add_argument("--N", type=int, help="number of pairs")
+    p.add_argument("--N", type=int, help="number of pairs (with --family)")
     p.add_argument("--coeffs", required=True, help="JSON list of rationals, or @file")
-    p.add_argument("--norm", choices=("flow", "lp"), default="flow")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("admissibility", help="best worst-pair ratio LP on a prefix")

@@ -1,11 +1,12 @@
 """Executable embedding constructions.
 
 An ``EmbeddingPlan`` is a chosen subsequence of family points {x_n} with
-radii {r_n} satisfying the separation inequality rho(x_m, x_n) >= r_m + r_n.
-Positions are 1-based (position 1 is the plan's base point); pair n couples
-positions (2n, 2n+1) and has ratio q_n = (r_{2n} + r_{2n+1}) / rho(x_{2n},
-x_{2n+1}).  A plan is exact when every ratio equals 1; exact plans span an
-isometric l1 copy with a norm-1 projection onto it.
+radii {r_n} satisfying the separation inequality rho(x_m, x_n) >= r_m + r_n,
+checked once when the plan is built.  Positions are 1-based (position 1 is
+the plan's base point); pair n couples positions (2n, 2n+1) and has ratio
+q_n = (r_{2n} + r_{2n+1}) / rho(x_{2n}, x_{2n+1}).  A plan is exact when
+every ratio equals 1; exact plans span an isometric l1 copy with a norm-1
+projection onto it.
 
 The radii_* builders execute the selection arguments of the source
 constructions greedily and deterministically: every "there exists an index"
@@ -15,8 +16,9 @@ candidates (env LIPFREE_HORIZON overrides the default of 10000).
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -42,7 +44,7 @@ from .metric_core import (
     truncate,
     validate_metric,
 )
-from .norm_engine import free_norm_flow, free_norm_lp, lip_norm
+from .norm_engine import free_norm_flow, lip_norm
 from .simplex import solve_lp_max
 
 DEFAULT_HORIZON = 10000
@@ -61,21 +63,42 @@ def _horizon(horizon: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class EmbeddingPlan:
-    """Subsequence indices, radii and exactness flag of one construction."""
+    """Subsequence indices and radii of one construction.
+
+    Building a plan checks the separation inequality on every pair of
+    positions, raising SeparationViolation(m, n) at the first
+    (lexicographic) violated pair, and derives the pair ratios q_n and the
+    exactness flag (every ratio equals 1).
+    """
 
     family: MetricFamily
     x_idx: tuple[int, ...]
     r: tuple[Fraction, ...]
-    exact: bool
     case: Optional[str] = None
+    ratios: tuple[Fraction, ...] = field(init=False, compare=False)  # q_1, q_2, ...
+    exact: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         if len(self.x_idx) != len(self.r):
             raise ValueError("indices and radii must align")
+        if not self.x_idx or self.x_idx[0] < 1:
+            raise ValueError("a plan needs at least one point, at positive indices")
         if any(a >= b for a, b in zip(self.x_idx, self.x_idx[1:])):
             raise ValueError("plan indices must be strictly increasing")
         if any(v < 0 for v in self.r):
             raise ValueError("radii must be nonnegative")
+        for m in range(1, self.n_points + 1):
+            for n in range(m + 1, self.n_points + 1):
+                s = self.r[m - 1] + self.r[n - 1]
+                d = self.rho(m, n)
+                if s > d:
+                    raise SeparationViolation(m, n, s, d)
+        ratios = tuple(
+            (self.r[2 * n - 1] + self.r[2 * n]) / self.rho(2 * n, 2 * n + 1)
+            for n in range(1, self.pair_count + 1)
+        )
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "exact", all(q == 1 for q in ratios))
 
     @property
     def n_points(self) -> int:
@@ -99,22 +122,10 @@ def _plan_space(plan: EmbeddingPlan, n_points: int) -> FiniteMetricSpace:
 
 
 def make_plan(family: MetricFamily, x_idx, r, case: Optional[str] = None) -> EmbeddingPlan:
-    """Build a plan and compute its exactness flag from the pair ratios."""
-    x_idx = tuple(int(i) for i in x_idx)
-    r = tuple(as_fraction(v) for v in r)
-    probe = EmbeddingPlan(family=family, x_idx=x_idx, r=r, exact=False, case=case)
-    exact = all(q == 1 for _, q in _ratios(probe, len(x_idx)))
-    return EmbeddingPlan(family=family, x_idx=x_idx, r=r, exact=exact, case=case)
-
-
-def _ratios(plan: EmbeddingPlan, n_points: int):
-    out = []
-    n = 1
-    while 2 * n + 1 <= n_points:
-        rho = plan.rho(2 * n, 2 * n + 1)
-        out.append((n, (plan.r[2 * n - 1] + plan.r[2 * n]) / rho))
-        n += 1
-    return out
+    """Build a plan from any sequences of indices and rational radii."""
+    return EmbeddingPlan(
+        family, tuple(int(i) for i in x_idx), tuple(as_fraction(v) for v in r), case
+    )
 
 
 @dataclass(frozen=True)
@@ -125,25 +136,14 @@ class PlanReport:
 
 
 def check_plan(plan: EmbeddingPlan, n_points: Optional[int] = None) -> PlanReport:
-    """Verify the separation inequality exactly and report the pair ratios.
+    """Report the pair ratios of the plan's first ``n_points`` positions.
 
-    Raises SeparationViolation(m, n) at the first (lexicographic) violated
-    position pair; the exact flag is true when every available ratio is 1.
+    Separation was checked when the plan was built; the exact flag is true
+    when every ratio of the prefix is 1.
     """
     N = plan.n_points if n_points is None else min(n_points, plan.n_points)
-    for m in range(1, N + 1):
-        for n in range(m + 1, N + 1):
-            s = plan.r[m - 1] + plan.r[n - 1]
-            d = plan.rho(m, n)
-            if s > d:
-                raise SeparationViolation(m, n, s, d)
-    ratios = tuple(_ratios(plan, N))
+    ratios = tuple(enumerate(plan.ratios[: max(N - 1, 0) // 2], 1))
     return PlanReport(n_points=N, ratios=ratios, exact=all(q == 1 for _, q in ratios))
-
-
-@lru_cache(maxsize=1024)
-def _checked(plan: EmbeddingPlan) -> PlanReport:
-    return check_plan(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +191,8 @@ def f_k_eval(plan: EmbeddingPlan, partition: IndexPartition, k: int, p: int) -> 
     """Block function f_k at point p: sum over the block of g_{2m} - g_{2m+1}.
 
     Separation makes the bump supports disjoint, so at most one term is
-    nonzero; a separation violation in the plan propagates as an error.
+    nonzero.
     """
-    _checked(plan)
     total = ZERO
     for m in partition.blocks[k - 1]:
         if 2 * m + 1 <= plan.n_points:
@@ -216,7 +215,6 @@ def lin_comb_eval(
 
 def pair_function(plan: EmbeddingPlan, n: int, n_points: Optional[int] = None) -> LipFunction:
     """The single-pair function f_n = g_{2n} - g_{2n+1} restricted to the truncation."""
-    _checked(plan)
     N = n_points or plan.n_points
     values = [bump_eval(plan, 2 * n, p) - bump_eval(plan, 2 * n + 1, p) for p in range(N)]
     return LipFunction(values=tuple(values))
@@ -256,16 +254,14 @@ def verify_linfty_isometry(
         raise ValueError("truncation exceeds the plan")
     h = lin_comb_function(plan, partition, coeffs, n_points)
     lip = lip_norm(h, plan.space(n_points))
-    report = _checked(plan)
-    q = dict(report.ratios)
     lower = ZERO
     for k, block in enumerate(partition.blocks, 1):
         if k > len(coeffs):
             break
         a = abs(coeffs[k - 1])
         for m in block:
-            if m <= pairs and a * q[m] > lower:
-                lower = a * q[m]
+            if m <= pairs and a * plan.ratios[m - 1] > lower:
+                lower = a * plan.ratios[m - 1]
     upper = max((abs(a) for a in coeffs), default=ZERO)
     return LinftyReport(lip=lip, lower=lower, upper=upper)
 
@@ -294,12 +290,10 @@ def l1_combination(plan: EmbeddingPlan, coeffs: Sequence) -> FreeElement:
     return FreeElement.from_pairs(pairs)
 
 
-def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence, norm: str = "flow") -> Fraction:
+def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence) -> Fraction:
     """Free norm of sum a_n e_n; equals sum |a_n| exactly on exact plans.
 
-    ``norm`` selects the computation route: "flow" (the certified transport
-    engine) or "lp" (the defining linear program, the independent oracle);
-    the two agree exactly.
+    The norm comes from the certified transport engine.
     Raises ExactnessRequired when the plan is not exact, since then only the
     upper inequality holds.
     """
@@ -310,20 +304,13 @@ def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence, norm: str = "flow"
         raise InvalidFamilyParameters(
             f"{len(coeffs)} coefficients for a plan of {plan.pair_count} pairs"
         )
-    element = l1_combination(plan, coeffs)
-    space = plan.space(2 * len(coeffs) + 1)
-    if norm == "lp":
-        return free_norm_lp(element, space).value
-    if norm == "flow":
-        return free_norm_flow(element, space)
-    raise ValueError("norm must be 'lp' or 'flow'")
+    return free_norm_flow(l1_combination(plan, coeffs), plan.space(2 * len(coeffs) + 1))
 
 
 def projection_coeffs(plan: EmbeddingPlan, p: int, n_pairs: Optional[int] = None) -> tuple[Fraction, ...]:
     """Coefficients (f_1(p), ..., f_N(p)) of the projection r(x) = sum f_n(x) e_n."""
     if not plan.exact:
         raise ExactnessRequired("the projection is defined for exact plans")
-    _checked(plan)
     pairs = plan.pair_count if n_pairs is None else n_pairs
     return tuple(
         bump_eval(plan, 2 * n, p) - bump_eval(plan, 2 * n + 1, p)
@@ -408,9 +395,7 @@ def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: Optional[int
     if equality:
         x_idx = list(range(1, L + 1))
         radii = [base_dist(i) for i in x_idx]
-        plan = make_plan(family, x_idx, radii, case="accum-equality")
-        check_plan(plan)
-        return plan
+        return make_plan(family, x_idx, radii, case="accum-equality")
 
     x_idx = [1]
     radii = [ZERO]
@@ -439,9 +424,7 @@ def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: Optional[int
         radii += [base_dist(i) - delta, base_dist(j) - delta]
         cap = delta / 2 if cap is None else min(cap, delta / 2)
         next_i = j + 1
-    plan = make_plan(family, x_idx, radii, case="accum-strict")
-    check_plan(plan)
-    return plan
+    return make_plan(family, x_idx, radii, case="accum-strict")
 
 
 def _resolve_d_limit(family: MetricFamily, horizon: int) -> Fraction:
@@ -502,9 +485,7 @@ def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: Optiona
         raise HorizonExhausted("window extraction failed within the scan horizon")
 
     radii = [d / 2 * (1 - Fraction(1, n)) for n in range(1, L + 1)]
-    plan = make_plan(family, chosen, radii, case="bounded")
-    check_plan(plan)
-    return plan
+    return make_plan(family, chosen, radii, case="bounded")
 
 
 def radii_unbounded(
@@ -547,9 +528,7 @@ def radii_unbounded(
             raise HorizonExhausted("no index beyond the greedy bound within the horizon")
         x_idx.append(nxt)
         radii.append(family.distance(nxt, last) - peak)
-    plan = make_plan(family, x_idx, radii, case="unbounded")
-    check_plan(plan)
-    return plan
+    return make_plan(family, x_idx, radii, case="unbounded")
 
 
 def radii_unbounded_delta(family: MetricFamily, n_pairs: int, horizon: Optional[int] = None) -> EmbeddingPlan:
@@ -583,9 +562,7 @@ def radii_unbounded_delta(family: MetricFamily, n_pairs: int, horizon: Optional[
                 cap = max(cap, 2 * di, 2 * dj)
                 pairs_done += 1
         t += 1
-    plan = make_plan(family, x_idx, radii, case="udelta")
-    check_plan(plan)
-    return plan
+    return make_plan(family, x_idx, radii, case="udelta")
 
 
 # --- ultrametric extraction -------------------------------------------------
@@ -714,9 +691,7 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: Optional[int]
             for n in range(1, (L - 1) // 2 + 1):
                 radii[2 * n - 1] = d_sel[2 * n - 1] - d_sel[2 * n] / 2
                 radii[2 * n] = d_sel[2 * n] / 2
-            plan = make_plan(family, x_idx, radii, case="ultra-decreasing")
-            check_plan(plan)
-            return plan
+            return make_plan(family, x_idx, radii, case="ultra-decreasing")
 
     chain = _monotone_chain(family, scan, L, decreasing=False)
     if chain is not None:
@@ -732,16 +707,12 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: Optional[int]
                 rho = family.distance(x_idx[2 * n - 1], x_idx[2 * n])
                 radii[2 * n - 1] = rho / 2
                 radii[2 * n] = rho / 2
-            plan = make_plan(family, x_idx, radii, case="ultra-increasing")
-            check_plan(plan)
-            return plan
+            return make_plan(family, x_idx, radii, case="ultra-increasing")
 
     clique = _uniform_clique(family, scan, L)
     if clique is not None:
         d = family.distance(clique[0], clique[1])
-        plan = make_plan(family, clique, [d / 2] * L, case="ultra-constant")
-        check_plan(plan)
-        return plan
+        return make_plan(family, clique, [d / 2] * L, case="ultra-constant")
 
     raise HorizonExhausted("no ultrametric subsequence of the required shape found")
 
@@ -837,8 +808,26 @@ def plan_to_json(plan: EmbeddingPlan) -> dict:
     }
 
 
-def plan_from_json(obj: dict, family: Optional[MetricFamily] = None) -> EmbeddingPlan:
+def plan_from_json(source, family: Optional[MetricFamily] = None) -> EmbeddingPlan:
+    """Parse {"family", "x_idx", "r", "case"} from JSON text or a dict.
+
+    Input that is not such an object, an empty plan, indices that are not
+    strictly increasing positive integers and radii that are not nonnegative
+    rationals raise InvalidFamilyParameters; radii that break separation raise
+    SeparationViolation.
+    """
     from .space_catalog import parse_family
 
-    fam = family if family is not None else parse_family(obj["family"])
-    return make_plan(fam, obj["x_idx"], [as_fraction(v) for v in obj["r"]], case=obj.get("case"))
+    try:
+        obj = json.loads(source) if isinstance(source, (str, bytes)) else source
+        if not isinstance(obj, dict):
+            raise ValueError("a plan JSON object is needed")
+        x_idx, r = obj["x_idx"], obj["r"]
+        if not isinstance(x_idx, (list, tuple)) or any(type(i) is not int for i in x_idx):
+            raise ValueError("x_idx must be a list of integers")
+        if not isinstance(r, (list, tuple)):
+            raise ValueError("r must be a list of rationals")
+        fam = family if family is not None else parse_family(obj["family"])
+        return make_plan(fam, x_idx, r, case=obj.get("case"))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InvalidFamilyParameters(f"bad plan JSON: {exc!r}") from exc

@@ -146,7 +146,6 @@ class MetricFamily:
     forces finite-horizon estimation or an explicit error downstream.
     """
 
-    family_id: str
     label: str
     oracle: Callable[[int, int], Fraction]  # called with i < j only
     size: Optional[int] = None  # None means infinite

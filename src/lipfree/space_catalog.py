@@ -58,11 +58,11 @@ def _monotone_line_seek(value: Callable[[int], Fraction], size: Optional[int]):
     return seek
 
 
-def _line_family(family_id, label, value, **meta) -> MetricFamily:
+def _line_family(label, value, **meta) -> MetricFamily:
     def oracle(i: int, j: int) -> Fraction:
         return abs(value(i) - value(j))
 
-    return MetricFamily(family_id=family_id, label=label, oracle=oracle, **meta)
+    return MetricFamily(label=label, oracle=oracle, **meta)
 
 
 def uniform(d) -> MetricFamily:
@@ -70,7 +70,6 @@ def uniform(d) -> MetricFamily:
     if d <= 0:
         raise InvalidFamilyParameters("uniform distance must be positive")
     return MetricFamily(
-        family_id="uniform",
         label=f"uniform:{d}",
         oracle=lambda i, j: d,
         d_k=lambda k: d,
@@ -86,7 +85,6 @@ def convergent_line() -> MetricFamily:
 
     return _line_family(
         "convline",
-        "convline",
         value,
         d_k=lambda k: value(k),
         bounded=True,
@@ -98,7 +96,6 @@ def integer_line() -> MetricFamily:
     value = lambda n: Fraction(n)
     return _line_family(
         "intline",
-        "intline",
         value,
         bounded=False,
         delta_unbounded=True,
@@ -109,7 +106,6 @@ def integer_line() -> MetricFamily:
 def geometric_line() -> MetricFamily:
     value = lambda n: Fraction(2**n)
     return _line_family(
-        "geomline",
         "geomline",
         value,
         bounded=False,
@@ -144,7 +140,6 @@ def remark(which) -> MetricFamily:
         raise InvalidFamilyParameters("remark families are numbered 1..6")
     formula = _REMARK_FORMULAS[which]
     return MetricFamily(
-        family_id="remark",
         label=f"remark:{which}",
         # the metric is stated for n > k; min(index pair) plays the role of k
         oracle=lambda i, j: formula(i, j),
@@ -198,7 +193,6 @@ def ultrametric_from_codes(codes: Sequence[tuple], levels: Sequence, label: str)
         return levels[cpl]
 
     return MetricFamily(
-        family_id="dendro",
         label=label,
         oracle=oracle,
         size=len(codes),
@@ -261,7 +255,6 @@ def family_from_space(space: FiniteMetricSpace, label: str = "custom") -> Metric
     """Wrap a validated finite space as a (finite) family; point i maps to index i+1."""
     ultra, _ = is_ultrametric(space)
     return MetricFamily(
-        family_id="custom",
         label=label,
         oracle=lambda i, j: space.dist[i - 1][j - 1],
         size=space.n,

@@ -20,6 +20,7 @@ from lipfree import (
     free_norm,
     free_norm_flow,
     free_norm_lp,
+    l1_combination,
     lin_comb_function,
     lip_norm,
     load_space,
@@ -221,13 +222,15 @@ def test_criterion_05_exact_l1_isometry(exact_plans):
                 length = rng.randint(1, plan.pair_count)
                 coeffs = [rand_fraction(rng, signed=True) for _ in range(length)]
                 expected = sum(abs(c) for c in coeffs)
-                assert verify_l1_isometry(plan, coeffs, norm="flow") == expected, name
+                assert verify_l1_isometry(plan, coeffs) == expected, name
                 total += 1
             # the defining-LP route agrees on small supports
             for _ in range(3):
                 coeffs = [rand_fraction(rng, signed=True) for _ in range(2)]
                 expected = sum(abs(c) for c in coeffs)
-                assert verify_l1_isometry(plan, coeffs, norm="lp") == expected, name
+                element = l1_combination(plan, coeffs)
+                space = plan.space(2 * len(coeffs) + 1)
+                assert free_norm_lp(element, space).value == expected, name
         assert total >= 200
 
 
@@ -269,7 +272,7 @@ def test_criterion_08_ultrametric_machinery():
             for _ in range(5):
                 coeffs = [rand_fraction(rng, signed=True) for _ in range(plan.pair_count)]
                 expected = sum(abs(c) for c in coeffs)
-                assert verify_l1_isometry(plan, coeffs, norm="flow") == expected, seed
+                assert verify_l1_isometry(plan, coeffs) == expected, seed
 
 
 def test_criterion_09_remark_admissibility_probe():

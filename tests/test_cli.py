@@ -130,6 +130,52 @@ class TestErrors:
         assert out == ""
         assert err.startswith("InvalidFamilyParameters:")
 
+    @pytest.mark.parametrize("n_flag", [(), ("--N", "1")], ids=["no-N", "with-N"])
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (None, "InvalidFamilyParameters"),
+            ('{"family": "uniform:1"', "InvalidFamilyParameters"),
+            (b"\xff\xfe", "InvalidFamilyParameters"),
+            ('[1, 2, 3]', "InvalidFamilyParameters"),
+            ('{"x_idx": [1, 2, 3], "r": [0, 0, 0]}', "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "r": [0, 0, 0]}', "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [1, 2, 3]}', "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": ["1", 2, 3], "r": [0, 0, 0]}',
+             "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [1, 3, 2], "r": [0, 0, 0]}',
+             "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [1, 2, 3], "r": [0, "-1/2", 0]}',
+             "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [1, 2, 3], "r": [0, "x", 0]}',
+             "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [1, 2, 3], "r": [0, "1/0", 0]}',
+             "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [1, 2], "r": [0, 0, 0]}',
+             "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [], "r": []}', "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [0], "r": [0]}', "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [1, 2, 3], "r": ["1", "1/2", "1/2"]}',
+             "SeparationViolation"),
+        ],
+        ids=[
+            "missing-file", "malformed-json", "not-utf8", "not-an-object", "missing-family",
+            "missing-x_idx", "missing-r", "index-not-int", "indices-not-increasing",
+            "negative-radius", "radius-not-rational", "radius-zero-denominator",
+            "lengths-differ", "empty", "index-zero", "separation",
+        ],
+    )
+    def test_bad_plan_file_is_a_named_error(self, run, tmp_path, content, error, n_flag):
+        path = tmp_path / "plan.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        code, out, err = run("verify", "--plan", str(path), *n_flag, "--coeffs", "[1]")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{error}:")
+
     def test_usage_error_exit_code(self, run):
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags
@@ -195,7 +241,7 @@ class TestConstructVerifyRoundTrip:
     def test_flow_route(self, run):
         code, out, _ = run(
             "verify", "--family", "intline", "--case", "udelta",
-            "--N", "4", "--coeffs", "[2, -1]", "--norm", "flow",
+            "--N", "4", "--coeffs", "[2, -1]",
         )
         assert code == 0
         assert json.loads(out) == {"l1_norm": "3", "exact": True}

@@ -48,7 +48,6 @@ def star_family(count=None) -> MetricFamily:
     """Arms of length 1/2^(n-1) glued at the base: rho(m, n) = s_m + s_n."""
     arm = lambda n: F(0) if n == 1 else F(1, 2 ** (n - 1))
     return MetricFamily(
-        family_id="custom",
         label="star",
         oracle=lambda i, j: arm(i) + arm(j) if i > 1 else arm(j),
         size=count,
@@ -60,7 +59,6 @@ def star_family(count=None) -> MetricFamily:
 def unbounded_ultrametric_family() -> MetricFamily:
     """rho(i, j) = 2^max(i, j): an unbounded ultrametric with increasing base distances."""
     return MetricFamily(
-        family_id="custom",
         label="geo-ultra",
         oracle=lambda i, j: F(2 ** max(i, j)),
         bounded=False,
@@ -91,11 +89,8 @@ class TestCheckPlan:
         assert report.exact and all(q == 1 for _, q in report.ratios)
 
     def test_separation_violation_witness(self):
-        plan = EmbeddingPlan(
-            family=make_family("uniform", 1), x_idx=(1, 2), r=(F(1), F(1)), exact=False
-        )
         with pytest.raises(SeparationViolation) as info:
-            check_plan(plan)
+            EmbeddingPlan(family=make_family("uniform", 1), x_idx=(1, 2), r=(F(1), F(1)))
         assert (info.value.m, info.value.n) == (1, 2)
         assert info.value.r_sum == 2 and info.value.rho == 1
 
@@ -238,7 +233,6 @@ class TestL1Isometry:
     def test_uniform_mixed_signs(self):
         plan = uniform_exact_plan(3)
         assert verify_l1_isometry(plan, [1, -2, 3]) == 6
-        assert verify_l1_isometry(plan, [1, -2, 3], norm="flow") == 6
 
     def test_exactness_guard(self):
         inexact = radii_bounded_separated(make_family("remark", 5), 3)
@@ -258,7 +252,7 @@ class TestL1Isometry:
         for _ in range(20):
             coeffs = [rand_fraction(rng, signed=True) for _ in range(4)]
             expected = sum(abs(c) for c in coeffs)
-            assert verify_l1_isometry(plan, coeffs, norm="flow") == expected
+            assert verify_l1_isometry(plan, coeffs) == expected
 
 
 class TestProjection:
@@ -322,7 +316,7 @@ class TestRadiiAccumulation:
             return abs(s(i) - s(j)) if (i % 2) == (j % 2) else s(i) + s(j)
 
         family = MetricFamily(
-            family_id="custom", label="mixedline", oracle=oracle,
+            label="mixedline", oracle=oracle,
             bounded=True, converges_to_base=True,
         )
         plan = radii_accumulation(family, 3)
@@ -355,16 +349,13 @@ class TestRadiiBoundedSeparated:
             assert q > (1 - F(1, 4 * n) - F(1, 2 * (2 * n + 1))) / (1 + F(1, 4 * n))
 
     def test_metadata_required_for_small_custom_family(self):
-        family = MetricFamily(
-            family_id="custom", label="tiny", oracle=lambda i, j: F(1), size=10
-        )
+        family = MetricFamily(label="tiny", oracle=lambda i, j: F(1), size=10)
         with pytest.raises(MetadataRequired):
             radii_bounded_separated(family, 2, horizon=50)
 
     def test_metadata_required_for_oscillating_family(self):
         # distances hop between 7/4 and 9/4: rows never stabilise
         family = MetricFamily(
-            family_id="custom",
             label="osc",
             oracle=lambda i, j: F(2) + F((-1) ** j, 4),
             bounded=True,
@@ -453,7 +444,7 @@ class TestRadiiUltrametric:
         check_plan(plan)
         rng = random.Random(seed)
         coeffs = [rand_fraction(rng, signed=True) for _ in range(plan.pair_count)]
-        assert verify_l1_isometry(plan, coeffs, norm="flow") == sum(
+        assert verify_l1_isometry(plan, coeffs) == sum(
             abs(c) for c in coeffs
         )
 
@@ -479,7 +470,6 @@ class TestRadiiUltrametric:
     def test_increasing_chain_case(self):
         # distances to later points grow toward 2: rows are increasing
         family = MetricFamily(
-            family_id="custom",
             label="inc-ultra",
             oracle=lambda i, j: F(2) - F(1, 2 ** (j - 1)),
             bounded=True,
@@ -498,7 +488,7 @@ class TestRadiiUltrametric:
             return F(1) if i >= 5 and j >= 5 else F(2)
 
         family = MetricFamily(
-            family_id="custom", label="late-cluster", oracle=oracle,
+            label="late-cluster", oracle=oracle,
             bounded=True, ultrametric=True, size=40,
         )
         plan = radii_ultrametric(family, 3)
