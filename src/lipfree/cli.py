@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on a domain error (the error name goes to
-stderr), 2 on usage errors.  All stdout output is JSON with rationals
-encoded as 'p/q' strings; figures go to files.
+stderr), 2 on usage errors.  A malformed value, an unreadable input file and
+an unwritable output path are all InvalidFamilyParameters.  All stdout
+output is JSON with rationals encoded as 'p/q' strings; figures go to files.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .constructions import (
     radii_unbounded_delta,
     verify_l1_isometry,
 )
-from .errors import InvalidFamilyParameters, LipfreeError
-from .metric_core import as_fraction, fraction_str, free_element_from_json
+from .errors import InvalidFamilyParameters, LipfreeError, outside_input
+from .metric_core import as_fraction, fraction_str, free_element_from_json, read_text
 # free_norm_lp is unused here; perfbench's CROSS_MODULE_BINDINGS still names
 # cli.free_norm_lp, until the next benchmark change binds free_norm instead
 from .norm_engine import ball_section, free_norm, free_norm_lp, two_point_norm  # noqa: F401
@@ -34,26 +35,22 @@ from .svg import ball_section_csv, render_ball_section
 CASES = ("auto", "accum", "bounded", "unbounded", "udelta", "ultra")
 
 
-def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-        raise InvalidFamilyParameters(f"cannot read {path}: {exc}") from exc
-
-
 def _read_arg(value: str) -> str:
-    return _read_file(value[1:]) if value.startswith("@") else value
+    return read_text(value[1:]) if value.startswith("@") else value
 
 
 def _coeffs_from_json(text: str) -> list:
-    try:
+    with outside_input("--coeffs"):
         values = json.loads(text)
         if not isinstance(values, list):
             raise ValueError("a JSON list of rationals is needed")
         return [as_fraction(v) for v in values]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InvalidFamilyParameters(f"bad --coeffs: {exc!r}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    """Write an output file; an unwritable path is InvalidFamilyParameters."""
+    with outside_input(f"output file {path}"), open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
 
 
 def _emit(obj) -> None:
@@ -94,19 +91,18 @@ def _cmd_norm(args) -> None:
 
 
 def _cmd_two_point(args) -> None:
-    value = two_point_norm(args.a, args.b, args.dx0, args.dy0, args.dxy)
-    _emit({"norm": fraction_str(value)})
+    with outside_input("two-point value"):
+        values = [as_fraction(v) for v in (args.a, args.b, args.dx0, args.dy0, args.dxy)]
+    _emit({"norm": fraction_str(two_point_norm(*values))})
 
 
 def _cmd_ball_section(args) -> None:
     space = parse_space(args.space)
     section = ball_section(space, args.x, args.y)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_ball_section(section))
+        _write(args.svg, render_ball_section(section))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(ball_section_csv(section))
+        _write(args.csv, ball_section_csv(section))
     _emit(
         {
             "x": section.x,
@@ -123,15 +119,13 @@ def _cmd_construct(args) -> None:
     plan = _construct_plan(args.family, args.case, args.N)
     obj = plan_to_json(plan)
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle)
-            handle.write("\n")
+        _write(args.emit, json.dumps(obj) + "\n")
     _emit(obj)
 
 
 def _cmd_verify(args) -> None:
     if args.plan:
-        plan = plan_from_json(_read_file(args.plan))
+        plan = plan_from_json(read_text(args.plan))
     elif args.family:
         if args.N is None:
             raise InvalidFamilyParameters("--N is required with --family")
@@ -146,8 +140,9 @@ def _cmd_verify(args) -> None:
 def _cmd_admissibility(args) -> None:
     family = parse_family(args.family)
     ordering = None
-    if args.ordering:
-        ordering = [int(v) for v in args.ordering.split(",")]
+    if args.ordering is not None:
+        with outside_input("--ordering"):
+            ordering = [int(v) for v in args.ordering.split(",")]
     result = admissibility_lp(family, args.N, ordering)
     if result.no_pair_slots:
         _emit({"no_pair_slots": True})

@@ -11,13 +11,12 @@ projection onto it.
 The radii_* builders execute the selection arguments of the source
 constructions greedily and deterministically: every "there exists an index"
 step takes the smallest admissible family index, scanning at most ``horizon``
-candidates (env LIPFREE_HORIZON overrides the default of 10000).
+candidates (default 10000).
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -31,8 +30,10 @@ from .errors import (
     NotConvergent,
     NotUltrametric,
     SeparationViolation,
+    outside_input,
 )
 from .metric_core import (
+    MAX_POINTS,
     FiniteMetricSpace,
     FreeElement,
     LipFunction,
@@ -48,17 +49,9 @@ from .norm_engine import free_norm_flow, lip_norm
 from .simplex import solve_lp_max
 
 DEFAULT_HORIZON = 10000
+MAX_ADMISSIBILITY_POINTS = 64  # the exact LP has N(N-1)/2 separation rows
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def default_horizon() -> int:
-    value = os.environ.get("LIPFREE_HORIZON")
-    return int(value) if value else DEFAULT_HORIZON
-
-
-def _horizon(horizon: Optional[int]) -> int:
-    return default_horizon() if horizon is None else int(horizon)
 
 
 @dataclass(frozen=True)
@@ -363,6 +356,13 @@ def verify_projection(plan: EmbeddingPlan, n_pairs: Optional[int] = None) -> Pro
 # ---------------------------------------------------------------------------
 
 
+def _plan_length(n_pairs: int) -> int:
+    """Points in a plan of ``n_pairs`` pairs, refused unless in 1..MAX_POINTS."""
+    if not 0 <= n_pairs <= (MAX_POINTS - 1) // 2:
+        raise InvalidFamilyParameters(f"pair count must be in 0..{(MAX_POINTS - 1) // 2}")
+    return 2 * n_pairs + 1
+
+
 def _require_points(family: MetricFamily, needed: int) -> None:
     if family.size is not None and family.size < needed:
         raise HorizonExhausted(
@@ -370,7 +370,7 @@ def _require_points(family: MetricFamily, needed: int) -> None:
         )
 
 
-def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: Optional[int] = None) -> EmbeddingPlan:
+def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
     """Radii for a sequence converging to the family's first point.
 
     If on the scanned prefix every pair satisfies rho(x_m, x_n) =
@@ -380,10 +380,9 @@ def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: Optional[int
     r = distance-to-base minus delta, forcing later points within delta_n/2
     of the base.  Both subcases produce exact plans.
     """
+    L = _plan_length(n_pairs)
     if not family.converges_to_base:
         raise NotConvergent(f"{family.label} does not declare convergence to x_1")
-    H = _horizon(horizon)
-    L = 2 * n_pairs + 1
     _require_points(family, L)
 
     base_dist = lambda i: family.distance(1, i)
@@ -401,7 +400,7 @@ def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: Optional[int
     radii = [ZERO]
     cap: Optional[Fraction] = None
     next_i = 2
-    limit = H if family.size is None else min(H, family.size)
+    limit = horizon if family.size is None else min(horizon, family.size)
     for _ in range(n_pairs):
         found = None
         i = next_i
@@ -432,24 +431,21 @@ def _resolve_d_limit(family: MetricFamily, horizon: int) -> Fraction:
     if family.d_limit is not None:
         return family.d_limit
     window = 16
-    if family.d_k is not None:
-        tail = [family.d_k(k) for k in range(horizon - window, horizon + 1)]
-    else:
-        hi = horizon if family.size is None else min(horizon, family.size)
-        if hi < 2 * window + 4:
-            raise MetadataRequired(f"{family.label} is too small to estimate limits")
-        tail = []
-        for k in range(hi - 2 * window, hi - window):
-            row = {family.distance(k, n) for n in range(hi - window + 1, hi + 1)}
-            if len(row) != 1:
-                raise MetadataRequired(f"{family.label}: row {k} does not stabilise")
-            tail.append(next(iter(row)))
+    hi = horizon if family.size is None else min(horizon, family.size)
+    if hi < 2 * window + 4:
+        raise MetadataRequired(f"{family.label} is too small to estimate limits")
+    tail = []
+    for k in range(hi - 2 * window, hi - window):
+        row = {family.distance(k, n) for n in range(hi - window + 1, hi + 1)}
+        if len(row) != 1:
+            raise MetadataRequired(f"{family.label}: row {k} does not stabilise")
+        tail.append(next(iter(row)))
     if len(set(tail)) != 1:
         raise MetadataRequired(f"{family.label}: d_k does not stabilise at the horizon")
     return tail[0]
 
 
-def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: Optional[int] = None) -> EmbeddingPlan:
+def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
     """Radii for a bounded uniformly separated family.
 
     Extracts a subsequence whose pairwise distances fall in the shrinking
@@ -457,12 +453,11 @@ def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: Optiona
     r_n = (d/2)(1 - 1/n).  The pair ratios obey the lower-bound chain
     q_n > (1 - 1/(4n) - 1/(2(2n+1))) / (1 + 1/(4n)).
     """
+    L = _plan_length(n_pairs)
     if family.bounded is False:
         raise MetadataRequired(f"{family.label} is not bounded")
-    H = _horizon(horizon)
-    d = _resolve_d_limit(family, H)
-    L = 2 * n_pairs + 1
-    limit = H if family.size is None else min(H, family.size)
+    d = _resolve_d_limit(family, horizon)
+    limit = horizon if family.size is None else min(horizon, family.size)
 
     chosen: list[int] = []
     for start in range(1, limit + 1):
@@ -491,7 +486,7 @@ def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: Optiona
 def radii_unbounded(
     family: MetricFamily,
     n_pairs: int,
-    horizon: Optional[int] = None,
+    horizon: int = DEFAULT_HORIZON,
     r1: Fraction = ONE,
 ) -> EmbeddingPlan:
     """Greedy radii for an unbounded family.
@@ -501,11 +496,10 @@ def radii_unbounded(
     and sets r_{n+1} = rho(x_{n+1}, x_n) minus that maximum; the pair ratios
     then exceed 1 - 1/(2n).
     """
+    L = _plan_length(n_pairs)
     r1 = as_fraction(r1)
     if r1 <= 0:
         raise InvalidFamilyParameters("r_1 must be positive")
-    H = _horizon(horizon)
-    L = 2 * n_pairs + 1
     x_idx = [1]
     radii = [r1]
     while len(x_idx) < L:
@@ -519,7 +513,7 @@ def radii_unbounded(
         if family.first_index_beyond is not None:
             nxt = family.first_index_beyond(last, bound, last + 1)
         else:
-            limit = H if family.size is None else min(H, family.size)
+            limit = horizon if family.size is None else min(horizon, family.size)
             for i in range(last + 1, limit + 1):
                 if family.distance(i, last) > bound:
                     nxt = i
@@ -531,7 +525,7 @@ def radii_unbounded(
     return make_plan(family, x_idx, radii, case="unbounded")
 
 
-def radii_unbounded_delta(family: MetricFamily, n_pairs: int, horizon: Optional[int] = None) -> EmbeddingPlan:
+def radii_unbounded_delta(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
     """Radii along a marked pairing whose base-point defect grows without bound.
 
     For pair t the defect is delta_t = (rho(x_2t, x_1) + rho(x_2t+1, x_1)
@@ -539,16 +533,16 @@ def radii_unbounded_delta(family: MetricFamily, n_pairs: int, horizon: Optional[
     twice every previously chosen distance to the base.  The resulting plan
     is exact by construction.
     """
+    _plan_length(n_pairs)
     if not family.delta_unbounded:
         raise MetadataRequired(f"{family.label} does not declare an unbounded-defect pairing")
-    H = _horizon(horizon)
     x_idx = [1]
     radii = [ZERO]
     cap = ZERO
     t = 1
     pairs_done = 0
     while pairs_done < n_pairs:
-        if t > H:
+        if t > horizon:
             raise HorizonExhausted("no pair with large enough defect within the horizon")
         i, j = 2 * t, 2 * t + 1
         if family.size is not None and j > family.size:
@@ -658,7 +652,7 @@ def _monotone_chain(family: MetricFamily, scan: int, length: int, decreasing: bo
             cursor[depth] = cand + 1
 
 
-def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: Optional[int] = None) -> EmbeddingPlan:
+def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
     """Radii inside an ultrametric family via the bounded trichotomy.
 
     Scans for, in order: a chain with row-constant strictly decreasing
@@ -669,14 +663,12 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: Optional[int]
     r_2n = r_{2n+1} = rho/2); a set with all pairwise distances equal
     (constant case, r_n = d/2).  All three produce exact plans.
     """
-    H = _horizon(horizon)
-    scan = min(H, family.size or H, 512)
+    L = _plan_length(n_pairs)
+    scan = min(horizon, family.size or horizon, 512)
     probe = min(scan, 40)
     ok, witness = is_ultrametric(truncate(family, probe))
     if not ok:
         raise NotUltrametric(witness)
-
-    L = 2 * n_pairs + 1
 
     chain = _monotone_chain(family, scan, L + 1, decreasing=True)
     if chain is not None:
@@ -763,6 +755,8 @@ def admissibility_lp(
     over nonnegative radii.  tau* = 1 exactly when radii witnessing the
     tight pair condition exist on this prefix with this ordering.
     """
+    if N > MAX_ADMISSIBILITY_POINTS:
+        raise InvalidFamilyParameters(f"admissibility N must be at most {MAX_ADMISSIBILITY_POINTS}")
     order = tuple(range(1, N + 1)) if ordering is None else tuple(int(i) for i in ordering)
     if len(order) != N or len(set(order)) != N or any(i < 1 for i in order):
         raise InvalidFamilyParameters("ordering must injectively map 1..N to family indices")
@@ -818,7 +812,7 @@ def plan_from_json(source, family: Optional[MetricFamily] = None) -> EmbeddingPl
     """
     from .space_catalog import parse_family
 
-    try:
+    with outside_input("plan JSON"):
         obj = json.loads(source) if isinstance(source, (str, bytes)) else source
         if not isinstance(obj, dict):
             raise ValueError("a plan JSON object is needed")
@@ -829,5 +823,3 @@ def plan_from_json(source, family: Optional[MetricFamily] = None) -> EmbeddingPl
             raise ValueError("r must be a list of rationals")
         fam = family if family is not None else parse_family(obj["family"])
         return make_plan(fam, x_idx, r, case=obj.get("case"))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InvalidFamilyParameters(f"bad plan JSON: {exc!r}") from exc

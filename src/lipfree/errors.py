@@ -6,6 +6,8 @@ on stderr, plus the witness data of the violated condition.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class LipfreeError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -38,6 +40,19 @@ class TriangleViolation(LipfreeError):
 
 class InvalidFamilyParameters(LipfreeError):
     pass
+
+
+@contextmanager
+def outside_input(what: str):
+    """Read or parse outside input (files, JSON, command-line values).
+
+    The Python errors that malformed or unreadable input raises become
+    InvalidFamilyParameters naming ``what``; domain errors pass through.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError, OSError) as exc:
+        raise InvalidFamilyParameters(f"bad {what}: {exc!r}") from exc
 
 
 class EmptyLevels(LipfreeError):

@@ -31,9 +31,11 @@ from .errors import (
     NegativeOrZeroOffDiagonal,
     PointOutsideSpace,
     TriangleViolation,
+    outside_input,
 )
 
 FLOAT_TOLERANCE = Fraction(1, 10**9)
+MAX_POINTS = 512  # truncation cap: the O(n^3) metric scan takes seconds here
 
 
 def as_fraction(value) -> Fraction:
@@ -105,10 +107,8 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
     n = len(dist)
     if n == 0 or any(len(row) != n for row in dist):
         raise InvalidFamilyParameters("distance matrix must be square and nonempty")
-    try:
+    with outside_input("distance entries"):
         mat = [[as_fraction(v) for v in row] for row in dist]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InvalidFamilyParameters(f"distance entries must be rationals: {exc}") from exc
     exact_tol = Fraction(tolerance or 0)
     ints, tol, slack = _integer_matrix(mat, exact_tol)
 
@@ -149,8 +149,7 @@ class MetricFamily:
     label: str
     oracle: Callable[[int, int], Fraction]  # called with i < j only
     size: Optional[int] = None  # None means infinite
-    d_k: Optional[Callable[[int], Fraction]] = None  # k -> lim_n rho(x_k, x_n)
-    d_limit: Optional[Fraction] = None  # lim_k d_k
+    d_limit: Optional[Fraction] = None  # lim_k lim_n rho(x_k, x_n)
     bounded: Optional[bool] = None
     converges_to_base: bool = False  # rho(x_n, x_1) -> 0
     delta_unbounded: bool = False  # pairing (2t, 2t+1) has delta_t -> infinity
@@ -182,8 +181,8 @@ def distance_matrix(distance: Callable[[int, int], Fraction], n: int) -> list[li
 
 def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
     """Finite space on the family points x_1..x_N, base point x_1 relabelled 0."""
-    if N < 1:
-        raise InvalidFamilyParameters("truncation size must be >= 1")
+    if not 1 <= N <= MAX_POINTS:
+        raise InvalidFamilyParameters(f"truncation size must be in 1..{MAX_POINTS}")
     if family.size is not None and N > family.size:
         raise InvalidFamilyParameters(
             f"family {family.label} has only {family.size} points"
@@ -239,12 +238,6 @@ class FreeElement:
         )
         return FreeElement(support=support)
 
-    def coefficient(self, point: int) -> Fraction:
-        for p, c in self.support:
-            if p == point:
-                return c
-        return Fraction(0)
-
     def is_zero(self) -> bool:
         return not self.support
 
@@ -293,8 +286,15 @@ class LipFunction:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; a missing, unreadable or non-UTF-8 file
+    raises InvalidFamilyParameters."""
+    with outside_input(f"file {path}"), open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def load_space(source) -> FiniteMetricSpace:
-    """Load a custom space from JSON: {"n": int, "dist": [[...]]}.
+    """Load a custom space from JSON text or a dict: {"n": int, "dist": [[...]]}.
 
     Entries may be numbers or 'p/q' strings.  Non-integral float entries
     switch validation to the tolerant path and flag the space approximate.
@@ -302,18 +302,13 @@ def load_space(source) -> FiniteMetricSpace:
     "dist" that is not a list of rows and entries that are not rationals
     raise InvalidFamilyParameters.
     """
-    try:
-        if hasattr(source, "read"):
-            source = source.read()
+    with outside_input("custom space JSON"):
         obj = json.loads(source) if isinstance(source, (str, bytes)) else source
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise InvalidFamilyParameters(f"custom space is not valid JSON: {exc}") from exc
-    dist = obj.get("dist") if isinstance(obj, dict) else None
-    if not isinstance(dist, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in dist):
-        raise InvalidFamilyParameters('custom space JSON needs a "dist" matrix')
-    n = obj.get("n", len(dist))
-    if n != len(dist):
-        raise InvalidFamilyParameters('"n" does not match the matrix size')
+        dist = obj["dist"]
+        if not isinstance(dist, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in dist):
+            raise ValueError('"dist" must be a list of rows')
+        if obj.get("n", len(dist)) != len(dist):
+            raise ValueError('"n" does not match the matrix size')
     has_float = any(
         isinstance(v, float) and not float(v).is_integer() for row in dist for v in row
     )
@@ -328,12 +323,10 @@ def free_element_to_json(element: FreeElement) -> list:
 def free_element_from_json(source) -> FreeElement:
     """Parse [{"point": i, "coef": "p/q"}, ...]; malformed input raises
     InvalidFamilyParameters."""
-    try:
+    with outside_input("free element JSON"):
         obj = json.loads(source) if isinstance(source, (str, bytes)) else source
         if not isinstance(obj, list) or not all(isinstance(item, dict) for item in obj):
             raise ValueError("a list of {point, coef} objects is needed")
         if any(type(item["point"]) is not int for item in obj):
             raise ValueError("points must be integers")
         return FreeElement.from_pairs((item["point"], item["coef"]) for item in obj)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise InvalidFamilyParameters(f"bad free element JSON: {exc!r}") from exc

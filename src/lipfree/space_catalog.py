@@ -18,13 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import EmptyLevels, InvalidFamilyParameters
+from .errors import EmptyLevels, InvalidFamilyParameters, outside_input
 from .metric_core import (
     FiniteMetricSpace,
     MetricFamily,
     as_fraction,
     is_ultrametric,
     load_space,
+    read_text,
+    truncate,
 )
 
 
@@ -72,7 +74,6 @@ def uniform(d) -> MetricFamily:
     return MetricFamily(
         label=f"uniform:{d}",
         oracle=lambda i, j: d,
-        d_k=lambda k: d,
         d_limit=d,
         bounded=True,
         ultrametric=True,
@@ -86,7 +87,6 @@ def convergent_line() -> MetricFamily:
     return _line_family(
         "convline",
         value,
-        d_k=lambda k: value(k),
         bounded=True,
         converges_to_base=True,
     )
@@ -123,14 +123,6 @@ _REMARK_FORMULAS = {
     6: lambda k, n: 1 + Fraction(1, 2 * k) + Fraction(1, n),
 }
 
-_REMARK_DK = {
-    2: lambda k: 2 - Fraction(1, k),
-    3: lambda k: 2 - Fraction(1, k),
-    4: lambda k: 2 - Fraction(1, k),
-    5: lambda k: Fraction(1),
-    6: lambda k: 1 + Fraction(1, 2 * k),
-}
-
 _REMARK_D = {2: Fraction(2), 3: Fraction(2), 4: Fraction(2), 5: Fraction(1), 6: Fraction(1)}
 
 
@@ -143,7 +135,6 @@ def remark(which) -> MetricFamily:
         label=f"remark:{which}",
         # the metric is stated for n > k; min(index pair) plays the role of k
         oracle=lambda i, j: formula(i, j),
-        d_k=_REMARK_DK.get(which),
         d_limit=_REMARK_D.get(which),
         bounded=which != 1,
     )
@@ -263,17 +254,12 @@ def family_from_space(space: FiniteMetricSpace, label: str = "custom") -> Metric
     )
 
 
-def _load_space_file(path: str) -> FiniteMetricSpace:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return load_space(handle)
-    except OSError as exc:
-        raise InvalidFamilyParameters(f"cannot read custom space {path}: {exc.strerror}") from exc
-
-
 def make_family(family_id: str, *params) -> MetricFamily:
-    """Build a catalog family by id; raises InvalidFamilyParameters otherwise."""
-    try:
+    """Build a catalog family by id; raises InvalidFamilyParameters otherwise.
+
+    The ``custom`` family takes the path of a JSON space file.
+    """
+    with outside_input(f"parameters for {family_id}"):
         if family_id == "uniform":
             (d,) = params
             return uniform(d)
@@ -289,12 +275,8 @@ def make_family(family_id: str, *params) -> MetricFamily:
         if family_id == "dendro":
             return dendrogram(*params)
         if family_id == "custom":
-            (source,) = params
-            if isinstance(source, FiniteMetricSpace):
-                return family_from_space(source)
-            return family_from_space(_load_space_file(source), label=f"file:{source}")
-    except (ValueError, TypeError) as exc:
-        raise InvalidFamilyParameters(f"bad parameters for {family_id}: {exc}") from exc
+            (path,) = params
+            return family_from_space(load_space(read_text(path)), label=f"file:{path}")
     raise InvalidFamilyParameters(f"unknown family id {family_id!r}")
 
 
@@ -311,13 +293,13 @@ def parse_space(label: str):
     or ``file:path.json`` for a custom finite space."""
     parts = label.split(":")
     if parts[0] == "file":
-        return _load_space_file(":".join(parts[1:]))
+        return load_space(read_text(":".join(parts[1:])))
     if len(parts) < 2:
         raise InvalidFamilyParameters("space shorthand needs a truncation size")
-    from .metric_core import truncate
-
     family = make_family(parts[0], *parts[1:-1])
-    return truncate(family, int(parts[-1]))
+    with outside_input("truncation size"):
+        n = int(parts[-1])
+    return truncate(family, n)
 
 
 FAMILY_INFO = [

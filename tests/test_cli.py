@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lipfree.cli import main
 
@@ -176,6 +180,49 @@ class TestErrors:
         assert out == ""
         assert err.startswith(f"{error}:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("two-point", "--a", "x", "--b", "1", "--dx0", "1", "--dy0", "1", "--dxy", "1"),
+            ("two-point", "--a", "1/0", "--b", "1", "--dx0", "1", "--dy0", "1", "--dxy", "1"),
+            ("admissibility", "--family", "uniform:1", "--N", "4", "--ordering", "1,x,3,4"),
+            ("admissibility", "--family", "uniform:1", "--N", "4", "--ordering", ""),
+            ("norm", "--space", "uniform:1:abc", "--element", "[]"),
+            ("norm", "--space", "uniform:1/0:3", "--element", "[]"),
+            ("construct", "--family", "convline", "--N", "-2"),
+            ("construct", "--family", "intline", "--case", "unbounded", "--N", "-1"),
+            ("construct", "--family", "uniform:1", "--N", "1", "--emit", "{missing}/plan.json"),
+            ("ball-section", "--space", "uniform:1:3", "--x", "1", "--y", "2",
+             "--svg", "{missing}/section.svg"),
+            ("ball-section", "--space", "uniform:1:3", "--x", "1", "--y", "2",
+             "--csv", "{missing}/section.csv"),
+            # size guards: each would run for hours without them
+            ("norm", "--space", "uniform:1:100000", "--element", "[]"),
+            ("construct", "--family", "intline", "--case", "unbounded", "--N", "100000"),
+            ("admissibility", "--family", "uniform:1", "--N", "100000"),
+        ],
+        ids=[
+            "two-point-not-rational", "two-point-zero-denominator", "ordering-not-int",
+            "ordering-empty", "truncation-not-int", "family-zero-denominator",
+            "negative-pairs", "negative-pairs-unbounded", "unwritable-emit", "unwritable-svg",
+            "unwritable-csv", "truncation-too-large", "pairs-too-many", "admissibility-too-large",
+        ],
+    )
+    def test_bad_input_never_leaks_a_traceback(self, run, tmp_path, argv):
+        missing = tmp_path / "missing"
+        code, out, err = run(*(arg.format(missing=missing) for arg in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("InvalidFamilyParameters:")
+        assert not missing.exists()
+
+    def test_horizon_variable_is_ignored(self, run, monkeypatch):
+        args = ("construct", "--family", "intline", "--case", "unbounded", "--N", "2")
+        expected = run(*args)
+        monkeypatch.setenv("LIPFREE_HORIZON", "abc")
+        assert run(*args) == expected
+        assert expected[0] == 0
+
     def test_usage_error_exit_code(self, run):
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags
@@ -338,3 +385,71 @@ class TestElementFromFile:
         assert obj["norm"] == "1"
         assert obj["function"][0] == "0"
         assert len(obj["function"]) == 3
+
+
+# fixed alphabets of valid and malformed values, one per kind of flag
+NUMBERS = ("0", "1", "2", "3", "-1", "1/2", "1/0", "x", "", "100000")
+ALPHABETS = {
+    "--space": (
+        "uniform:1:3", "remark:3:5", "convline:5", "dendro:7:10:12", "uniform:1:100000",
+        "uniform:1/0:3", "uniform:1:x", "file:/nonexistent", "[{", "",
+    ),
+    "--family": (
+        "uniform:1", "remark:2", "convline", "intline", "dendro:7:10", "uniform:1/0",
+        "remark:x", "file:/nonexistent", "[{", "",
+    ),
+    "--element": (
+        "[]", '[{"point": 1, "coef": "1/2"}, {"point": 2, "coef": -1}]',
+        '[{"point": 1, "coef": "1/0"}]', '[{"point": 9, "coef": 1}]', "[{", "@/nonexistent",
+        "@plan.json", "",
+    ),
+    "--coeffs": ("[]", "[1, -1]", '["1/2"]', '["1/0"]', "[{", "@/nonexistent", "@plan.json", ""),
+    "--plan": ("plan.json", "-1", "convline:5", "@/nonexistent", "missing/plan.json", ""),
+    "--emit": ("plan.json", "-1", "convline:5", "missing/plan.json", ""),
+    "--svg": ("section.svg", "plan.json", "-1", "missing/section.svg", ""),
+    "--csv": ("section.csv", "plan.json", "convline:5", "missing/section.csv", ""),
+    "--case": ("auto", "accum", "bounded", "unbounded", "udelta", "ultra", "x"),
+    "--ordering": ("1,2,3", "3,2,1", "1,x,3,4", "1,1,2", "1/0", ""),
+}
+# subcommand -> (required flags, optional flags, optional switches)
+COMMANDS = {
+    "norm": (("--space", "--element"), (), ("--with-function",)),
+    "two-point": (("--a", "--b", "--dx0", "--dy0", "--dxy"), (), ()),
+    "ball-section": (("--space", "--x", "--y"), ("--svg", "--csv"), ()),
+    "construct": (("--family", "--N"), ("--case", "--emit"), ()),
+    "verify": (("--coeffs",), ("--plan", "--family", "--case", "--N"), ()),
+    "admissibility": (("--family", "--N"), ("--ordering",), ()),
+    "spaces": ((), (), ()),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional, switches = COMMANDS[command]
+    argv = [command] + (["list"] if command == "spaces" else [])
+    for flag in required + tuple(f for f in optional if draw(st.booleans())):
+        argv += [flag, draw(st.sampled_from(ALPHABETS.get(flag, NUMBERS)))]
+    return argv + [s for s in switches if draw(st.booleans())]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(argv=argvs())
+def _check_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage error
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    lines = out.getvalue().splitlines(keepends=True)
+    assert len(lines) <= 1 and all(line.endswith("\n") for line in lines), argv
+    for line in lines:
+        json.loads(line)
+
+
+def test_main_keeps_its_exit_contract_on_any_flag_values(tmp_path, monkeypatch):
+    # --emit, --svg and --csv write to relative paths drawn from the alphabets
+    monkeypatch.chdir(tmp_path)
+    _check_exit_contract()

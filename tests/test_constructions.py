@@ -363,6 +363,11 @@ class TestRadiiBoundedSeparated:
         with pytest.raises(MetadataRequired):
             radii_bounded_separated(family, 2, horizon=200)
 
+    def test_metadata_required_for_convergent_line(self):
+        # convline declares no limit d and its rows 1/(k-1) - 1/(n-1) never stabilise
+        with pytest.raises(MetadataRequired):
+            radii_bounded_separated(make_family("convline"), 2)
+
 
 class TestRadiiUnbounded:
     def test_integer_line_greedy_trace(self):
@@ -389,16 +394,6 @@ class TestRadiiUnbounded:
     def test_uniform_exhausts_horizon(self):
         with pytest.raises(HorizonExhausted):
             radii_unbounded(make_family("uniform", 1), 1, horizon=300)
-
-    def test_horizon_env_override(self, monkeypatch):
-        from lipfree.constructions import default_horizon
-
-        monkeypatch.setenv("LIPFREE_HORIZON", "120")
-        assert default_horizon() == 120
-        with pytest.raises(HorizonExhausted):
-            radii_unbounded(make_family("uniform", 1), 1)
-        monkeypatch.delenv("LIPFREE_HORIZON")
-        assert default_horizon() == 10000
 
 
 class TestRadiiUnboundedDelta:
@@ -540,6 +535,32 @@ class TestAdmissibility:
 
         with pytest.raises(InvalidFamilyParameters):
             admissibility_lp(make_family("uniform", 1), 3, ordering=[1, 1, 2])
+
+    def test_size_guard(self):
+        from lipfree import InvalidFamilyParameters
+        from lipfree.constructions import MAX_ADMISSIBILITY_POINTS
+
+        with pytest.raises(InvalidFamilyParameters):
+            admissibility_lp(make_family("uniform", 1), MAX_ADMISSIBILITY_POINTS + 1)
+
+
+@pytest.mark.parametrize(
+    "builder, label",
+    [
+        (radii_accumulation, "convline"),
+        (radii_bounded_separated, "uniform:1"),
+        (radii_unbounded, "intline"),
+        (radii_unbounded_delta, "intline"),
+        (radii_ultrametric, "uniform:1"),
+    ],
+)
+@pytest.mark.parametrize("n_pairs", [-1, 256])
+def test_builders_refuse_pair_counts_outside_the_cap(builder, label, n_pairs):
+    # 2 * 256 + 1 points pass MAX_POINTS = 512
+    from lipfree import InvalidFamilyParameters
+
+    with pytest.raises(InvalidFamilyParameters):
+        builder(make_family(*label.split(":")), n_pairs)
 
 
 class TestPlanSerialization:

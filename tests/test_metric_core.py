@@ -269,9 +269,12 @@ class TestTruncate:
 
     def test_size_guards(self):
         from lipfree import InvalidFamilyParameters
+        from lipfree.metric_core import MAX_POINTS
 
         with pytest.raises(InvalidFamilyParameters):
             truncate(make_family("uniform", 1), 0)
+        with pytest.raises(InvalidFamilyParameters):
+            truncate(make_family("uniform", 1), MAX_POINTS + 1)
         with pytest.raises(InvalidFamilyParameters):
             truncate(make_family("dendro", 1, 5, 12), 13)
 

