@@ -11,7 +11,11 @@ matrix and of ``is_ultrametric`` on the validated space (a ``file:`` family
 runs both), and per size in ``NORM_SIZES`` of ``free_norm_flow`` on a seeded
 element that supports every point (``free_norm(...).value`` where that
 exists, the Fraction transport of earlier versions otherwise), with a hash
-of the norm it returned.
+of the norm it returned.  The same matrices, read as a family, time the
+admissibility probe: the minimum-ratio cycle ``admissibility`` at every size
+in ``ADMISSIBILITY_SIZES`` (skipped where the sources lack it) and the exact
+LP ``admissibility_lp`` at ``ADMISSIBILITY_LP_SIZES``, each with a hash of
+the tau it returned.
 """
 
 from __future__ import annotations
@@ -23,10 +27,18 @@ import statistics
 from fractions import Fraction
 from time import perf_counter
 
-from lipfree import FreeElement, free_norm_flow, is_ultrametric, validate_metric
+from lipfree import FreeElement, admissibility_lp, free_norm_flow, is_ultrametric, validate_metric
+from lipfree.space_catalog import family_from_space
 
-SIZES = (24, 40, 64, 96, 128, 192)
+try:
+    from lipfree import admissibility
+except ImportError:  # sources from before the cycle route
+    admissibility = None
+
+SIZES = (16, 24, 32, 40, 64, 96, 128, 192)
 NORM_SIZES = (24, 40, 64)
+ADMISSIBILITY_SIZES = (16, 32, 64, 128)
+ADMISSIBILITY_LP_SIZES = (16, 32)
 REPEATS = 3
 
 
@@ -49,13 +61,18 @@ def adversarial_matrix(n: int) -> list[list[Fraction]]:
     return mat
 
 
-def median_seconds(call) -> float:
+def timed(call) -> tuple[float, object]:
+    """Median wall seconds of ``REPEATS`` calls, and the last call's result."""
     times = []
     for _ in range(REPEATS):
         start = perf_counter()
-        call()
+        result = call()
         times.append(perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(times), result
+
+
+def digest(value) -> str:
+    return hashlib.sha256(str(value).encode()).hexdigest()[:16]
 
 
 def main() -> None:
@@ -64,8 +81,8 @@ def main() -> None:
         mat = adversarial_matrix(n)
         space = validate_metric(mat)
         out[f"n={n}"] = {
-            "validate_metric_s": median_seconds(lambda: validate_metric(mat)),
-            "is_ultrametric_s": median_seconds(lambda: is_ultrametric(space)),
+            "validate_metric_s": timed(lambda: validate_metric(mat))[0],
+            "is_ultrametric_s": timed(lambda: is_ultrametric(space))[0],
         }
         if n in NORM_SIZES:
             rng = random.Random(n)
@@ -73,9 +90,20 @@ def main() -> None:
                 (p, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)))
                 for p in range(1, n)
             )
-            out[f"n={n}"]["free_norm_s"] = median_seconds(lambda: free_norm_flow(element, space))
-            value = str(free_norm_flow(element, space)).encode()
-            out[f"n={n}"]["free_norm_sha256"] = hashlib.sha256(value).hexdigest()[:16]
+            seconds, value = timed(lambda: free_norm_flow(element, space))
+            out[f"n={n}"]["free_norm_s"] = seconds
+            out[f"n={n}"]["free_norm_sha256"] = digest(value)
+        if n not in ADMISSIBILITY_SIZES:
+            continue
+        family = family_from_space(space)
+        for name, probe, sizes in (
+            ("admissibility", admissibility, ADMISSIBILITY_SIZES),
+            ("admissibility_lp", admissibility_lp, ADMISSIBILITY_LP_SIZES),
+        ):
+            if probe is not None and n in sizes:
+                seconds, result = timed(lambda: probe(family, n))
+                out[f"n={n}"][f"{name}_s"] = seconds
+                out[f"n={n}"][f"{name}_tau_sha256"] = digest(result.tau)
     print(json.dumps({"repeats": REPEATS, "sizes": out}))
 
 

@@ -13,7 +13,11 @@ import json
 import sys
 from functools import lru_cache
 
-from .constructions import (
+# admissibility_lp and free_norm_lp are unused here; perfbench's
+# CROSS_MODULE_BINDINGS still names cli.admissibility_lp and cli.free_norm_lp,
+# until the next benchmark change binds admissibility and free_norm instead
+from .constructions import (  # noqa: F401
+    admissibility,
     admissibility_lp,
     plan_from_json,
     plan_to_json,
@@ -26,8 +30,6 @@ from .constructions import (
 )
 from .errors import InvalidFamilyParameters, LipfreeError, outside_input
 from .metric_core import as_fraction, fraction_str, free_element_from_json, read_text
-# free_norm_lp is unused here; perfbench's CROSS_MODULE_BINDINGS still names
-# cli.free_norm_lp, until the next benchmark change binds free_norm instead
 from .norm_engine import ball_section, free_norm, free_norm_lp, two_point_norm  # noqa: F401
 from .space_catalog import FAMILY_INFO, parse_family, parse_space
 from .svg import ball_section_csv, render_ball_section
@@ -143,16 +145,17 @@ def _cmd_admissibility(args) -> None:
     if args.ordering is not None:
         with outside_input("--ordering"):
             ordering = [int(v) for v in args.ordering.split(",")]
-    result = admissibility_lp(family, args.N, ordering)
+    result = admissibility(family, args.N, ordering)
     if result.no_pair_slots:
         _emit({"no_pair_slots": True})
-    else:
-        _emit(
-            {
-                "tau": fraction_str(result.tau),
-                "r": [fraction_str(v) for v in result.radii],
-            }
-        )
+        return
+    out = {"tau": fraction_str(result.tau), "r": [fraction_str(v) for v in result.radii]}
+    if result.obstruction is not None:
+        out["obstruction"] = {
+            "upper": [list(pair) for pair in result.obstruction.upper],
+            "slots": list(result.obstruction.slots),
+        }
+    _emit(out)
 
 
 def _cmd_spaces(args) -> None:
@@ -203,7 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", required=True, help="JSON list of rationals, or @file")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("admissibility", help="best worst-pair ratio LP on a prefix")
+    p = sub.add_parser(
+        "admissibility", help="best worst-pair ratio on a prefix, and a cycle that caps it below 1"
+    )
     p.add_argument("--family", required=True)
     p.add_argument("--N", type=int, required=True, help="number of points")
     p.add_argument("--ordering", help="comma-separated family indices")

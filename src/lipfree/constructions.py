@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -49,7 +50,8 @@ from .norm_engine import free_norm_flow, lip_norm
 from .simplex import solve_lp_max
 
 DEFAULT_HORIZON = 10000
-MAX_ADMISSIBILITY_POINTS = 64  # the exact LP has N(N-1)/2 separation rows
+MAX_ADMISSIBILITY_POINTS = 128  # Bellman-Ford on 2N nodes: 0.2 s on catalog families
+MAX_ADMISSIBILITY_LP_POINTS = 64  # the exact LP has N(N-1)/2 separation rows
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -739,10 +741,197 @@ def _thin_increasing(e_vals: list, d_sup: Fraction, needed: int) -> Optional[lis
 
 
 @dataclass(frozen=True)
+class Obstruction:
+    """A cycle that proves no radii reach a worst-pair ratio above tau.
+
+    ``upper`` lists separation pairs (m, n) and ``slots`` pair slots n, as
+    multisets.  Every position lies in at least as many upper pairs as slot
+    ends and sum rho(upper) = tau * sum rho(slots); summing the separation
+    rows of the upper pairs then bounds every slot sum, so no feasible radii
+    give all slots a ratio above tau.
+    """
+
+    upper: tuple[tuple[int, int], ...]
+    slots: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class AdmissibilityResult:
     tau: Optional[Fraction]
     radii: Optional[tuple[Fraction, ...]]
     no_pair_slots: bool = False
+    obstruction: Optional[Obstruction] = None  # from ``admissibility`` when tau < 1
+
+
+def _prefix_order(N: int, ordering: Optional[Sequence[int]], cap: int) -> tuple[int, ...]:
+    """Family indices of positions 1..N, refused above ``cap`` points."""
+    if N > cap:
+        raise InvalidFamilyParameters(f"admissibility N must be at most {cap}")
+    order = tuple(range(1, N + 1)) if ordering is None else tuple(int(i) for i in ordering)
+    if len(order) != N or len(set(order)) != N or any(i < 1 for i in order):
+        raise InvalidFamilyParameters("ordering must injectively map 1..N to family indices")
+    return order
+
+
+def _ratio_bellman_ford(w, partner, p: int, q: int):
+    """Bellman-Ford at tau = p/q on the doubled constraint graph, from 0 everywhere.
+
+    Node +m carries P[m] and node -m carries M[m] (0-based positions); the
+    integer weights are q * scale times the constraint constants:
+
+    * -n -> +m, q*w[m][n], for m != n (r_m + r_n <= rho);
+    * +m -> -m, 0 (r_m >= 0);
+    * +j -> -i, -p*w[i][j], for each slot {i, j} (r_i + r_j >= tau * rho).
+
+    Returns ``((P, M), None)`` once nothing relaxes, or else ``(None,
+    cycle)`` for the first cycle of the predecessor graph, every one of which
+    has negative weight, as the upper pairs and slot numbers along it.
+    """
+    n = len(w)
+    upper = [[q * v for v in row] for row in w]
+    lower = [None if partner[j] is None else -p * w[j][partner[j]] for j in range(n)]
+    P, M = [0] * n, [0] * n
+    via_minus = [None] * n  # predecessor of +m: the -k it was reached from
+    via_plus = [None] * n  # predecessor of -k: +k or +partner(k)
+    active = range(n)
+    while True:
+        lowered = set()
+        for j in active:
+            pj = P[j]
+            if pj < M[j]:
+                M[j], via_plus[j] = pj, j
+                lowered.add(j)
+            i = partner[j]
+            if i is not None and pj + lower[j] < M[i]:
+                M[i], via_plus[i] = pj + lower[j], j
+                lowered.add(i)
+        if not lowered:
+            return (P, M), None
+        active = set()
+        for k in sorted(lowered):
+            mk, row = M[k], upper[k]
+            for m in range(n):
+                if m != k and mk + row[m] < P[m]:
+                    P[m], via_minus[m] = mk + row[m], k
+                    active.add(m)
+        if not active:
+            return (P, M), None
+        active = sorted(active)
+        cycle = _predecessor_cycle(via_minus, via_plus)
+        if cycle is not None:
+            return None, cycle
+
+
+def _predecessor_cycle(via_minus, via_plus):
+    """A cycle of the predecessor graph as (upper pairs, slot numbers), or None."""
+    n = len(via_minus)
+    stamp = [0] * n
+    for start in range(n):
+        m = start
+        while m is not None and not stamp[m]:
+            stamp[m] = start + 1
+            k = via_minus[m]
+            m = None if k is None else via_plus[k]
+        if m is None or stamp[m] != start + 1:
+            continue
+        pairs, slots, first = [], [], m
+        while True:
+            k = via_minus[m]
+            pairs.append((min(k, m), max(k, m)))
+            m = via_plus[k]
+            if m != k:
+                slots.append((k + 1) // 2)  # 0-based positions 2n - 1 and 2n
+            if m == first:
+                return pairs, slots
+    return None
+
+
+def _min_ratio_cycle(w, partner):
+    """Newton steps from tau = 1: tau*, its final (P, M) and the last negative
+    cycle found, None when tau* = 1."""
+    tau, last = ONE, None
+    while True:
+        potentials, cycle = _ratio_bellman_ford(w, partner, tau.numerator, tau.denominator)
+        if cycle is None:
+            return tau, potentials, last
+        pairs, slots = last = cycle
+        ratio = Fraction(sum(w[m][k] for m, k in pairs), sum(w[2 * n - 1][2 * n] for n in slots))
+        if ratio >= tau:
+            raise AssertionError("a predecessor cycle is not negative")
+        tau = ratio
+
+
+def _check_admissibility(rho, tau: Fraction, radii, obstruction: Optional[Obstruction]) -> None:
+    """Raise AssertionError unless the radii reach tau and the obstruction caps it."""
+    N = len(radii)
+    slot_rho = [rho[2 * n - 1][2 * n] for n in range(1, (N - 1) // 2 + 1)]
+    if any(v < 0 for v in radii):
+        raise AssertionError("a radius is negative")
+    for m in range(N):
+        for n in range(m + 1, N):
+            if radii[m] + radii[n] > rho[m][n]:
+                raise AssertionError(f"radii break separation at ({m + 1}, {n + 1})")
+    for n, d in enumerate(slot_rho, 1):
+        if radii[2 * n - 1] + radii[2 * n] < tau * d:
+            raise AssertionError(f"radii miss tau on slot {n}")
+    if obstruction is None:
+        if tau != 1:
+            raise AssertionError("tau < 1 needs an obstruction")
+        return
+    ends = [0] * (N + 1)
+    for m, n in obstruction.upper:
+        ends[m] += 1
+        ends[n] += 1
+    for n in obstruction.slots:
+        ends[2 * n] -= 1
+        ends[2 * n + 1] -= 1
+    slot_sum = sum((slot_rho[n - 1] for n in obstruction.slots), ZERO)
+    if min(ends) < 0 or slot_sum <= 0:
+        raise AssertionError("the obstruction leaves a slot end uncovered")
+    if sum((rho[m - 1][n - 1] for m, n in obstruction.upper), ZERO) != tau * slot_sum:
+        raise AssertionError("the obstruction's ratio differs from tau")
+
+
+def admissibility(
+    family: MetricFamily, N: int, ordering: Optional[Sequence[int]] = None
+) -> AdmissibilityResult:
+    """Best achievable worst-pair ratio on a fixed prefix, as a minimum-ratio cycle.
+
+    tau* is the optimum of ``admissibility_lp``: the largest tau for which
+    radii r >= 0 with r_m + r_n <= rho(x_m, x_n) and r_2n + r_2n+1 >=
+    tau * rho(x_2n, x_2n+1) exist.  These are unit two-variable constraints,
+    feasible exactly when their doubled constraint graph has no negative
+    cycle (Mine, "The octagon abstract domain", HOSC 19, 2006).  A cycle
+    costs A - tau * B with B >= 0, so tau* is the least ratio A / B of a
+    cycle; Newton (Dinkelbach) steps from tau = 1 set tau to the ratio of
+    each negative cycle Bellman-Ford finds, until none is left.  The radii
+    come from the final distances, r_m = (d(+m) - d(-m)) / 2, and are one
+    optimal vector of several.
+
+    Before returning, the radii are checked against every constraint, and
+    for tau < 1 the last cycle is checked as an ``Obstruction``; either
+    failing raises AssertionError.
+    """
+    order = _prefix_order(N, ordering, MAX_ADMISSIBILITY_POINTS)
+    if N < 3:
+        return AdmissibilityResult(tau=None, radii=None, no_pair_slots=True)
+    rho = distance_matrix(lambda i, j: family.distance(order[i], order[j]), N)
+    scale = lcm(*(v.denominator for row in rho for v in row))
+    w = [[v.numerator * (scale // v.denominator) for v in row] for row in rho]
+    partner = [None] * N  # 0-based positions 2n - 1 and 2n form slot n
+    for n in range(1, (N - 1) // 2 + 1):
+        partner[2 * n - 1], partner[2 * n] = 2 * n, 2 * n - 1
+
+    tau, (P, M), cycle = _min_ratio_cycle(w, partner)
+    radii = tuple(Fraction(P[m] - M[m], 2 * tau.denominator * scale) for m in range(N))
+    obstruction = None
+    if cycle is not None:
+        pairs, slots = cycle
+        obstruction = Obstruction(
+            upper=tuple(sorted((m + 1, n + 1) for m, n in pairs)), slots=tuple(sorted(slots))
+        )
+    _check_admissibility(rho, tau, radii, obstruction)
+    return AdmissibilityResult(tau=tau, radii=radii, obstruction=obstruction)
 
 
 def admissibility_lp(
@@ -753,13 +942,10 @@ def admissibility_lp(
     Maximises tau subject to r_m + r_n <= rho(x_m, x_n) for all m != n and
     r_2n + r_2n+1 >= tau * rho(x_2n, x_2n+1) for every complete pair slot,
     over nonnegative radii.  tau* = 1 exactly when radii witnessing the
-    tight pair condition exist on this prefix with this ordering.
+    tight pair condition exist on this prefix with this ordering.  This is
+    the independent oracle that the tests hold ``admissibility`` to.
     """
-    if N > MAX_ADMISSIBILITY_POINTS:
-        raise InvalidFamilyParameters(f"admissibility N must be at most {MAX_ADMISSIBILITY_POINTS}")
-    order = tuple(range(1, N + 1)) if ordering is None else tuple(int(i) for i in ordering)
-    if len(order) != N or len(set(order)) != N or any(i < 1 for i in order):
-        raise InvalidFamilyParameters("ordering must injectively map 1..N to family indices")
+    order = _prefix_order(N, ordering, MAX_ADMISSIBILITY_LP_POINTS)
     slots = [(2 * n, 2 * n + 1) for n in range(1, (N - 1) // 2 + 1)]
     if not slots:
         return AdmissibilityResult(tau=None, radii=None, no_pair_slots=True)
@@ -821,5 +1007,7 @@ def plan_from_json(source, family: Optional[MetricFamily] = None) -> EmbeddingPl
             raise ValueError("x_idx must be a list of integers")
         if not isinstance(r, (list, tuple)):
             raise ValueError("r must be a list of rationals")
+        if family is None and not isinstance(obj["family"], str):
+            raise ValueError("family must be a label")
         fam = family if family is not None else parse_family(obj["family"])
         return make_plan(fam, x_idx, r, case=obj.get("case"))

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import EmptyLevels, InvalidFamilyParameters, outside_input
 from .metric_core import (
+    MAX_POINTS,
     FiniteMetricSpace,
     MetricFamily,
     as_fraction,
@@ -103,8 +104,15 @@ def integer_line() -> MetricFamily:
     )
 
 
+MAX_GEOMLINE_INDEX = 1 << 20  # point n is the n-bit integer 2**n: 128 KiB here
+
+
 def geometric_line() -> MetricFamily:
-    value = lambda n: Fraction(2**n)
+    def value(n: int) -> Fraction:
+        if n > MAX_GEOMLINE_INDEX:
+            raise InvalidFamilyParameters(f"geomline indices stop at {MAX_GEOMLINE_INDEX}")
+        return Fraction(2**n)
+
     return _line_family(
         "geomline",
         value,
@@ -233,12 +241,20 @@ def _default_levels(seed: int, depth: int) -> tuple[Fraction, ...]:
 
 
 def dendrogram(seed, depth, leaf_count=None) -> MetricFamily:
+    """``dendro:seed:depth[:leaves]``; leaves default to max(64, depth + 8).
+
+    No truncation or plan uses more than MAX_POINTS points, so more leaves,
+    or a depth that needs more, are refused before the levels are built.
+    """
     seed, depth = int(seed), int(depth)
     if depth < 1:
         raise EmptyLevels("dendrogram depth must be >= 1")
-    if leaf_count is None:
-        leaf_count = max(64, depth + 8)
-    spec = DendrogramSpec(seed=seed, leaf_count=int(leaf_count), levels=_default_levels(seed, depth))
+    if depth >= MAX_POINTS:
+        raise InvalidFamilyParameters(f"dendrogram depth must be below {MAX_POINTS}")
+    leaf_count = min(max(64, depth + 8), MAX_POINTS) if leaf_count is None else int(leaf_count)
+    if leaf_count > MAX_POINTS:
+        raise InvalidFamilyParameters(f"a dendrogram has at most {MAX_POINTS} leaves")
+    spec = DendrogramSpec(seed=seed, leaf_count=leaf_count, levels=_default_levels(seed, depth))
     return dendrogram_ultrametric(spec)
 
 

@@ -200,12 +200,18 @@ class TestErrors:
             ("norm", "--space", "uniform:1:100000", "--element", "[]"),
             ("construct", "--family", "intline", "--case", "unbounded", "--N", "100000"),
             ("admissibility", "--family", "uniform:1", "--N", "100000"),
+            ("admissibility", "--family", "uniform:1", "--N", "129"),
+            ("construct", "--family", "dendro:1:512", "--N", "1"),
+            ("norm", "--space", "dendro:1:2:513:3", "--element", "[]"),
+            ("verify", "--family", "dendro:1:1000000:3", "--N", "1", "--coeffs", "[1]"),
         ],
         ids=[
             "two-point-not-rational", "two-point-zero-denominator", "ordering-not-int",
             "ordering-empty", "truncation-not-int", "family-zero-denominator",
             "negative-pairs", "negative-pairs-unbounded", "unwritable-emit", "unwritable-svg",
             "unwritable-csv", "truncation-too-large", "pairs-too-many", "admissibility-too-large",
+            "admissibility-cap-plus-one", "dendro-depth-cap-plus-one", "dendro-leaves-cap-plus-one",
+            "dendro-depth-huge",
         ],
     )
     def test_bad_input_never_leaks_a_traceback(self, run, tmp_path, argv):
@@ -309,6 +315,12 @@ class TestAdmissibilityCommand:
         obj = json.loads(out)
         assert obj["tau"] == "38/39"
         assert len(obj["r"]) == 6
+        assert obj["obstruction"] == {"upper": [[2, 5], [3, 4]], "slots": [1, 2]}
+
+    def test_uniform_has_no_obstruction(self, run):
+        code, out, _ = run("admissibility", "--family", "uniform:1", "--N", "7")
+        assert code == 0
+        assert set(json.loads(out)) == {"tau", "r"}
 
     def test_no_pair_slots(self, run):
         code, out, _ = run("admissibility", "--family", "uniform:1", "--N", "2")

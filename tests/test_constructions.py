@@ -14,6 +14,7 @@ from lipfree import (
     NotConvergent,
     NotUltrametric,
     SeparationViolation,
+    admissibility,
     admissibility_lp,
     bump_eval,
     check_plan,
@@ -29,6 +30,7 @@ from lipfree import (
     make_plan,
     pair_function,
     pairing,
+    parse_family,
     plan_from_json,
     plan_to_json,
     projection_coeffs,
@@ -41,7 +43,7 @@ from lipfree import (
     verify_linfty_isometry,
     verify_projection,
 )
-from oracles import rand_fraction
+from oracles import rand_fraction, random_metric_space
 
 
 def star_family(count=None) -> MetricFamily:
@@ -538,10 +540,112 @@ class TestAdmissibility:
 
     def test_size_guard(self):
         from lipfree import InvalidFamilyParameters
-        from lipfree.constructions import MAX_ADMISSIBILITY_POINTS
+        from lipfree.constructions import MAX_ADMISSIBILITY_LP_POINTS, MAX_ADMISSIBILITY_POINTS
 
         with pytest.raises(InvalidFamilyParameters):
             admissibility_lp(make_family("uniform", 1), MAX_ADMISSIBILITY_POINTS + 1)
+        with pytest.raises(InvalidFamilyParameters):
+            admissibility_lp(make_family("uniform", 1), MAX_ADMISSIBILITY_LP_POINTS + 1)
+        with pytest.raises(InvalidFamilyParameters, match=str(MAX_ADMISSIBILITY_POINTS)):
+            admissibility(make_family("uniform", 1), MAX_ADMISSIBILITY_POINTS + 1)
+
+
+def _assert_feasible(family, result, order):
+    r, N = result.radii, len(order)
+    assert min(r) >= 0
+    for m in range(N):
+        for n in range(m + 1, N):
+            assert r[m] + r[n] <= family.distance(order[m], order[n])
+    for n in range(1, (N - 1) // 2 + 1):
+        i, j = order[2 * n - 1], order[2 * n]
+        assert r[2 * n - 1] + r[2 * n] >= result.tau * family.distance(i, j)
+
+
+class TestCycleAdmissibility:
+    """``admissibility`` against the exact LP oracle ``admissibility_lp``."""
+
+    @pytest.mark.parametrize(
+        "label",
+        [f"remark:{k}" for k in range(1, 7)]
+        + ["uniform:1", "convline", "intline", "geomline", "dendro:3:5"],
+    )
+    def test_tau_equals_the_lp(self, label):
+        family = parse_family(label)
+        # the LP takes 0.3 s at 22 points
+        for N in (3, 6, 11, 22) if label.startswith("remark") else (4, 9, 16):
+            result = admissibility(family, N)
+            assert result.tau == admissibility_lp(family, N).tau, N
+            _assert_feasible(family, result, tuple(range(1, N + 1)))
+            assert (result.obstruction is None) == (result.tau == 1)
+
+    def test_tau_equals_the_lp_on_random_orderings(self):
+        rng = random.Random(6)
+        labels = [f"remark:{k}" for k in range(1, 7)] + ["convline", "intline", "dendro:2:6"]
+        for _ in range(40):
+            family = parse_family(rng.choice(labels))
+            N = rng.randint(3, 12)
+            order = rng.sample(range(1, 40), N)
+            result = admissibility(family, N, order)
+            assert result.tau == admissibility_lp(family, N, order).tau, (family.label, order)
+            _assert_feasible(family, result, order)
+
+    def test_tau_equals_the_lp_on_random_metrics(self, tmp_path):
+        rng = random.Random(7)
+        below_one = 0
+        for trial in range(30):
+            space = random_metric_space(rng, rng.randint(3, 10))
+            path = tmp_path / f"space{trial}.json"
+            path.write_text(json.dumps({"dist": [[str(v) for v in row] for row in space.dist]}))
+            family = parse_family(f"file:{path}")
+            result = admissibility(family, space.n)
+            assert result.tau == admissibility_lp(family, space.n).tau, trial
+            _assert_feasible(family, result, tuple(range(1, space.n + 1)))
+            below_one += result.tau < 1
+        assert below_one > 0
+
+    def test_obstruction_on_remark_prefixes_only(self):
+        for k in range(1, 7):
+            result = admissibility(make_family("remark", k), 10)
+            ob = result.obstruction
+            assert result.tau < 1 and ob is not None
+            rho = lambda m, n: make_family("remark", k).distance(m, n)
+            upper = sum(rho(m, n) for m, n in ob.upper)
+            assert upper == result.tau * sum(rho(2 * n, 2 * n + 1) for n in ob.slots)
+        assert admissibility(make_family("uniform", 1), 10).obstruction is None
+
+    def test_largest_prefix_runs(self):
+        from lipfree.constructions import MAX_ADMISSIBILITY_POINTS
+
+        family = make_family("remark", 2)
+        result = admissibility(family, MAX_ADMISSIBILITY_POINTS)
+        assert result.tau == F(399, 440)
+        assert len(result.radii) == MAX_ADMISSIBILITY_POINTS
+        _assert_feasible(family, result, tuple(range(1, MAX_ADMISSIBILITY_POINTS + 1)))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [("radius", "separation"), ("upper-edge", "uncovered"), ("slot-edge", "ratio")],
+    )
+    def test_checks_catch_a_corrupted_certificate(self, monkeypatch, corrupt, message):
+        from lipfree import constructions
+
+        solve = constructions._min_ratio_cycle
+
+        def corrupted(w, partner):
+            tau, (P, M), (pairs, slots) = solve(w, partner)
+            if corrupt == "radius":
+                P = list(P)
+                P[2] += 2 * tau.denominator * (max(map(max, w)) + 1)  # r_3 > every rho
+            elif corrupt == "upper-edge":
+                m, n = pairs[0]
+                pairs = [(m, n + 1 if n + 1 < len(w) else n - 1)] + pairs[1:]
+            else:
+                slots = slots[1:]
+            return tau, (P, M), (pairs, slots)
+
+        monkeypatch.setattr(constructions, "_min_ratio_cycle", corrupted)
+        with pytest.raises(AssertionError, match=message):
+            admissibility(make_family("remark", 2), 10)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,8 @@ from lipfree import (
     truncate,
     ultrametric_from_codes,
 )
+from lipfree.metric_core import MAX_POINTS
+from lipfree.space_catalog import MAX_GEOMLINE_INDEX
 from oracles import dendrogram_lca_bruteforce, ultrametric_scan
 
 REMARK_FORMULAS = {
@@ -136,6 +138,26 @@ class TestDendrogram:
     def test_leaf_budget(self):
         with pytest.raises(InvalidFamilyParameters):
             DendrogramSpec(seed=1, leaf_count=2, levels=(F(1), F(1, 2)))
+
+    def test_size_caps(self):
+        # the largest accepted specs; the default leaf count stops at the cap
+        assert parse_family(f"dendro:1:{MAX_POINTS - 1}").size == MAX_POINTS
+        assert parse_family(f"dendro:1:2:{MAX_POINTS}").size == MAX_POINTS
+        for label in (
+            f"dendro:1:{MAX_POINTS}",
+            f"dendro:1:2:{MAX_POINTS + 1}",
+            "dendro:1:1000000:3",
+            "dendro:1:2:1000000",
+        ):
+            with pytest.raises(InvalidFamilyParameters):
+                parse_family(label)
+
+
+def test_geomline_refuses_indices_past_the_cap():
+    family = make_family("geomline")
+    assert family.distance(1, MAX_GEOMLINE_INDEX) == 2**MAX_GEOMLINE_INDEX - 2
+    with pytest.raises(InvalidFamilyParameters):
+        family.distance(1, 10**400)
 
 
 class TestParsing:
