@@ -241,7 +241,8 @@ def _default_levels(seed: int, depth: int) -> tuple[Fraction, ...]:
 
 
 def dendrogram(seed, depth, leaf_count=None) -> MetricFamily:
-    """``dendro:seed:depth[:leaves]``; leaves default to max(64, depth + 8).
+    """``dendro:seed:depth[:leaves]``; leaves default to max(64, depth + 8),
+    at most MAX_POINTS.
 
     No truncation or plan uses more than MAX_POINTS points, so more leaves,
     or a depth that needs more, are refused before the levels are built.

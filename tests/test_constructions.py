@@ -605,12 +605,13 @@ class TestCycleAdmissibility:
 
     def test_obstruction_on_remark_prefixes_only(self):
         for k in range(1, 7):
-            result = admissibility(make_family("remark", k), 10)
+            family = make_family("remark", k)
+            result = admissibility(family, 10)
             ob = result.obstruction
             assert result.tau < 1 and ob is not None
-            rho = lambda m, n: make_family("remark", k).distance(m, n)
-            upper = sum(rho(m, n) for m, n in ob.upper)
-            assert upper == result.tau * sum(rho(2 * n, 2 * n + 1) for n in ob.slots)
+            upper = sum(family.distance(m, n) for m, n in ob.upper)
+            slots = sum(family.distance(2 * n, 2 * n + 1) for n in ob.slots)
+            assert upper == result.tau * slots
         assert admissibility(make_family("uniform", 1), 10).obstruction is None
 
     def test_largest_prefix_runs(self):
