@@ -16,18 +16,38 @@ admissibility probe: the minimum-ratio cycle ``admissibility`` at every size
 in ``ADMISSIBILITY_SIZES`` (skipped where the sources lack it) and the exact
 LP ``admissibility_lp`` at ``ADMISSIBILITY_LP_SIZES``, each with a hash of
 the tau it returned.
+
+The ``ultrametric`` entry times ``is_ultrametric`` on the 512-leaf truncation
+of ``dendro:11:30:512`` and ``radii_ultrametric`` on the catalog families in
+``ULTRA_FAMILIES`` and on two ``file:`` caterpillars of ``PRIME_LEVEL_POINTS``
+points whose levels 1 + 1/p have distinct prime denominators p, so that the
+rows of one point carry hundreds of primes: leaves shallow to deep (a
+decreasing chain) and deep to shallow (an increasing one).  Each entry has a
+hash of the verdict, or of the plan's (case, x_idx, r) or error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import statistics
+import tempfile
 from fractions import Fraction
 from time import perf_counter
 
-from lipfree import FreeElement, admissibility_lp, free_norm_flow, is_ultrametric, validate_metric
+from lipfree import (
+    FreeElement,
+    LipfreeError,
+    admissibility_lp,
+    free_norm_flow,
+    is_ultrametric,
+    parse_family,
+    radii_ultrametric,
+    truncate,
+    validate_metric,
+)
 from lipfree.space_catalog import family_from_space
 
 try:
@@ -40,6 +60,10 @@ NORM_SIZES = (24, 40, 64)
 ADMISSIBILITY_SIZES = (16, 32, 64, 128)
 ADMISSIBILITY_LP_SIZES = (16, 32)
 REPEATS = 3
+# (family, pair count); dendro:11:30:512 runs out of every search at 8 pairs
+ULTRA_FAMILIES = (("uniform:1", 3), ("dendro:3:9:512", 4), ("dendro:11:30:512", 8))
+PRIME_LEVEL_POINTS = 256
+PRIME_LEVEL_PAIRS = (4, 20)
 
 
 def primes(count: int, start: int = 1000) -> list[int]:
@@ -59,6 +83,42 @@ def adversarial_matrix(n: int) -> list[list[Fraction]]:
         for j in range(i + 1, n):
             mat[i][j] = mat[j][i] = 1 + Fraction(1, next(denominators))
     return mat
+
+
+def prime_level_caterpillar(n: int, reverse: bool) -> list[list[str]]:
+    """rho(x_i, x_j) = 1 + 1/p_k with k = min(i, j), or n - 1 - max(i, j) when
+    ``reverse``: one distinct prime p_k per level."""
+    levels = [f"{p + 1}/{p}" for p in primes(n)]
+    level = (lambda i, j: levels[n - 1 - max(i, j)]) if reverse else (lambda i, j: levels[min(i, j)])
+    return [["0" if i == j else level(i, j) for j in range(n)] for i in range(n)]
+
+
+def plan_outcome(family, n_pairs) -> tuple:
+    try:
+        plan = radii_ultrametric(family, n_pairs)
+    except LipfreeError as exc:
+        return type(exc).__name__, str(exc)
+    return plan.case, plan.x_idx, plan.r
+
+
+def ultrametric_timings() -> dict:
+    out = {}
+    space = truncate(parse_family("dendro:11:30:512"), 512)
+    seconds, verdict = timed(lambda: is_ultrametric(space))
+    out["is_ultrametric dendro:11:30:512 n=512"] = {"s": seconds, "sha256": digest(verdict)}
+    runs = [(label, parse_family(label), n_pairs) for label, n_pairs in ULTRA_FAMILIES]
+    with tempfile.TemporaryDirectory() as workdir:
+        for reverse in (False, True):
+            path = os.path.join(workdir, f"prime-levels-{'reversed' if reverse else 'shallow-first'}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump({"dist": prime_level_caterpillar(PRIME_LEVEL_POINTS, reverse)}, handle)
+            family = parse_family(f"file:{path}")
+            label = f"file:{os.path.basename(path)}"
+            runs += [(label, family, n_pairs) for n_pairs in PRIME_LEVEL_PAIRS]
+        for label, family, n_pairs in runs:
+            seconds, outcome = timed(lambda: plan_outcome(family, n_pairs))
+            out[f"radii_ultrametric {label} pairs={n_pairs}"] = {"s": seconds, "sha256": digest(outcome)}
+    return out
 
 
 def timed(call) -> tuple[float, object]:
@@ -104,7 +164,7 @@ def main() -> None:
                 seconds, result = timed(lambda: probe(family, n))
                 out[f"n={n}"][f"{name}_s"] = seconds
                 out[f"n={n}"][f"{name}_tau_sha256"] = digest(result.tau)
-    print(json.dumps({"repeats": REPEATS, "sizes": out}))
+    print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings()}))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import ceil, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -564,30 +564,97 @@ def radii_unbounded_delta(family: MetricFamily, n_pairs: int, horizon: int = DEF
 # --- ultrametric extraction -------------------------------------------------
 
 
-def _uniform_clique(family: MetricFamily, scan: int, length: int) -> Optional[list[int]]:
+class _DistanceTable:
+    """rho on the family indices 1..scan, each pair fetched at most once.
+
+    Every value is kept as one object per distinct value, so equal values
+    are identical and compare by ``is``.  Row i holds rho(x_i, x_j) for
+    i < j <= scan at index j: ``values(i)`` as those objects and ``ints(i)``
+    times the lcm of their denominators, so that values of one row compare
+    in order as ints.
+    """
+
+    def __init__(self, family: MetricFamily, scan: int, prefix: FiniteMetricSpace):
+        self.family = family
+        self.scan = scan
+        self._same: dict[tuple[int, int], Fraction] = {}
+        # pairs fetched before their row, starting with the probed truncation
+        self._loose = {
+            (i + 1, j + 1): self._one(v)
+            for i, row in enumerate(prefix.dist)
+            for j, v in enumerate(row)
+            if i < j
+        }
+        self._values: dict[int, list] = {}
+        self._ints: dict[int, tuple[int, list]] = {}
+
+    def _one(self, value: Fraction) -> Fraction:
+        return self._same.setdefault((value.numerator, value.denominator), value)
+
+    def distance(self, i: int, j: int) -> Fraction:
+        if i == j:
+            return ZERO
+        i, j = min(i, j), max(i, j)
+        row = self._values.get(i)
+        if row is not None:
+            return row[j]
+        value = self._loose.get((i, j))
+        if value is None:
+            value = self._loose[i, j] = self._one(self.family.distance(i, j))
+        return value
+
+    def values(self, i: int) -> list:
+        row = self._values.get(i)
+        if row is None:
+            row = [None] * (i + 1)
+            for j in range(i + 1, self.scan + 1):
+                value = self._loose.pop((i, j), None)
+                row.append(self._one(self.family.distance(i, j)) if value is None else value)
+            self._values[i] = row
+        return row
+
+    def ints(self, i: int) -> tuple[int, list]:
+        """The row's lcm L and its values times L."""
+        found = self._ints.get(i)
+        if found is None:
+            values = self.values(i)[i + 1 :]
+            denominators = {v.denominator for v in values}
+            scale = lcm(*denominators)
+            factor = {q: scale // q for q in denominators}
+            ints = [None] * (i + 1) + [v.numerator * factor[v.denominator] for v in values]
+            found = self._ints[i] = (scale, ints)
+        return found
+
+
+def _uniform_clique(table: _DistanceTable, length: int) -> Optional[list[int]]:
     """Indices with all pairwise distances equal, preferring larger values.
 
     Each candidate value is grown greedily from a pair that realises it, so
     uniform clusters that do not contain the first family index are still
-    found.
+    found.  A later index joins when its distance to every chosen index is
+    the value; ``pool`` keeps the later indices that still can.
     """
+    scan = table.scan
     probe = min(scan, 64)
     by_value: dict[Fraction, list[tuple[int, int]]] = {}
     for i in range(1, probe + 1):
         for j in range(i + 1, probe + 1):
-            by_value.setdefault(family.distance(i, j), []).append((i, j))
+            by_value.setdefault(table.distance(i, j), []).append((i, j))
     for d in sorted(by_value, reverse=True):
         for i, j in by_value[d][:40]:
             chosen = [i, j]
-            for cand in range(j + 1, scan + 1):
-                if all(family.distance(cand, s) == d for s in chosen):
-                    chosen.append(cand)
-                    if len(chosen) == length:
-                        return chosen
+            row_i, row_j = table.values(i), table.values(j)
+            pool = [c for c in range(j + 1, scan + 1) if row_i[c] is d and row_j[c] is d]
+            while pool:
+                chosen.append(pool[0])
+                if len(chosen) == length:
+                    return chosen
+                row = table.values(pool[0])
+                pool = [c for c in pool[1:] if row[c] is d]
     return None
 
 
-def _monotone_chain(family: MetricFamily, scan: int, length: int, decreasing: bool) -> Optional[list[int]]:
+def _monotone_chain(table: _DistanceTable, length: int, decreasing: bool) -> Optional[list[int]]:
     """Indices y_1 < y_2 < ... whose distance matrix is constant along rows.
 
     decreasing: rho(y_s, y_t) = d_s for t > s with d strictly decreasing
@@ -596,62 +663,75 @@ def _monotone_chain(family: MetricFamily, scan: int, length: int, decreasing: bo
     Greedy with chronological backtracking over the scanned prefix until
     ``length`` is reached, then extended greedily as far as the scan allows
     (the extra elements give the thinning step room to skip).
+
+    The search stops with None after 20 * scan steps.  A step is one
+    candidate examined at the current depth, or one pop once the candidates
+    of a depth run out; the greedy extension counts none.
     """
+    scan = table.scan
     budget = 20 * scan
     stack: list[int] = []
     cursor = [1]  # next candidate to try at each depth
+    # kept[t] is the row that stack[t + 1] brings to the equality tests: the
+    # row of y_t and its value at y_{t+1} when decreasing, the row of
+    # y_{t+1} when increasing
+    kept: list = []
 
-    def admissible(j: int) -> bool:
-        if not stack:
-            return True
+    def first_admissible(start: int) -> Optional[int]:
+        """The least j >= start that can extend the stack, or None."""
+        if len(stack) < 2:  # any index extends a stack of at most one
+            return start if start <= scan else None
+        for t in range(len(kept), len(stack) - 1):
+            if decreasing:
+                row = table.values(stack[t])
+                kept.append((row, row[stack[t + 1]]))
+            else:
+                kept.append(table.values(stack[t + 1]))
         if decreasing:
-            vals = [family.distance(s, j) for s in stack]
             # each earlier point keeps its row value; the new closing value
-            # must continue the strict descent
-            for s_pos in range(len(stack) - 1):
-                expected = family.distance(stack[s_pos], stack[s_pos + 1])
-                if vals[s_pos] != expected:
-                    return False
-            if len(stack) >= 2:
-                prev = family.distance(stack[-2], stack[-1])
-                if vals[-1] >= prev:
-                    return False
-            return True
-        new_val = family.distance(stack[-1], j)
-        for s_pos in range(len(stack) - 1):
-            if family.distance(stack[s_pos], j) != new_val:
-                return False
-        if len(stack) >= 2:
-            prev = family.distance(stack[-2], stack[-1])
-            if new_val <= prev:
-                return False
-        return True
+            # rho(y_last, j) must continue the strict descent below
+            # prev = rho(y_{last-1}, y_last), which need not be in the row's scale
+            scale, last = table.ints(stack[-1])
+            bar = ceil(table.distance(stack[-2], stack[-1]) * scale)
+            for j in range(start, scan + 1):
+                if last[j] < bar and all(row[j] is v for row, v in kept):
+                    return j
+            return None
+        # rho(y_s, j) is one value e for every s, and e > prev: the order is
+        # tested in the first row, where prev = rho(y_1, y_last), the
+        # equalities across rows
+        first = table.ints(stack[0])[1]
+        bar = first[stack[-1]]
+        head = table.values(stack[0])
+        for j in range(start, scan + 1):
+            if first[j] > bar and all(row[j] is head[j] for row in kept):
+                return j
+        return None
 
     steps = 0
     while True:
-        steps += 1
+        depth = len(stack)
+        start = cursor[depth]
+        cand = first_admissible(start)
+        # candidates start..cand, or start..scan and then the pop
+        steps += cand - start + 1 if cand is not None else scan - start + 2
         if steps > budget:
             return None
-        depth = len(stack)
-        cand = cursor[depth]
-        if cand > scan:
+        if cand is None:
             if not stack:
                 return None
             stack.pop()
+            del kept[len(stack) - 1 :]
             cursor.pop()
             cursor[-1] += 1
             continue
-        if admissible(cand):
-            stack.append(cand)
-            cursor[depth] = cand
-            cursor.append(cand + 1)
-            if len(stack) == length:
-                for extra in range(cand + 1, scan + 1):
-                    if admissible(extra):
-                        stack.append(extra)
-                return stack
-        else:
-            cursor[depth] = cand + 1
+        stack.append(cand)
+        cursor[depth] = cand
+        cursor.append(cand + 1)
+        if len(stack) == length:
+            while (extra := first_admissible(stack[-1] + 1)) is not None:
+                stack.append(extra)
+            return stack
 
 
 def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
@@ -663,19 +743,21 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT
     r_{2n+1} = d_{2n+1}/2); a chain with strictly increasing values
     (increasing case, thinned by e_next >= (d + e_prev) / 2, radii
     r_2n = r_{2n+1} = rho/2); a set with all pairwise distances equal
-    (constant case, r_n = d/2).  All three produce exact plans.
+    (constant case, r_n = d/2).  All three produce exact plans.  The three
+    searches share one table of the family distances on the scanned prefix.
     """
     L = _plan_length(n_pairs)
-    scan = min(horizon, family.size or horizon, 512)
-    probe = min(scan, 40)
-    ok, witness = is_ultrametric(truncate(family, probe))
+    scan = min(horizon, family.size or horizon, MAX_POINTS)
+    probe = truncate(family, min(scan, 40))
+    ok, witness = is_ultrametric(probe)
     if not ok:
         raise NotUltrametric(witness)
+    table = _DistanceTable(family, scan, probe)
 
-    chain = _monotone_chain(family, scan, L + 1, decreasing=True)
+    chain = _monotone_chain(table, L + 1, decreasing=True)
     if chain is not None:
         # row values d_s = rho(y_s, y_{s+1}); the trailing point only closes the last row
-        d_vals = [family.distance(chain[s], chain[s + 1]) for s in range(len(chain) - 1)]
+        d_vals = [table.distance(chain[s], chain[s + 1]) for s in range(len(chain) - 1)]
         d_inf = family.d_limit if family.d_limit is not None else d_vals[-1]
         picked = _thin_decreasing(d_vals, d_inf, L)
         if picked is not None:
@@ -687,10 +769,10 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT
                 radii[2 * n] = d_sel[2 * n] / 2
             return make_plan(family, x_idx, radii, case="ultra-decreasing")
 
-    chain = _monotone_chain(family, scan, L, decreasing=False)
+    chain = _monotone_chain(table, L, decreasing=False)
     if chain is not None:
         e_vals = [None] + [
-            family.distance(chain[0], chain[s]) for s in range(1, len(chain))
+            table.distance(chain[0], chain[s]) for s in range(1, len(chain))
         ]
         d_sup = family.d_limit if family.d_limit is not None else e_vals[-1]
         picked = _thin_increasing(e_vals, d_sup, L)
@@ -698,14 +780,14 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT
             x_idx = [chain[s] for s in picked]
             radii = [ZERO] * L
             for n in range(1, (L - 1) // 2 + 1):
-                rho = family.distance(x_idx[2 * n - 1], x_idx[2 * n])
+                rho = table.distance(x_idx[2 * n - 1], x_idx[2 * n])
                 radii[2 * n - 1] = rho / 2
                 radii[2 * n] = rho / 2
             return make_plan(family, x_idx, radii, case="ultra-increasing")
 
-    clique = _uniform_clique(family, scan, L)
+    clique = _uniform_clique(table, L)
     if clique is not None:
-        d = family.distance(clique[0], clique[1])
+        d = table.distance(clique[0], clique[1])
         return make_plan(family, clique, [d / 2] * L, case="ultra-constant")
 
     raise HorizonExhausted("no ultrametric subsequence of the required shape found")

@@ -6,6 +6,8 @@ rational; such spaces are flagged ``approximate``.
 
 The O(n^3) checks in ``validate_metric`` and ``is_ultrametric`` run on
 integers over one common denominator and stay exact (see ``_integer_matrix``).
+``is_ultrametric`` accepts an ultrametric in O(n^2) (see ``_prim_certificate``)
+and scans only otherwise.
 
 Conventions:
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress
 from math import lcm
 from operator import sub
 from typing import Callable, Optional, Sequence
@@ -190,14 +192,44 @@ def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
     return validate_metric(distance_matrix(lambda i, j: family.distance(i + 1, j + 1), N))
 
 
+def _prim_certificate(rows) -> bool:
+    """Whether rows[p_s][p_t] = max(k_{s+1}, ..., k_t) for every s < t.
+
+    p is Prim's order from point 0 and k_t the weight that attached p_t.  A
+    matrix that passes is an ultrametric: for s < t < u the interval (s, u]
+    is the union of (s, t] and (t, u], so rho(p_s, p_u) is the larger of the
+    triangle's other two sides, and both lie inside it.  Every ultrametric
+    passes: max(k_{s+1..t}) is the bottleneck distance between p_s and p_t,
+    and in an ultrametric that is the distance itself.
+    """
+    order, keys = [0], [0]
+    reach = list(rows[0])  # least distance from the tree to each point
+    left = list(range(1, len(rows)))
+    while left:
+        t = min(left, key=reach.__getitem__)
+        left.remove(t)
+        order.append(t)
+        keys.append(reach[t])
+        reach = list(map(min, reach, rows[t]))
+    for s, p in enumerate(order):
+        row = rows[p]
+        if [row[q] for q in order[s + 1 :]] != list(accumulate(keys[s + 1 :], max)):
+            return False
+    return True
+
+
 def is_ultrametric(space: FiniteMetricSpace):
     """Strong triangle inequality check, exact on integers.
 
     Returns ``(True, None)`` or ``(False, (x, y, z))`` for the first triple in
-    lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).
+    lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).  An exact
+    integer matrix that passes ``_prim_certificate`` is accepted in O(n^2);
+    every other matrix takes the O(n^3) scan, which finds the witness.
     """
     d = space.dist
     rows, _, slack = _integer_matrix(d)
+    if not slack and _prim_certificate(rows):
+        return True, None
     # a diagonal above every entry keeps z = x and z = y out of the filters below
     top = max(map(max, rows), default=0) + 1
     for x, row in enumerate(rows):

@@ -11,7 +11,27 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from lipfree import FiniteMetricSpace, FreeElement, validate_metric
+from typing import Optional
+
+from lipfree import (
+    EmbeddingPlan,
+    FiniteMetricSpace,
+    FreeElement,
+    HorizonExhausted,
+    MetricFamily,
+    NotUltrametric,
+    is_ultrametric,
+    make_plan,
+    truncate,
+    validate_metric,
+)
+from lipfree.constructions import (
+    DEFAULT_HORIZON,
+    ZERO,
+    _plan_length,
+    _thin_decreasing,
+    _thin_increasing,
+)
 
 
 def triangle_scan(dist) -> tuple | None:
@@ -219,3 +239,161 @@ def dendrogram_lca_bruteforce(codes, levels):
             depth = max(len(c) for c in common)
             d[i][j] = d[j][i] = Fraction(levels[depth])
     return d
+
+
+# ---------------------------------------------------------------------------
+# Ultrametric extraction on direct oracle calls
+# ---------------------------------------------------------------------------
+# The searches below ask ``family.distance`` for every value they compare,
+# once per comparison.  ``constructions`` runs the same searches on a table
+# that fetches each pair once; its results must be these, budget cut included.
+
+
+def uniform_clique_reference(family: MetricFamily, scan: int, length: int) -> Optional[list[int]]:
+    """Indices with all pairwise distances equal, preferring larger values.
+
+    Each candidate value is grown greedily from a pair that realises it, so
+    uniform clusters that do not contain the first family index are still
+    found.
+    """
+    probe = min(scan, 64)
+    by_value: dict[Fraction, list[tuple[int, int]]] = {}
+    for i in range(1, probe + 1):
+        for j in range(i + 1, probe + 1):
+            by_value.setdefault(family.distance(i, j), []).append((i, j))
+    for d in sorted(by_value, reverse=True):
+        for i, j in by_value[d][:40]:
+            chosen = [i, j]
+            for cand in range(j + 1, scan + 1):
+                if all(family.distance(cand, s) == d for s in chosen):
+                    chosen.append(cand)
+                    if len(chosen) == length:
+                        return chosen
+    return None
+
+
+def monotone_chain_reference(family: MetricFamily, scan: int, length: int, decreasing: bool) -> Optional[list[int]]:
+    """Indices y_1 < y_2 < ... whose distance matrix is constant along rows.
+
+    decreasing: rho(y_s, y_t) = d_s for t > s with d strictly decreasing
+    (the value belongs to the earlier point); increasing: rho(y_s, y_t) = e_t
+    with e strictly increasing (the value belongs to the later point).
+    Greedy with chronological backtracking over the scanned prefix until
+    ``length`` is reached, then extended greedily as far as the scan allows
+    (the extra elements give the thinning step room to skip).
+    """
+    budget = 20 * scan
+    stack: list[int] = []
+    cursor = [1]  # next candidate to try at each depth
+
+    def admissible(j: int) -> bool:
+        if not stack:
+            return True
+        if decreasing:
+            vals = [family.distance(s, j) for s in stack]
+            # each earlier point keeps its row value; the new closing value
+            # must continue the strict descent
+            for s_pos in range(len(stack) - 1):
+                expected = family.distance(stack[s_pos], stack[s_pos + 1])
+                if vals[s_pos] != expected:
+                    return False
+            if len(stack) >= 2:
+                prev = family.distance(stack[-2], stack[-1])
+                if vals[-1] >= prev:
+                    return False
+            return True
+        new_val = family.distance(stack[-1], j)
+        for s_pos in range(len(stack) - 1):
+            if family.distance(stack[s_pos], j) != new_val:
+                return False
+        if len(stack) >= 2:
+            prev = family.distance(stack[-2], stack[-1])
+            if new_val <= prev:
+                return False
+        return True
+
+    steps = 0
+    while True:
+        steps += 1
+        if steps > budget:
+            return None
+        depth = len(stack)
+        cand = cursor[depth]
+        if cand > scan:
+            if not stack:
+                return None
+            stack.pop()
+            cursor.pop()
+            cursor[-1] += 1
+            continue
+        if admissible(cand):
+            stack.append(cand)
+            cursor[depth] = cand
+            cursor.append(cand + 1)
+            if len(stack) == length:
+                for extra in range(cand + 1, scan + 1):
+                    if admissible(extra):
+                        stack.append(extra)
+                return stack
+        else:
+            cursor[depth] = cand + 1
+
+
+def radii_ultrametric_reference(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
+    """``radii_ultrametric`` on direct ``family.distance`` calls and the two
+    searches above; every other step is the library's.
+
+    Radii inside an ultrametric family via the bounded trichotomy.
+
+    Scans for, in order: a chain with row-constant strictly decreasing
+    values (decreasing case, thinned so consecutive values satisfy
+    d_next <= (3 d + d_prev) / 4, radii r_2n = rho - d_{2n+1}/2 and
+    r_{2n+1} = d_{2n+1}/2); a chain with strictly increasing values
+    (increasing case, thinned by e_next >= (d + e_prev) / 2, radii
+    r_2n = r_{2n+1} = rho/2); a set with all pairwise distances equal
+    (constant case, r_n = d/2).  All three produce exact plans.
+    """
+    L = _plan_length(n_pairs)
+    scan = min(horizon, family.size or horizon, 512)
+    probe = min(scan, 40)
+    ok, witness = is_ultrametric(truncate(family, probe))
+    if not ok:
+        raise NotUltrametric(witness)
+
+    chain = monotone_chain_reference(family, scan, L + 1, decreasing=True)
+    if chain is not None:
+        # row values d_s = rho(y_s, y_{s+1}); the trailing point only closes the last row
+        d_vals = [family.distance(chain[s], chain[s + 1]) for s in range(len(chain) - 1)]
+        d_inf = family.d_limit if family.d_limit is not None else d_vals[-1]
+        picked = _thin_decreasing(d_vals, d_inf, L)
+        if picked is not None:
+            x_idx = [chain[s] for s in picked]
+            d_sel = [d_vals[s] for s in picked]
+            radii = [ZERO] * L
+            for n in range(1, (L - 1) // 2 + 1):
+                radii[2 * n - 1] = d_sel[2 * n - 1] - d_sel[2 * n] / 2
+                radii[2 * n] = d_sel[2 * n] / 2
+            return make_plan(family, x_idx, radii, case="ultra-decreasing")
+
+    chain = monotone_chain_reference(family, scan, L, decreasing=False)
+    if chain is not None:
+        e_vals = [None] + [
+            family.distance(chain[0], chain[s]) for s in range(1, len(chain))
+        ]
+        d_sup = family.d_limit if family.d_limit is not None else e_vals[-1]
+        picked = _thin_increasing(e_vals, d_sup, L)
+        if picked is not None:
+            x_idx = [chain[s] for s in picked]
+            radii = [ZERO] * L
+            for n in range(1, (L - 1) // 2 + 1):
+                rho = family.distance(x_idx[2 * n - 1], x_idx[2 * n])
+                radii[2 * n - 1] = rho / 2
+                radii[2 * n] = rho / 2
+            return make_plan(family, x_idx, radii, case="ultra-increasing")
+
+    clique = uniform_clique_reference(family, scan, L)
+    if clique is not None:
+        d = family.distance(clique[0], clique[1])
+        return make_plan(family, clique, [d / 2] * L, case="ultra-constant")
+
+    raise HorizonExhausted("no ultrametric subsequence of the required shape found")

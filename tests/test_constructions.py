@@ -1,5 +1,8 @@
+import contextlib
+import dataclasses
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +12,7 @@ from lipfree import (
     ExactnessRequired,
     HorizonExhausted,
     IndexPartition,
+    LipfreeError,
     MetadataRequired,
     MetricFamily,
     NotConvergent,
@@ -43,7 +47,16 @@ from lipfree import (
     verify_linfty_isometry,
     verify_projection,
 )
-from oracles import rand_fraction, random_metric_space
+from lipfree import constructions
+from lipfree.constructions import DEFAULT_HORIZON, _DistanceTable, _monotone_chain
+from lipfree.space_catalog import ultrametric_from_codes
+from lipfree.metric_core import truncate
+from oracles import (
+    monotone_chain_reference,
+    radii_ultrametric_reference,
+    rand_fraction,
+    random_metric_space,
+)
 
 
 def star_family(count=None) -> MetricFamily:
@@ -67,6 +80,63 @@ def unbounded_ultrametric_family() -> MetricFamily:
         ultrametric=True,
         delta_unbounded=True,
     )
+
+
+def increasing_ultrametric_family() -> MetricFamily:
+    """rho(i, j) = 2 - 1/2^(max(i, j) - 1): distances to later points grow toward 2."""
+    return MetricFamily(
+        label="inc-ultra",
+        oracle=lambda i, j: F(2) - F(1, 2 ** (j - 1)),
+        bounded=True,
+        ultrametric=True,
+        d_limit=F(2),
+    )
+
+
+def late_cluster_family() -> MetricFamily:
+    """40 points at distance 2, except distance 1 among the indices from 5 on."""
+    return MetricFamily(
+        label="late-cluster",
+        oracle=lambda i, j: F(1) if i >= 5 and j >= 5 else F(2),
+        bounded=True,
+        ultrametric=True,
+        size=40,
+    )
+
+
+def late_chain_family(m: int) -> MetricFamily:
+    """Indices 1..m at distance 2 from every point; from m + 1 on, the
+    caterpillar rho(i, j) = 1 + 1/4^(min(i, j) - m).  A decreasing chain
+    starts at x_1, x_{m+1}, x_{m+2}, ..., and the search reaches it only
+    after trying x_2..x_m as its second point."""
+    levels = [F(2)] * (m + 1) + [1 + F(1, 4**t) for t in range(1, 512 - m)]
+    return MetricFamily(
+        label=f"late-chain:{m}",
+        oracle=lambda i, j: levels[i],
+        bounded=True,
+        ultrametric=True,
+    )
+
+
+def harmonic_caterpillar_family() -> MetricFamily:
+    """rho(i, j) = 1 + 1/min(i, j): row values whose denominators do not
+    divide one another, so a row's scale rarely holds the previous value."""
+    return MetricFamily(
+        label="harmonic-caterpillar",
+        oracle=lambda i, j: 1 + F(1, i),
+        bounded=True,
+        ultrametric=True,
+    )
+
+
+def raised_beyond_the_probe(family: MetricFamily, row: int) -> MetricFamily:
+    """``family`` with rho(x_row, x_j) raised by 10^-6 for j > 45: still an
+    ultrametric on the 40 probed points, but no chain holds x_row and a
+    later index."""
+    def oracle(i, j):
+        return family.oracle(i, j) + (F(1, 10**6) if i == row and j > 45 else 0)
+
+    return dataclasses.replace(family, label=f"{family.label}/raised:{row}", oracle=oracle)
 
 
 def uniform_exact_plan(n_pairs=3) -> EmbeddingPlan:
@@ -465,15 +535,7 @@ class TestRadiiUltrametric:
         assert max(gaps) > 1  # some chain elements were skipped
 
     def test_increasing_chain_case(self):
-        # distances to later points grow toward 2: rows are increasing
-        family = MetricFamily(
-            label="inc-ultra",
-            oracle=lambda i, j: F(2) - F(1, 2 ** (j - 1)),
-            bounded=True,
-            ultrametric=True,
-            d_limit=F(2),
-        )
-        plan = radii_ultrametric(family, 2)
+        plan = radii_ultrametric(increasing_ultrametric_family(), 2)
         assert plan.case == "ultra-increasing"
         assert plan.exact
         check_plan(plan)
@@ -481,14 +543,7 @@ class TestRadiiUltrametric:
     def test_uniform_cluster_away_from_first_index(self):
         # the only large uniform structure starts at index 5; the constant
         # case must still find it (seeding cliques from realising pairs)
-        def oracle(i, j):
-            return F(1) if i >= 5 and j >= 5 else F(2)
-
-        family = MetricFamily(
-            label="late-cluster", oracle=oracle,
-            bounded=True, ultrametric=True, size=40,
-        )
-        plan = radii_ultrametric(family, 3)
+        plan = radii_ultrametric(late_cluster_family(), 3)
         assert plan.case == "ultra-constant"
         assert plan.x_idx == tuple(range(5, 12))
         assert plan.r == (F(1, 2),) * 7
@@ -497,6 +552,127 @@ class TestRadiiUltrametric:
     def test_convline_not_ultrametric(self):
         with pytest.raises(NotUltrametric):
             radii_ultrametric(make_family("convline"), 2)
+
+
+def random_codes_family(seed: int) -> MetricFamily:
+    """Up to 30 leaves at random depth-3..4 paths of a ternary tree, in random order."""
+    rng = random.Random(seed)
+    depth = rng.randint(3, 4)
+    codes = sorted({tuple(rng.randrange(3) for _ in range(depth)) for _ in range(30)})
+    rng.shuffle(codes)
+    levels = [F(v, 3) for v in sorted(rng.sample(range(2, 60), depth + 1), reverse=True)]
+    return ultrametric_from_codes(codes, levels, f"codes:{seed}")
+
+
+def _outcome(build, family, n_pairs, horizon):
+    """(case, x_idx, r) of the plan, or the error's class and message."""
+    try:
+        plan = build(family, n_pairs, horizon)
+    except LipfreeError as exc:
+        return type(exc), str(exc)
+    return plan.case, plan.x_idx, plan.r
+
+
+# (family, horizon, pair counts): every search stage, every case, budget cuts
+# at scans of 20, 24, 64 and 512, and the greedy extension across 512 leaves
+_SWEEP = [
+    *((lambda d=d: make_family("uniform", d), 20, range(1, 9)) for d in ("1", "3/2", "2/3", "5/2", "7/3")),
+    (lambda: make_family("uniform", 1), DEFAULT_HORIZON, (3,)),
+    (lambda: make_family("dendro", 1, 3), DEFAULT_HORIZON, (1, 2, 5)),
+    (lambda: make_family("dendro", 2, 5), DEFAULT_HORIZON, (2, 3, 7)),
+    (lambda: make_family("dendro", 7, 10), DEFAULT_HORIZON, (3, 4, 8)),
+    (lambda: make_family("dendro", 3, 9, 512), DEFAULT_HORIZON, (1, 4)),
+    *((lambda seed=seed: random_codes_family(seed), DEFAULT_HORIZON, range(1, 9)) for seed in range(3)),
+    (unbounded_ultrametric_family, 24, range(1, 9)),
+    (increasing_ultrametric_family, 24, range(1, 9)),
+    (late_cluster_family, DEFAULT_HORIZON, (1, 4, 6)),
+    (harmonic_caterpillar_family, 48, range(1, 9)),
+]
+
+
+class TestUltrametricTable:
+    """The searches on the fetch-once table against the same searches on
+    direct oracle calls (``oracles.radii_ultrametric_reference``)."""
+
+    @pytest.mark.parametrize("make, horizon, pair_counts", _SWEEP)
+    def test_same_plans_and_errors_as_the_reference(self, make, horizon, pair_counts):
+        family = make()
+        for n_pairs in pair_counts:
+            assert _outcome(radii_ultrametric, family, n_pairs, horizon) == _outcome(
+                radii_ultrametric_reference, family, n_pairs, horizon
+            ), (family.label, n_pairs)
+
+    @pytest.mark.parametrize(
+        "family, decreasing",
+        [
+            (raised_beyond_the_probe(harmonic_caterpillar_family(), 1), True),
+            (raised_beyond_the_probe(harmonic_caterpillar_family(), 3), True),
+            (raised_beyond_the_probe(increasing_ultrametric_family(), 2), False),
+            (raised_beyond_the_probe(increasing_ultrametric_family(), 5), False),
+        ],
+        ids=lambda value: getattr(value, "label", value),
+    )
+    def test_same_chains_where_the_rows_disagree(self, family, decreasing):
+        # past the probe the rows stop agreeing, so the chains end at x_45
+        for length in (3, 9):
+            table = _DistanceTable(family, 64, truncate(family, 40))
+            chain = _monotone_chain(table, length, decreasing)
+            assert chain == monotone_chain_reference(family, 64, length, decreasing)
+            assert chain[-1] == 45
+
+    @pytest.mark.parametrize("n_pairs", [1, 3])
+    def test_budget_cut_falls_on_the_same_step(self, n_pairs):
+        # at scan 208 - 2 * n_pairs the decreasing chain is found on the last
+        # of the 20 * scan steps; one more index costs 21 steps more
+        family = late_chain_family(22)
+        length = 2 * n_pairs + 2
+        found = 208 - 2 * n_pairs
+        for scan, ends_on_budget in ((found, False), (found + 1, True)):
+            table = _DistanceTable(family, scan, truncate(family, 40))
+            chain = _monotone_chain(table, length, decreasing=True)
+            assert chain == monotone_chain_reference(family, scan, length, decreasing=True)
+            assert (chain is None) == ends_on_budget
+            assert _outcome(radii_ultrametric, family, n_pairs, scan) == _outcome(
+                radii_ultrametric_reference, family, n_pairs, scan
+            )
+
+    @pytest.mark.parametrize(
+        "make, n_pairs",
+        [
+            (lambda: make_family("uniform", 1), 3),
+            (lambda: make_family("dendro", 3, 9, 512), 2),
+            (lambda: make_family("dendro", 7, 10), 8),
+            (lambda: random_codes_family(0), 5),
+        ],
+    )
+    def test_each_pair_is_fetched_once(self, make, n_pairs, monkeypatch):
+        # the probe and the searches ask for each pair at most once; the
+        # plan's own separation check, which follows them, is not counted
+        family = make()
+        asked: Counter = Counter()
+        searched: Counter = Counter()
+
+        def counting(i, j):
+            asked[min(i, j), max(i, j)] += 1
+            return family.oracle(i, j)
+
+        def make_plan_after_the_searches(*args, **kwargs):
+            searched.update(asked)
+            return make_plan(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, "make_plan", make_plan_after_the_searches)
+        counted = dataclasses.replace(family, oracle=counting)
+        with contextlib.suppress(HorizonExhausted):
+            radii_ultrametric(counted, n_pairs)
+        searched = searched or asked.copy()  # no plan: every call was the searches'
+        assert max(searched.values()) == 1
+        probe = min(40, family.size or 40)
+        assert all((i, j) in searched for i in range(1, probe + 1) for j in range(i + 1, probe + 1))
+        table_calls = sum(asked.values())
+        asked.clear()
+        with contextlib.suppress(HorizonExhausted):
+            radii_ultrametric_reference(counted, n_pairs)
+        assert table_calls < sum(asked.values())
 
 
 class TestAdmissibility:

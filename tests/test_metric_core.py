@@ -19,7 +19,8 @@ from lipfree import (
     truncate,
     validate_metric,
 )
-from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE, _integer_matrix
+from lipfree import metric_core
+from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE, _integer_matrix, _prim_certificate
 from oracles import dendrogram_lca_bruteforce, triangle_scan, ultrametric_scan
 
 
@@ -307,6 +308,68 @@ class TestIsUltrametric:
         ok, _ = is_ultrametric(space)
         assert ok
         assert ultrametric_scan(space.dist) is None
+
+
+def _random_code_matrix(seed):
+    """Leaves at random paths of a ternary tree of depth 2..4, in random order."""
+    rng = random.Random(seed)
+    depth = rng.randint(2, 4)
+    codes = sorted({tuple(rng.randrange(3) for _ in range(depth)) for _ in range(rng.randint(3, 40))})
+    rng.shuffle(codes)
+    levels = [F(v, rng.randint(1, 9)) for v in sorted(rng.sample(range(10, 90), depth + 1), reverse=True)]
+    levels.sort(reverse=True)
+    return dendrogram_lca_bruteforce(codes, levels)
+
+
+def _ultrametric_matrices():
+    yield from ([[F(0)]], [[F(0), F(5, 3)], [F(5, 3), F(0)]])  # n = 1 and n = 2
+    yield [list(row) for row in truncate(make_family("uniform", 1), 12).dist]
+    for seed, depth, leaves in ((1, 3, 16), (2, 6, 30), (5, 9, 40), (8, 30, 40)):
+        yield [list(row) for row in truncate(make_family("dendro", seed, depth, leaves), leaves).dist]
+    for seed in range(12):
+        yield _random_code_matrix(seed)
+
+
+class TestUltrametricCertificate:
+    """Exact matrices are accepted in O(n^2) by Prim's keys; the verdict and
+    the witness are always the brute-force scan's."""
+
+    @pytest.mark.parametrize("d", _ultrametric_matrices())
+    def test_ultrametrics_pass_and_nudged_copies_agree_with_the_scan(self, d):
+        space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
+        rows, _, slack = _integer_matrix(space.dist)
+        assert slack == 0 and _prim_certificate(rows)
+        assert is_ultrametric(space) == (True, None) and ultrametric_scan(d) is None
+        rng = random.Random(len(d))
+        for _ in range(3 if len(d) > 2 else 0):
+            i, j = rng.sample(range(len(d)), 2)
+            nudged = [list(row) for row in d]
+            _set(nudged, i, j, d[i][j] + rng.choice([1, -1]) * F(1, BIG_PRIME))
+            space = FiniteMetricSpace(dist=tuple(map(tuple, nudged)))
+            witness = ultrametric_scan(nudged)
+            assert _prim_certificate(_integer_matrix(space.dist)[0]) == (witness is None)
+            assert is_ultrametric(space) == (witness is None, witness)
+
+    def test_metrics_that_are_not_ultrametrics(self):
+        for label in ("convline", "intline", "remark:2"):
+            space = truncate(make_family(*label.split(":")), 12)
+            assert not _prim_certificate(_integer_matrix(space.dist)[0])
+            assert is_ultrametric(space) == (False, ultrametric_scan(space.dist))
+
+    def test_rounded_scale_takes_the_scan(self, monkeypatch):
+        # 24 prime levels: the common denominator passes _SCAN_BITS
+        n = 24
+        primes = _distinct_primes(n, 10**4)
+        levels = sorted((1 + F(1, p) for p in primes), reverse=True)
+        d = dendrogram_lca_bruteforce([(1,) * m + (0,) * (n - m) for m in range(n)], levels)
+        space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
+        assert _integer_matrix(space.dist)[2] == 1
+
+        def no_certificate(rows):
+            raise AssertionError("the certificate needs an exact integer matrix")
+
+        monkeypatch.setattr(metric_core, "_prim_certificate", no_certificate)
+        assert is_ultrametric(space) == (True, None)
 
 
 class TestCustomSpaceLoading:
