@@ -24,6 +24,12 @@ points whose levels 1 + 1/p have distinct prime denominators p, so that the
 rows of one point carry hundreds of primes: leaves shallow to deep (a
 decreasing chain) and deep to shallow (an increasing one).  Each entry has a
 hash of the verdict, or of the plan's (case, x_idx, r) or error.
+
+The ``truncation`` entry times the label-to-space path on lines and
+ultrametrics: ``truncate`` on the ``TRUNCATIONS`` (``convline`` from 180
+points on has a common denominator past 256 bits), and ``validate_metric``
+and ``is_ultrametric`` on the shallow-first prime-level caterpillar of
+``PRIME_LEVEL_POINTS`` points.  Each entry has a hash of the space or verdict.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ REPEATS = 3
 ULTRA_FAMILIES = (("uniform:1", 3), ("dendro:3:9:512", 4), ("dendro:11:30:512", 8))
 PRIME_LEVEL_POINTS = 256
 PRIME_LEVEL_PAIRS = (4, 20)
+TRUNCATIONS = (("convline", 180), ("convline", 256), ("dendro:11:30:512", 512))
 
 
 def primes(count: int, start: int = 1000) -> list[int]:
@@ -121,6 +128,19 @@ def ultrametric_timings() -> dict:
     return out
 
 
+def truncation_timings() -> dict:
+    out = {}
+    for label, n in TRUNCATIONS:
+        seconds, space = timed(lambda: truncate(parse_family(label), n))
+        out[f"truncate {label} n={n}"] = {"s": seconds, "sha256": digest(space.dist)}
+    mat = prime_level_caterpillar(PRIME_LEVEL_POINTS, False)
+    seconds, space = timed(lambda: validate_metric(mat))
+    out[f"validate_metric prime-level caterpillar n={PRIME_LEVEL_POINTS}"] = {"s": seconds, "sha256": digest(space.dist)}
+    seconds, verdict = timed(lambda: is_ultrametric(space))
+    out[f"is_ultrametric prime-level caterpillar n={PRIME_LEVEL_POINTS}"] = {"s": seconds, "sha256": digest(verdict)}
+    return out
+
+
 def timed(call) -> tuple[float, object]:
     """Median wall seconds of ``REPEATS`` calls, and the last call's result."""
     times = []
@@ -164,7 +184,8 @@ def main() -> None:
                 seconds, result = timed(lambda: probe(family, n))
                 out[f"n={n}"][f"{name}_s"] = seconds
                 out[f"n={n}"][f"{name}_tau_sha256"] = digest(result.tau)
-    print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings()}))
+    print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings(),
+                      "truncation": truncation_timings()}))
 
 
 if __name__ == "__main__":

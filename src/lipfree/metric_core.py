@@ -4,10 +4,11 @@ All catalog arithmetic is exact (`fractions.Fraction`).  A float path with a
 small tolerance exists only for custom file input whose entries are not
 rational; such spaces are flagged ``approximate``.
 
-The O(n^3) checks in ``validate_metric`` and ``is_ultrametric`` run on
-integers over one common denominator and stay exact (see ``_integer_matrix``).
-``is_ultrametric`` accepts an ultrametric in O(n^2) (see ``_prim_certificate``)
-and scans only otherwise.
+``validate_metric`` and ``is_ultrametric`` accept lines and ultrametrics in
+O(n^2) by exact certificates (``_line_certificate``, ``_prim_certificate``);
+every other matrix takes an O(n^3) scan on integers over one common
+denominator, which stays exact (see ``_integer_matrix``) and names the first
+violated triple.
 
 Conventions:
 
@@ -37,7 +38,8 @@ from .errors import (
 )
 
 FLOAT_TOLERANCE = Fraction(1, 10**9)
-MAX_POINTS = 512  # truncation cap: the O(n^3) metric scan takes seconds here
+MAX_POINTS = 512  # truncation cap: the O(n^3) scan of a space that is neither
+# a line nor an ultrametric takes seconds here
 
 
 def as_fraction(value) -> Fraction:
@@ -101,6 +103,10 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
     Raises the first violated axiom with its witness indices, scanning
     symmetry row-major, then diagonal/positivity, then triples in
     lexicographic order (i, j, k) testing dist[i][k] <= dist[i][j] + dist[j][k].
+    Without ``tolerance``, a matrix that passes ``_line_certificate`` or
+    ``_prim_certificate`` (on the integers, or on the Fractions when the
+    integers are rounded) skips the triple scan: a symmetric matrix with
+    positive entries that is a line or an ultrametric is a metric.
 
     With ``tolerance`` set (custom float input), comparisons allow that much
     slack and the result is flagged approximate; entries are still stored as
@@ -126,17 +132,30 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
         for j, v in enumerate(row):
             if i != j and v <= tol and sym[i][j] <= exact_tol:
                 raise NegativeOrZeroOffDiagonal(i, j)
+    certified = sym if slack else ints  # rounded ints are not exact
+    if tolerance is not None or not (_line_certificate(certified) or _prim_certificate(certified)):
+        _triangle_scan(ints, sym, tol - slack, exact_tol)
+    return FiniteMetricSpace(dist=tuple(map(tuple, sym)), approximate=tolerance is not None)
+
+
+def _triangle_scan(ints, sym, int_tol, exact_tol) -> None:
+    """``validate_metric``'s O(n^3) scan: raise TriangleViolation(i, j, k) for
+    the first triple in lexicographic order with sym[i][k] > sym[i][j] +
+    sym[j][k] + exact_tol.
+
+    ``ints`` are the rows of ``sym`` scaled as by ``_integer_matrix``, with
+    the slack on the diagonal, and ``int_tol`` the scaled tolerance less the
+    slack; every triple they flag is settled on ``sym``.
+    """
     # a triangle fails iff dist[i][k] - dist[j][k] > dist[i][j] + tol, which no
     # k = i, k = j or j = i can meet, so one max() tests a whole row pair
     for i, row_i in enumerate(ints):
         for j, row_j in enumerate(ints):
-            bound = row_i[j] + tol - slack
+            bound = row_i[j] + int_tol
             if max(map(sub, row_i, row_j)) > bound:
                 for k, (a, b) in enumerate(zip(row_i, row_j)):
                     if a - b > bound and sym[i][k] - sym[j][k] > sym[i][j] + exact_tol:
                         raise TriangleViolation(i, j, k)
-
-    return FiniteMetricSpace(dist=tuple(map(tuple, sym)), approximate=tolerance is not None)
 
 
 @dataclass(frozen=True)
@@ -192,6 +211,19 @@ def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
     return validate_metric(distance_matrix(lambda i, j: family.distance(i + 1, j + 1), N))
 
 
+def _line_certificate(rows) -> bool:
+    """Whether rows[i][j] = |c_i - c_j| for every i, j, where c = rows[a] and
+    a is the point farthest from point 0.
+
+    A matrix that passes is the metric of the points c_i on the real line.
+    Every line metric passes: the point farthest from any point of a line is
+    an end of its hull, so c_i is x_i measured from that end.
+    """
+    row_0 = rows[0]
+    c = rows[row_0.index(max(row_0))]
+    return all(list(row) == [abs(c_i - c_j) for c_j in c] for c_i, row in zip(c, rows))
+
+
 def _prim_certificate(rows) -> bool:
     """Whether rows[p_s][p_t] = max(k_{s+1}, ..., k_t) for every s < t.
 
@@ -222,14 +254,21 @@ def is_ultrametric(space: FiniteMetricSpace):
     """Strong triangle inequality check, exact on integers.
 
     Returns ``(True, None)`` or ``(False, (x, y, z))`` for the first triple in
-    lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).  An exact
-    integer matrix that passes ``_prim_certificate`` is accepted in O(n^2);
-    every other matrix takes the O(n^3) scan, which finds the witness.
+    lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).  A matrix
+    that passes ``_prim_certificate`` (on the integers, or on the Fractions
+    when the integers are rounded) is accepted in O(n^2); every other matrix
+    takes the O(n^3) scan, which finds the witness.
     """
     d = space.dist
     rows, _, slack = _integer_matrix(d)
-    if not slack and _prim_certificate(rows):
+    if _prim_certificate(d if slack else rows):
         return True, None
+    return _ultrametric_scan(rows, d, slack)
+
+
+def _ultrametric_scan(rows, d, slack):
+    """``is_ultrametric``'s O(n^3) scan of ``d``; ``rows`` are ``d`` scaled
+    by ``_integer_matrix``, below it by less than ``slack``."""
     # a diagonal above every entry keeps z = x and z = y out of the filters below
     top = max(map(max, rows), default=0) + 1
     for x, row in enumerate(rows):

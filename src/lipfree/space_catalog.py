@@ -61,13 +61,6 @@ def _monotone_line_seek(value: Callable[[int], Fraction], size: Optional[int]):
     return seek
 
 
-def _line_family(label, value, **meta) -> MetricFamily:
-    def oracle(i: int, j: int) -> Fraction:
-        return abs(value(i) - value(j))
-
-    return MetricFamily(label=label, oracle=oracle, **meta)
-
-
 def uniform(d) -> MetricFamily:
     d = as_fraction(d)
     if d <= 0:
@@ -81,54 +74,69 @@ def uniform(d) -> MetricFamily:
     )
 
 
-def convergent_line() -> MetricFamily:
-    def value(n: int) -> Fraction:
-        return Fraction(0) if n == 1 else Fraction(1, n - 1)
+# The line oracles below give |value(i) - value(j)| for i < j as one Fraction.
 
-    return _line_family(
-        "convline",
-        value,
+
+def convergent_line() -> MetricFamily:
+    """Points 0, 1, 1/2, 1/3, ...: x_1 = 0 and x_n = 1/(n - 1)."""
+
+    def oracle(i: int, j: int) -> Fraction:
+        return Fraction(1, j - 1) if i == 1 else Fraction(j - i, (i - 1) * (j - 1))
+
+    return MetricFamily(
+        label="convline",
+        oracle=oracle,
         bounded=True,
         converges_to_base=True,
     )
 
 
 def integer_line() -> MetricFamily:
-    value = lambda n: Fraction(n)
-    return _line_family(
-        "intline",
-        value,
+    return MetricFamily(
+        label="intline",
+        oracle=lambda i, j: Fraction(j - i),
         bounded=False,
         delta_unbounded=True,
-        first_index_beyond=_monotone_line_seek(value, None),
+        first_index_beyond=_monotone_line_seek(Fraction, None),
     )
 
 
 MAX_GEOMLINE_INDEX = 1 << 20  # point n is the n-bit integer 2**n: 128 KiB here
 
 
+def _geomline_guard(n: int) -> None:
+    if n > MAX_GEOMLINE_INDEX:
+        raise InvalidFamilyParameters(f"geomline indices stop at {MAX_GEOMLINE_INDEX}")
+
+
 def geometric_line() -> MetricFamily:
     def value(n: int) -> Fraction:
-        if n > MAX_GEOMLINE_INDEX:
-            raise InvalidFamilyParameters(f"geomline indices stop at {MAX_GEOMLINE_INDEX}")
+        _geomline_guard(n)
         return Fraction(2**n)
 
-    return _line_family(
-        "geomline",
-        value,
+    def oracle(i: int, j: int) -> Fraction:
+        _geomline_guard(j)
+        return Fraction((1 << j) - (1 << i))
+
+    return MetricFamily(
+        label="geomline",
+        oracle=oracle,
         bounded=False,
         delta_unbounded=True,
         first_index_beyond=_monotone_line_seek(value, None),
     )
 
 
+# rho(x_k, x_n) for k < n over one common denominator:
+#   1: k + n - 1/k   2: 2 - 1/k   3: 2 - 1/k + 1/n
+#   4: 2 - 1/k - 1/(2n)   5: 1 + 1/n   6: 1 + 1/(2k) + 1/n
 _REMARK_FORMULAS = {
-    1: lambda k, n: Fraction(k + n) - Fraction(1, k),
-    2: lambda k, n: 2 - Fraction(1, k),
-    3: lambda k, n: 2 - Fraction(1, k) + Fraction(1, n),
-    4: lambda k, n: 2 - Fraction(1, k) - Fraction(1, 2 * n),
-    5: lambda k, n: 1 + Fraction(1, n),
-    6: lambda k, n: 1 + Fraction(1, 2 * k) + Fraction(1, n),
+    1: lambda k, n: Fraction(k * (k + n) - 1, k),
+    2: lambda k, n: Fraction(2 * k - 1, k),
+    3: lambda k, n: Fraction(2 * k * n - n + k, k * n),
+    4: lambda k, n: Fraction(4 * k * n - 2 * n - k, 2 * k * n),
+    5: lambda k, n: Fraction(n + 1, n),
+    6: lambda k, n: Fraction(2 * k * n + n + 2 * k, 2 * k * n),
 }
 
 _REMARK_D = {2: Fraction(2), 3: Fraction(2), 4: Fraction(2), 5: Fraction(1), 6: Fraction(1)}
@@ -141,8 +149,8 @@ def remark(which) -> MetricFamily:
     formula = _REMARK_FORMULAS[which]
     return MetricFamily(
         label=f"remark:{which}",
-        # the metric is stated for n > k; min(index pair) plays the role of k
-        oracle=lambda i, j: formula(i, j),
+        # the metric is stated for n > k; the oracle's i < j are k and n
+        oracle=formula,
         d_limit=_REMARK_D.get(which),
         bounded=which != 1,
     )

@@ -397,3 +397,36 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int, horizon: int
         return make_plan(family, clique, [d / 2] * L, case="ultra-constant")
 
     raise HorizonExhausted("no ultrametric subsequence of the required shape found")
+
+
+# ---------------------------------------------------------------------------
+# Catalog distances by their defining formulas
+# ---------------------------------------------------------------------------
+# The catalog oracles return each distance as one Fraction(num, den).  These
+# are the sums of Fractions they were derived from, as the catalog first
+# wrote them: |value(i) - value(j)| on the lines, and the remark formulas.
+
+LINE_VALUES = {
+    "convline": lambda n: Fraction(0) if n == 1 else Fraction(1, n - 1),
+    "intline": lambda n: Fraction(n),
+    "geomline": lambda n: Fraction(2**n),
+}
+
+REMARK_FORMULAS = {
+    1: lambda k, n: Fraction(k + n) - Fraction(1, k),
+    2: lambda k, n: 2 - Fraction(1, k),
+    3: lambda k, n: 2 - Fraction(1, k) + Fraction(1, n),
+    4: lambda k, n: 2 - Fraction(1, k) - Fraction(1, 2 * n),
+    5: lambda k, n: 1 + Fraction(1, n),
+    6: lambda k, n: 1 + Fraction(1, 2 * k) + Fraction(1, n),
+}
+
+
+def catalog_distance_reference(label: str, i: int, j: int) -> Fraction:
+    """rho(x_i, x_j) for 1 <= i < j on ``convline``, ``intline``,
+    ``geomline`` or ``remark:k``."""
+    family, _, which = label.partition(":")
+    if family == "remark":
+        return REMARK_FORMULAS[int(which)](i, j)
+    value = LINE_VALUES[family]
+    return abs(value(i) - value(j))

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,13 @@ from lipfree import (
     validate_metric,
 )
 from lipfree import metric_core
-from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE, _integer_matrix, _prim_certificate
+from lipfree.metric_core import (
+    _SCAN_BITS,
+    FLOAT_TOLERANCE,
+    _integer_matrix,
+    _line_certificate,
+    _prim_certificate,
+)
 from oracles import dendrogram_lca_bruteforce, triangle_scan, ultrametric_scan
 
 
@@ -174,10 +181,11 @@ class TestRoundedScans:
         return d
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_tight_line_accepted_and_violation_found(self, seed):
+    def test_tight_line_accepted_and_violation_found(self, seed, monkeypatch):
         rng = random.Random(seed)
         d = self._prime_line(rng, 24, tiny_gap=seed % 2 == 1)
-        assert validate_metric(d).dist == tuple(map(tuple, d))
+        calls = _scan_calls(monkeypatch)
+        assert validate_metric(d).dist == tuple(map(tuple, d)) and not calls
         i, j = sorted(rng.sample(range(len(d)), 2))
         if j - i < 2:
             j = i + 2
@@ -187,6 +195,12 @@ class TestRoundedScans:
         with pytest.raises(TriangleViolation) as info:
             validate_metric(d)
         assert (info.value.i, info.value.j, info.value.k) == expected
+
+    def test_rounded_convline_is_certified_without_the_scan(self, monkeypatch):
+        calls = _scan_calls(monkeypatch)
+        space = truncate(make_family("convline"), 200)
+        assert _integer_matrix(space.dist)[2] == 1 and _line_certificate(space.dist)
+        assert not calls
 
     def test_asymmetry_and_positivity_witnesses(self):
         d = self._prime_line(random.Random(1), 24)
@@ -217,6 +231,34 @@ class TestRoundedScans:
         ok, witness = is_ultrametric(FiniteMetricSpace(dist=tuple(map(tuple, d))))
         assert witness == ultrametric_scan(d)
         assert ok == (witness is None)
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tight_plane_metric_takes_the_scan(self, seed, monkeypatch):
+        # l1 distances of points in the plane whose coordinates have their own
+        # prime denominators: many tight triples, neither a line nor an ultrametric
+        rng = random.Random(seed)
+        n = 20
+        primes = iter(_distinct_primes(2 * n, rng.randrange(10**4, 10**5)))
+        points = [(rng.randrange(8) + F(1, next(primes)), rng.randrange(8) + F(1, next(primes))) for _ in range(n)]
+        d = [[abs(a - c) + abs(b - e) for c, e in points] for a, b in points]
+        rows, _, slack = _integer_matrix(d)
+        assert slack == 1 and not _line_certificate(d) and not _prim_certificate(d)
+        tight = [
+            (i, j, k)
+            for i, j, k in combinations(range(n), 3)
+            if d[i][k] == d[i][j] + d[j][k]
+        ]
+        assert tight
+        calls = _scan_calls(monkeypatch)
+        assert validate_metric(d).dist == tuple(map(tuple, d)) and len(calls) == 1
+        i, j, k = rng.choice(tight)
+        _set(d, i, k, d[i][k] + F(1, BIG_PRIME))
+        expected = triangle_scan(d)
+        assert expected is not None
+        with pytest.raises(TriangleViolation) as info:
+            validate_metric(d)
+        assert (info.value.i, info.value.j, info.value.k) == expected
 
 
 class TestToleranceScaling:
@@ -356,7 +398,7 @@ class TestUltrametricCertificate:
             assert not _prim_certificate(_integer_matrix(space.dist)[0])
             assert is_ultrametric(space) == (False, ultrametric_scan(space.dist))
 
-    def test_rounded_scale_takes_the_scan(self, monkeypatch):
+    def test_rounded_scale_is_certified_on_fractions(self, monkeypatch):
         # 24 prime levels: the common denominator passes _SCAN_BITS
         n = 24
         primes = _distinct_primes(n, 10**4)
@@ -364,12 +406,86 @@ class TestUltrametricCertificate:
         d = dendrogram_lca_bruteforce([(1,) * m + (0,) * (n - m) for m in range(n)], levels)
         space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
         assert _integer_matrix(space.dist)[2] == 1
+        assert _prim_certificate(space.dist)
 
-        def no_certificate(rows):
-            raise AssertionError("the certificate needs an exact integer matrix")
+        def no_scan(*args):
+            raise AssertionError("a certified ultrametric needs no scan")
 
-        monkeypatch.setattr(metric_core, "_prim_certificate", no_certificate)
+        monkeypatch.setattr(metric_core, "_ultrametric_scan", no_scan)
         assert is_ultrametric(space) == (True, None)
+
+
+def _scan_calls(monkeypatch):
+    """Count the calls of validate_metric's triangle scan from now on."""
+    calls = []
+    scan = metric_core._triangle_scan
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(metric_core, "_triangle_scan", counted)
+    return calls
+
+
+def _line_matrix(positions):
+    return [[abs(a - b) for b in positions] for a in positions]
+
+
+def _line_matrices():
+    for label in ("convline", "intline", "geomline"):
+        yield [list(row) for row in truncate(make_family(label), 40).dist]
+    for seed in range(6):
+        rng = random.Random(seed)
+        positions = list({F(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(rng.randint(2, 30))})
+        rng.shuffle(positions)
+        yield _line_matrix(positions)
+    yield _line_matrix([F(0), F(-2), F(5, 3), F(-7, 2), F(1), F(9, 4)])  # base point in the middle
+    yield _line_matrix([F(0), F(1, 2), F(-3), F(3), F(-1), F(3, 2)])  # two points farthest from the base
+
+
+class TestLineCertificate:
+    """Lines are accepted in O(n^2) by their coordinates from one end; the
+    verdict and the witness are always the brute-force scan's."""
+
+    @pytest.mark.parametrize("d", _line_matrices())
+    def test_lines_pass_and_nudged_copies_agree_with_the_scan(self, d, monkeypatch):
+        rows, _, slack = _integer_matrix(d)
+        assert slack == 0 and _line_certificate(rows)
+        calls = _scan_calls(monkeypatch)
+        assert validate_metric(d).dist == tuple(map(tuple, d)) and triangle_scan(d) is None
+        assert not calls
+        rng = random.Random(len(d))
+        for _ in range(4):
+            i, j = rng.sample(range(len(d)), 2)
+            nudged = [list(row) for row in d]
+            _set(nudged, i, j, d[i][j] + rng.choice([1, -1]) * F(1, BIG_PRIME))
+            assert not _line_certificate(_integer_matrix(nudged)[0])
+            expected = triangle_scan(nudged)
+            if expected is None:
+                assert validate_metric(nudged).dist == tuple(map(tuple, nudged))
+            else:
+                with pytest.raises(TriangleViolation) as info:
+                    validate_metric(nudged)
+                assert (info.value.i, info.value.j, info.value.k) == expected
+
+    def test_ultrametrics_are_accepted_without_the_scan(self, monkeypatch):
+        calls = _scan_calls(monkeypatch)
+        for d in _ultrametric_matrices():
+            assert validate_metric(d).dist == tuple(map(tuple, d))
+        assert not calls
+
+    def test_other_metrics_take_the_scan(self, monkeypatch):
+        calls = _scan_calls(monkeypatch)
+        for label in ("remark:2", "remark:3"):
+            space = truncate(make_family(*label.split(":")), 12)
+            assert not _line_certificate(_integer_matrix(space.dist)[0])
+        assert len(calls) == 2
+
+    def test_approximate_input_takes_the_scan(self, monkeypatch):
+        calls = _scan_calls(monkeypatch)
+        space = load_space('{"dist": [[0, 0.5, 1.5], [0.5, 0, 1.0], [1.5, 1.0, 0]]}')
+        assert space.approximate and len(calls) == 1
 
 
 class TestCustomSpaceLoading:

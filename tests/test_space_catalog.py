@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,7 @@ from lipfree import (
 )
 from lipfree.metric_core import MAX_POINTS
 from lipfree.space_catalog import MAX_GEOMLINE_INDEX
-from oracles import dendrogram_lca_bruteforce, ultrametric_scan
+from oracles import catalog_distance_reference, dendrogram_lca_bruteforce, ultrametric_scan
 
 REMARK_FORMULAS = {
     1: lambda k, n: k + n - F(1, k),
@@ -158,6 +159,18 @@ def test_geomline_refuses_indices_past_the_cap():
     assert family.distance(1, MAX_GEOMLINE_INDEX) == 2**MAX_GEOMLINE_INDEX - 2
     with pytest.raises(InvalidFamilyParameters):
         family.distance(1, 10**400)
+    with pytest.raises(InvalidFamilyParameters):
+        family.oracle(2, MAX_GEOMLINE_INDEX + 1)
+    with pytest.raises(InvalidFamilyParameters):
+        family.first_index_beyond(MAX_GEOMLINE_INDEX + 1, F(1), 1)
+
+
+@pytest.mark.parametrize("label", ["convline", "intline", "geomline", *(f"remark:{k}" for k in range(1, 7))])
+def test_catalog_oracles_match_the_defining_formulas(label):
+    family = parse_family(label)
+    for i, j in combinations(range(1, 65), 2):
+        value = family.oracle(i, j)
+        assert type(value) is F and value == catalog_distance_reference(label, i, j), (i, j)
 
 
 class TestParsing:
