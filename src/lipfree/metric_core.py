@@ -4,11 +4,11 @@ All catalog arithmetic is exact (`fractions.Fraction`).  A float path with a
 small tolerance exists only for custom file input whose entries are not
 rational; such spaces are flagged ``approximate``.
 
-``validate_metric`` and ``is_ultrametric`` accept lines and ultrametrics in
-O(n^2) by exact certificates (``_line_certificate``, ``_prim_certificate``);
-every other matrix takes an O(n^3) scan on integers over one common
-denominator, which stays exact (see ``_integer_matrix``) and names the first
-violated triple.
+``validate_metric`` accepts lines and ultrametrics, and ``is_ultrametric``
+ultrametrics, in O(n^2) by exact certificates (``_line_certificate``,
+``_ultrametric_certificate``); every other matrix takes an O(n^3) scan on
+integers over one common denominator, which stays exact (see
+``_integer_matrix``) and names the first violated triple.
 
 Conventions:
 
@@ -103,10 +103,10 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
     Raises the first violated axiom with its witness indices, scanning
     symmetry row-major, then diagonal/positivity, then triples in
     lexicographic order (i, j, k) testing dist[i][k] <= dist[i][j] + dist[j][k].
-    Without ``tolerance``, a matrix that passes ``_line_certificate`` or
-    ``_prim_certificate`` (on the integers, or on the Fractions when the
-    integers are rounded) skips the triple scan: a symmetric matrix with
-    positive entries that is a line or an ultrametric is a metric.
+    Without ``tolerance``, a matrix that passes ``_line_certificate`` (on the
+    integers, or on the Fractions when the integers are rounded) or
+    ``_ultrametric_certificate`` skips the triple scan: a symmetric matrix
+    with positive entries that is a line or an ultrametric is a metric.
 
     With ``tolerance`` set (custom float input), comparisons allow that much
     slack and the result is flagged approximate; entries are still stored as
@@ -132,8 +132,10 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
         for j, v in enumerate(row):
             if i != j and v <= tol and sym[i][j] <= exact_tol:
                 raise NegativeOrZeroOffDiagonal(i, j)
-    certified = sym if slack else ints  # rounded ints are not exact
-    if tolerance is not None or not (_line_certificate(certified) or _prim_certificate(certified)):
+    exact_rows = sym if slack else ints  # rounded ints are not exact
+    if tolerance is not None or not (
+        _line_certificate(exact_rows) or _ultrametric_certificate(ints, sym, slack)
+    ):
         _triangle_scan(ints, sym, tol - slack, exact_tol)
     return FiniteMetricSpace(dist=tuple(map(tuple, sym)), approximate=tolerance is not None)
 
@@ -250,18 +252,27 @@ def _prim_certificate(rows) -> bool:
     return True
 
 
+def _ultrametric_certificate(ints, mat, slack) -> bool:
+    """``_prim_certificate`` on ``mat``, scaled to ``ints`` by ``_integer_matrix``.
+
+    Exact ints (slack 0) decide alone.  Rounded ints are tested first all the
+    same: rounding down is monotone, so it keeps an ultrametric one, and a
+    matrix whose rounded ints fail is none; only a pass is settled on ``mat``.
+    """
+    return _prim_certificate(ints) and (not slack or _prim_certificate(mat))
+
+
 def is_ultrametric(space: FiniteMetricSpace):
     """Strong triangle inequality check, exact on integers.
 
     Returns ``(True, None)`` or ``(False, (x, y, z))`` for the first triple in
     lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).  A matrix
-    that passes ``_prim_certificate`` (on the integers, or on the Fractions
-    when the integers are rounded) is accepted in O(n^2); every other matrix
-    takes the O(n^3) scan, which finds the witness.
+    that passes ``_ultrametric_certificate`` is accepted in O(n^2); every
+    other matrix takes the O(n^3) scan, which finds the witness.
     """
     d = space.dist
     rows, _, slack = _integer_matrix(d)
-    if _prim_certificate(d if slack else rows):
+    if _ultrametric_certificate(rows, d, slack):
         return True, None
     return _ultrametric_scan(rows, d, slack)
 

@@ -415,6 +415,21 @@ class TestUltrametricCertificate:
         assert is_ultrametric(space) == (True, None)
 
 
+    def test_rounded_non_ultrametric_fails_on_the_integers(self, monkeypatch):
+        d = TestRoundedScans._prime_line(random.Random(3), 24)
+        space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
+        rows_seen = []
+        certificate = metric_core._prim_certificate
+
+        def spied(rows):
+            rows_seen.append(rows)
+            return certificate(rows)
+
+        monkeypatch.setattr(metric_core, "_prim_certificate", spied)
+        assert is_ultrametric(space) == (False, ultrametric_scan(d))
+        assert len(rows_seen) == 1 and type(rows_seen[0][0][1]) is int
+
+
 def _scan_calls(monkeypatch):
     """Count the calls of validate_metric's triangle scan from now on."""
     calls = []
