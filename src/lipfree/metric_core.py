@@ -227,28 +227,28 @@ def _line_certificate(rows) -> bool:
 
 
 def _prim_certificate(rows) -> bool:
-    """Whether rows[p_s][p_t] = max(k_{s+1}, ..., k_t) for every s < t.
+    """Whether rows[p_t][p_s] = max(k_{s+1}, ..., k_t) for every s < t.
 
     p is Prim's order from point 0 and k_t the weight that attached p_t.  A
     matrix that passes is an ultrametric: for s < t < u the interval (s, u]
     is the union of (s, t] and (t, u], so rho(p_s, p_u) is the larger of the
     triangle's other two sides, and both lie inside it.  Every ultrametric
     passes: max(k_{s+1..t}) is the bottleneck distance between p_s and p_t,
-    and in an ultrametric that is the distance itself.
+    and in an ultrametric that is the distance itself.  Each p_t is checked
+    as it is attached, so most other matrices fail after a few points.
     """
-    order, keys = [0], [0]
+    order, keys = [0], []
     reach = list(rows[0])  # least distance from the tree to each point
     left = list(range(1, len(rows)))
     while left:
         t = min(left, key=reach.__getitem__)
         left.remove(t)
-        order.append(t)
         keys.append(reach[t])
-        reach = list(map(min, reach, rows[t]))
-    for s, p in enumerate(order):
-        row = rows[p]
-        if [row[q] for q in order[s + 1 :]] != list(accumulate(keys[s + 1 :], max)):
+        row = rows[t]
+        if [row[p] for p in reversed(order)] != list(accumulate(reversed(keys), max)):
             return False
+        order.append(t)
+        reach = list(map(min, reach, row))
     return True
 
 

@@ -430,6 +430,22 @@ class TestUltrametricCertificate:
         assert len(rows_seen) == 1 and type(rows_seen[0][0][1]) is int
 
 
+    def test_rounded_ints_alone_do_not_certify(self):
+        # defects below 2**-_SCAN_BITS vanish in the rounded ints, which are
+        # ultrametrics here; only the Fractions tell
+        eps = F(1, 2 ** (2 * _SCAN_BITS) + 1)
+        d = [[F(0), 1 + eps, F(1)], [1 + eps, F(0), F(1)], [F(1), F(1), F(0)]]
+        space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
+        rows, _, slack = _integer_matrix(space.dist)
+        assert slack == 1 and _prim_certificate(rows)
+        assert is_ultrametric(space) == (False, ultrametric_scan(d))
+        tiny = F(1, 2 ** (_SCAN_BITS + 8))
+        d = [[F(0), tiny, 2 * tiny + eps], [tiny, F(0), tiny], [2 * tiny + eps, tiny, F(0)]]
+        with pytest.raises(TriangleViolation) as info:
+            validate_metric(d)
+        assert (info.value.i, info.value.j, info.value.k) == triangle_scan(d)
+
+
 def _scan_calls(monkeypatch):
     """Count the calls of validate_metric's triangle scan from now on."""
     calls = []
