@@ -4,9 +4,11 @@ All catalog arithmetic is exact (`fractions.Fraction`).  A float path with a
 small tolerance exists only for custom file input whose entries are not
 rational; such spaces are flagged ``approximate``.
 
-``validate_metric`` accepts lines and ultrametrics, and ``is_ultrametric``
-ultrametrics, in O(n^2) by exact certificates (``_line_certificate``,
-``_ultrametric_certificate``); every other matrix takes an O(n^3) scan on
+``validate_metric`` accepts lines, ultrametrics and matrices whose every
+distance is at most the sum of its two ends' nearest-neighbour distances,
+and ``is_ultrametric`` ultrametrics, in O(n^2) by exact certificates
+(``_line_certificate``, ``_ultrametric_certificate``,
+``_neighbour_certificate``); every other matrix takes an O(n^3) scan on
 integers over one common denominator, which stays exact (see
 ``_integer_matrix``) and names the first violated triple.
 
@@ -38,8 +40,8 @@ from .errors import (
 )
 
 FLOAT_TOLERANCE = Fraction(1, 10**9)
-MAX_POINTS = 512  # truncation cap: the O(n^3) scan of a space that is neither
-# a line nor an ultrametric takes seconds here
+MAX_POINTS = 512  # truncation cap: the O(n^3) scan of a space that no
+# certificate accepts takes seconds here
 
 
 def as_fraction(value) -> Fraction:
@@ -104,9 +106,11 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
     symmetry row-major, then diagonal/positivity, then triples in
     lexicographic order (i, j, k) testing dist[i][k] <= dist[i][j] + dist[j][k].
     Without ``tolerance``, a matrix that passes ``_line_certificate`` (on the
-    integers, or on the Fractions when the integers are rounded) or
-    ``_ultrametric_certificate`` skips the triple scan: a symmetric matrix
-    with positive entries that is a line or an ultrametric is a metric.
+    integers, or on the Fractions when the integers are rounded),
+    ``_ultrametric_certificate`` or ``_neighbour_certificate`` skips the
+    triple scan: a symmetric matrix with positive entries that is a line, an
+    ultrametric, or has each distance at most the sum of its ends' least
+    distances is a metric.
 
     With ``tolerance`` set (custom float input), comparisons allow that much
     slack and the result is flagged approximate; entries are still stored as
@@ -134,7 +138,9 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
                 raise NegativeOrZeroOffDiagonal(i, j)
     exact_rows = sym if slack else ints  # rounded ints are not exact
     if tolerance is not None or not (
-        _line_certificate(exact_rows) or _ultrametric_certificate(ints, sym, slack)
+        _line_certificate(exact_rows)
+        or _ultrametric_certificate(ints, sym, slack)
+        or _neighbour_certificate(ints, slack)
     ):
         _triangle_scan(ints, sym, tol - slack, exact_tol)
     return FiniteMetricSpace(dist=tuple(map(tuple, sym)), approximate=tolerance is not None)
@@ -260,6 +266,22 @@ def _ultrametric_certificate(ints, mat, slack) -> bool:
     matrix whose rounded ints fail is none; only a pass is settled on ``mat``.
     """
     return _prim_certificate(ints) and (not slack or _prim_certificate(mat))
+
+
+def _neighbour_certificate(ints, slack) -> bool:
+    """Whether ints[i][k] + slack <= m_i + m_k for every i, k, where m_i is the
+    least entry of row i off the diagonal.
+
+    ``ints`` are a matrix scaled by ``_integer_matrix``, with the slack on the
+    diagonal.  A symmetric matrix with positive entries that passes is a
+    metric: for any j, d(i, j) + d(j, k) >= m_i + m_k.  Rounded ints (slack
+    1) decide alone: each scaled entry is below its floor plus 1, and the
+    floor of a least entry is the least floor, so the floors' bound with the
+    slack holds for the entries too.  Every matrix with entries in [a, 2a]
+    passes when exact.
+    """
+    m = [min(row[:i] + row[i + 1 :]) for i, row in enumerate(ints)]
+    return all(max(map(sub, row, m)) + slack <= m_i for row, m_i in zip(ints, m))
 
 
 def is_ultrametric(space: FiniteMetricSpace):

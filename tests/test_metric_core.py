@@ -26,6 +26,7 @@ from lipfree.metric_core import (
     FLOAT_TOLERANCE,
     _integer_matrix,
     _line_certificate,
+    _neighbour_certificate,
     _prim_certificate,
 )
 from oracles import dendrogram_lca_bruteforce, triangle_scan, ultrametric_scan
@@ -235,15 +236,12 @@ class TestRoundedScans:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tight_plane_metric_takes_the_scan(self, seed, monkeypatch):
-        # l1 distances of points in the plane whose coordinates have their own
-        # prime denominators: many tight triples, neither a line nor an ultrametric
         rng = random.Random(seed)
         n = 20
-        primes = iter(_distinct_primes(2 * n, rng.randrange(10**4, 10**5)))
-        points = [(rng.randrange(8) + F(1, next(primes)), rng.randrange(8) + F(1, next(primes))) for _ in range(n)]
-        d = [[abs(a - c) + abs(b - e) for c, e in points] for a, b in points]
+        d = _plane_matrix(rng, n)
         rows, _, slack = _integer_matrix(d)
         assert slack == 1 and not _line_certificate(d) and not _prim_certificate(d)
+        assert not _neighbour_certificate(rows, slack)
         tight = [
             (i, j, k)
             for i, j, k in combinations(range(n), 3)
@@ -259,6 +257,15 @@ class TestRoundedScans:
         with pytest.raises(TriangleViolation) as info:
             validate_metric(d)
         assert (info.value.i, info.value.j, info.value.k) == expected
+
+
+def _plane_matrix(rng, n):
+    """l1 distances of n points in the plane whose coordinates have their own
+    prime denominators: many tight triples, and neither a line, an
+    ultrametric nor within its ends' nearest-neighbour bound."""
+    primes = iter(_distinct_primes(2 * n, rng.randrange(10**4, 10**5)))
+    points = [(rng.randrange(8) + F(1, next(primes)), rng.randrange(8) + F(1, next(primes))) for _ in range(n)]
+    return [[abs(a - c) + abs(b - e) for c, e in points] for a, b in points]
 
 
 class TestToleranceScaling:
@@ -508,15 +515,145 @@ class TestLineCertificate:
 
     def test_other_metrics_take_the_scan(self, monkeypatch):
         calls = _scan_calls(monkeypatch)
-        for label in ("remark:2", "remark:3"):
-            space = truncate(make_family(*label.split(":")), 12)
-            assert not _line_certificate(_integer_matrix(space.dist)[0])
+        for seed in range(2):
+            d = _plane_matrix(random.Random(seed), 12)
+            rows, _, slack = _integer_matrix(d)
+            assert not (_line_certificate(d) or _prim_certificate(rows) or _neighbour_certificate(rows, slack))
+            assert validate_metric(d).dist == tuple(map(tuple, d))
         assert len(calls) == 2
 
     def test_approximate_input_takes_the_scan(self, monkeypatch):
         calls = _scan_calls(monkeypatch)
         space = load_space('{"dist": [[0, 0.5, 1.5], [0.5, 0, 1.0], [1.5, 1.0, 0]]}')
         assert space.approximate and len(calls) == 1
+        rows, _, slack = _integer_matrix(space.dist)  # exact, it would pass two certificates
+        assert _line_certificate(rows) and _neighbour_certificate(rows, slack)
+
+
+def _neighbour_matrices():
+    for k in range(1, 7):
+        for n in (12, 40, 200):
+            yield [list(row) for row in truncate(make_family("remark", k), n).dist]
+    for seed in range(6):
+        rng = random.Random(seed)
+        yield _interval_matrix(rng, rng.randint(3, 30))
+
+
+def _interval_matrix(rng, n):
+    """Seeded n x n matrix with entries in [1, 2], some of them 1 or 2."""
+    q = rng.randint(1, 12)
+    d = [[F(0)] * n for _ in range(n)]
+    for i, k in combinations(range(n), 2):
+        _set(d, i, k, F(rng.randint(q, 2 * q), q))
+    return d
+
+
+def _nearest(d):
+    """Each point's least distance to another point, and the point attaining it."""
+    return [min((v, j) for j, v in enumerate(row) if j != i) for i, row in enumerate(d)]
+
+
+def _neighbour_nudges(d, eps):
+    """Copies of ``d`` that miss the nearest-neighbour bound by ``eps`` at its
+    tightest pair (i, k): one raises d(i, k), one lowers the least distance
+    from i (or from k, when that is d(i, k) itself) if it stays positive."""
+    near = _nearest(d)
+    i, k = min(combinations(range(len(d)), 2), key=lambda ik: near[ik[0]][0] + near[ik[1]][0] - d[ik[0]][ik[1]])
+    over = near[i][0] + near[k][0] - d[i][k] + eps
+    raised = [list(row) for row in d]
+    _set(raised, i, k, d[i][k] + over)
+    lowered = [list(row) for row in d]
+    p, (v, j) = (i, near[i]) if near[i][1] != k else (k, near[k])
+    _set(lowered, p, j, v - over)
+    return [raised, lowered] if v > over else [raised]
+
+
+def _agrees_with_the_scan(d):
+    expected = triangle_scan(d)
+    if expected is None:
+        assert validate_metric(d).dist == tuple(map(tuple, d))
+    else:
+        with pytest.raises(TriangleViolation) as info:
+            validate_metric(d)
+        assert (info.value.i, info.value.j, info.value.k) == expected
+    return expected
+
+
+class TestNeighbourCertificate:
+    """Matrices whose every distance is at most the sum of its ends' least
+    distances are accepted in O(n^2); the verdict and the witness of every
+    other matrix are the brute-force scan's."""
+
+    @pytest.mark.parametrize("d", _neighbour_matrices())
+    def test_bounded_matrices_pass_without_the_scan(self, d, monkeypatch):
+        calls = _scan_calls(monkeypatch)
+        assert validate_metric(d).dist == tuple(map(tuple, d)) and not calls
+        rows, _, slack = _integer_matrix(d)
+        assert slack == (len(d) == 200)  # 200 remark points round
+        assert _neighbour_certificate(rows, slack)
+        assert not _line_certificate(d) and not _prim_certificate(d)
+
+    @pytest.mark.parametrize("d", [d for d in _neighbour_matrices() if len(d) <= 40])
+    def test_nudged_copies_agree_with_the_scan(self, d):
+        for nudged in _neighbour_nudges(d, F(1, BIG_PRIME)):
+            rows, _, slack = _integer_matrix(nudged)
+            assert not _neighbour_certificate(rows, slack)
+            _agrees_with_the_scan(nudged)
+
+    def test_rounded_remark_passes_on_the_ints(self, monkeypatch):
+        space = truncate(make_family("remark", 3), 200)
+        rows, _, slack = _integer_matrix(space.dist)
+        seen = []
+        certificate = metric_core._neighbour_certificate
+
+        def spied(ints, slack):
+            seen.append((ints, slack))
+            return certificate(ints, slack)
+
+        monkeypatch.setattr(metric_core, "_neighbour_certificate", spied)
+        calls = _scan_calls(monkeypatch)
+        assert slack == 1 and validate_metric(space.dist) == space and not calls
+        assert len(seen) == 1 and seen[0][1] == 1 and type(seen[0][0][0][1]) is int
+
+    @staticmethod
+    def _sub_slack_matrix(sign):
+        # d(1, 2) misses m_1 + m_2 by a margin below 2**-_SCAN_BITS, where the
+        # ints alone, without the slack, meet the bound
+        eta, margin = F(1, 3**170), F(1, 2 ** (2 * _SCAN_BITS))
+        near, far = 1 + eta, F(3, 2)
+        d = [[F(0), near, near, far], [near, F(0), 2 * near + sign * margin, far],
+             [near, 2 * near + sign * margin, F(0), far], [far, far, far, F(0)]]
+        rows, _, slack = _integer_matrix(d)
+        assert slack == 1 and _neighbour_certificate(rows, 0) and not _neighbour_certificate(rows, 1)
+        return d
+
+    def test_sub_slack_margin_takes_the_scan(self, monkeypatch):
+        d = self._sub_slack_matrix(-1)
+        calls = _scan_calls(monkeypatch)
+        assert validate_metric(d).dist == tuple(map(tuple, d)) and len(calls) == 1
+        assert triangle_scan(d) is None
+
+    def test_sub_slack_violation_is_found(self):
+        d = self._sub_slack_matrix(1)
+        assert _agrees_with_the_scan(d) == (1, 0, 2)
+
+    @pytest.mark.parametrize("kind", ["random", "nudged", "rounded"])
+    def test_seeded_matrices_agree_with_the_scan(self, kind):
+        # 1000 small matrices per kind around the bound: entries in [1, 3],
+        # copies nudged past the bound, and the same on a rounded scale
+        for seed in range(1000):
+            rng = random.Random(seed)
+            d = _interval_matrix(rng, rng.randint(3, 8))
+            if kind == "random":
+                for _ in range(rng.randint(0, 3)):
+                    i, k = rng.sample(range(len(d)), 2)
+                    _set(d, i, k, d[i][k] + F(rng.randint(0, 4), 4))
+            else:
+                eps = F(1, BIG_PRIME) if kind == "nudged" else F(rng.choice([1, -1]), 3**170)
+                d = rng.choice(_neighbour_nudges(d, eps))
+                if kind == "rounded":
+                    assert _integer_matrix(d)[2] == 1
+            _agrees_with_the_scan(d)
 
 
 class TestCustomSpaceLoading:
