@@ -36,6 +36,12 @@ ultrametrics and bounded separated sequences: ``truncate`` on the
 have a common denominator past 256 bits), and ``validate_metric``
 and ``is_ultrametric`` on the shallow-first prime-level caterpillar of
 ``PRIME_LEVEL_POINTS`` points.  Each entry has a hash of the space or verdict.
+
+The ``projection`` entry times the two verifiers of the exact
+``radii_ultrametric`` plan of ``uniform:1`` at each pair count in
+``PROJECTION_PAIRS``: ``verify_projection`` and ``verify_linfty_isometry``
+with the ``LINFTY_COEFFS`` on three round-robin blocks.  Each entry has a
+hash of the report.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from time import perf_counter
 
 from lipfree import (
     FreeElement,
+    IndexPartition,
     LipfreeError,
     admissibility_lp,
     free_norm_flow,
@@ -59,6 +66,8 @@ from lipfree import (
     radii_ultrametric,
     truncate,
     validate_metric,
+    verify_linfty_isometry,
+    verify_projection,
 )
 from lipfree.space_catalog import family_from_space
 
@@ -78,6 +87,8 @@ PRIME_LEVEL_POINTS = 256
 PRIME_LEVEL_PAIRS = (4, 20)
 TRUNCATIONS = (("convline", 180), ("convline", 256), ("dendro:11:30:512", 512),
                ("remark:3", 128), ("remark:3", 512))
+PROJECTION_PAIRS = (15, 63, 127)
+LINFTY_COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 
 
 def primes(count: int, start: int = 1000) -> list[int]:
@@ -158,6 +169,19 @@ def truncation_timings() -> dict:
     return out
 
 
+def projection_timings() -> dict:
+    out = {}
+    for n_pairs in PROJECTION_PAIRS:
+        plan = radii_ultrametric(parse_family("uniform:1"), n_pairs)
+        plan.space()  # both sides cache the validated space; time the checks alone
+        partition = IndexPartition.round_robin(len(LINFTY_COEFFS), n_pairs)
+        seconds, report = timed(lambda: verify_projection(plan))
+        out[f"verify_projection uniform:1 pairs={n_pairs}"] = {"s": seconds, "sha256": digest(report)}
+        seconds, report = timed(lambda: verify_linfty_isometry(plan, partition, LINFTY_COEFFS))
+        out[f"verify_linfty_isometry uniform:1 pairs={n_pairs}"] = {"s": seconds, "sha256": digest(report)}
+    return out
+
+
 def timed(call) -> tuple[float, object]:
     """Median wall seconds of ``REPEATS`` calls, and the last call's result."""
     times = []
@@ -202,7 +226,7 @@ def main() -> None:
                 out[f"n={n}"][f"{name}_s"] = seconds
                 out[f"n={n}"][f"{name}_tau_sha256"] = digest(result.tau)
     print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings(),
-                      "truncation": truncation_timings()}))
+                      "truncation": truncation_timings(), "projection": projection_timings()}))
 
 
 if __name__ == "__main__":

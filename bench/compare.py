@@ -8,8 +8,11 @@ side, the parent first when p is even and the change first when p is odd.
 For every end-to-end metric of every workload the output holds each side's
 runs, median and quartiles (``statistics.quantiles(n=4)``), and how many
 pairs the change won in the direction ``BENCHMARK.json`` calls better.  One
-traced run per side adds the per-layer figures, and ``bench/adversarial.py``
-runs on both sides' sources.
+traced run per side adds the per-layer figures.  ``bench/adversarial.py``
+runs ``ADVERSARIAL_RUNS`` times on each side's sources, alternating in the
+same way, so that drift of the host over the run reaches both sides; its
+output keeps each side's median seconds per entry, and each hash once when
+every run agrees on it (else every run's).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PAIRS = 10
+ADVERSARIAL_RUNS = 4
 
 
 def run_benchmark(checkout: str, seed: int, trace: int) -> dict:
@@ -45,9 +49,30 @@ def adversarial(checkout: str) -> dict:
     return json.loads(done.stdout)
 
 
+def merge_runs(runs: list):
+    """One nested result from several: numbers by their median, anything
+    else once if every run agrees, else as the list of runs."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {key: merge_runs([run[key] for run in runs]) for key in first}
+    if isinstance(first, (int, float)) and not isinstance(first, bool):
+        return statistics.median(runs)
+    return first if all(run == first for run in runs) else runs
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"runs": values, "q1": q1, "median": statistics.median(values), "q3": q3}
+
+
+def adversarial_medians(sides: dict) -> dict:
+    runs = {"parent": [], "change": []}
+    for p in range(ADVERSARIAL_RUNS):
+        order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(adversarial(sides[side]))
+            print(f"adversarial {p} {side} done", file=sys.stderr, flush=True)
+    return {side: merge_runs(results) for side, results in runs.items()}
 
 
 def main() -> None:
@@ -85,7 +110,7 @@ def main() -> None:
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in sides},
         "end_to_end": metrics,
         "traced": {side: run_benchmark(sides[side], args.seed, 1)["metrics"] for side in sides},
-        "adversarial": {side: adversarial(sides[side]) for side in sides},
+        "adversarial": adversarial_medians(sides),
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(out, handle, indent=1)

@@ -60,10 +60,11 @@ ONE = Fraction(1)
 class EmbeddingPlan:
     """Subsequence indices and radii of one construction.
 
-    Building a plan checks the separation inequality on every pair of
-    positions, raising SeparationViolation(m, n) at the first
-    (lexicographic) violated pair, and derives the pair ratios q_n and the
-    exactness flag (every ratio equals 1).
+    Building a plan fetches each distance between its positions once, into
+    ``dist``, checks the separation inequality on every pair, raising
+    SeparationViolation(m, n) at the first (lexicographic) violated pair,
+    and derives the pair ratios q_n and the exactness flag (every ratio
+    equals 1).
     """
 
     family: MetricFamily
@@ -72,6 +73,8 @@ class EmbeddingPlan:
     case: Optional[str] = None
     ratios: tuple[Fraction, ...] = field(init=False, compare=False)  # q_1, q_2, ...
     exact: bool = field(init=False, compare=False)
+    # rho between positions m and n at [m - 1][n - 1]
+    dist: tuple[tuple[Fraction, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.x_idx) != len(self.r):
@@ -82,12 +85,15 @@ class EmbeddingPlan:
             raise ValueError("plan indices must be strictly increasing")
         if any(v < 0 for v in self.r):
             raise ValueError("radii must be nonnegative")
-        for m in range(1, self.n_points + 1):
-            for n in range(m + 1, self.n_points + 1):
-                s = self.r[m - 1] + self.r[n - 1]
-                d = self.rho(m, n)
-                if s > d:
-                    raise SeparationViolation(m, n, s, d)
+
+        def separated(m: int, n: int) -> Fraction:
+            d = self.family.distance(self.x_idx[m], self.x_idx[n])
+            s = self.r[m] + self.r[n]
+            if s > d:
+                raise SeparationViolation(m + 1, n + 1, s, d)
+            return d
+
+        object.__setattr__(self, "dist", tuple(map(tuple, distance_matrix(separated, self.n_points))))
         ratios = tuple(
             (self.r[2 * n - 1] + self.r[2 * n]) / self.rho(2 * n, 2 * n + 1)
             for n in range(1, self.pair_count + 1)
@@ -105,7 +111,7 @@ class EmbeddingPlan:
 
     def rho(self, m: int, n: int) -> Fraction:
         """Distance between plan positions (1-based)."""
-        return self.family.distance(self.x_idx[m - 1], self.x_idx[n - 1])
+        return self.dist[m - 1][n - 1]
 
     def space(self, n_points: Optional[int] = None) -> FiniteMetricSpace:
         return _plan_space(self, n_points or self.n_points)
@@ -113,7 +119,7 @@ class EmbeddingPlan:
 
 @lru_cache(maxsize=256)
 def _plan_space(plan: EmbeddingPlan, n_points: int) -> FiniteMetricSpace:
-    return validate_metric(distance_matrix(lambda i, j: plan.rho(i + 1, j + 1), n_points))
+    return validate_metric([row[:n_points] for row in plan.dist[:n_points]])
 
 
 def make_plan(family: MetricFamily, x_idx, r, case: Optional[str] = None) -> EmbeddingPlan:
@@ -182,44 +188,36 @@ def bump_eval(plan: EmbeddingPlan, n: int, p: int) -> Fraction:
     return value if value > 0 else ZERO
 
 
-def f_k_eval(plan: EmbeddingPlan, partition: IndexPartition, k: int, p: int) -> Fraction:
-    """Block function f_k at point p: sum over the block of g_{2m} - g_{2m+1}.
+def _pair_rows(plan: EmbeddingPlan, n_points: int) -> list[dict[int, Fraction]]:
+    """For each point label p < n_points, {n: f_n(p)} over the plan's pairs n
+    where the pair function f_n = g_{2n} - g_{2n+1} is nonzero.
 
-    Separation makes the bump supports disjoint, so at most one term is
-    nonzero.
+    Separation makes the bump supports disjoint, so a row has at most one
+    key; every pair is evaluated all the same.
     """
-    total = ZERO
-    for m in partition.blocks[k - 1]:
-        if 2 * m + 1 <= plan.n_points:
-            total += bump_eval(plan, 2 * m, p) - bump_eval(plan, 2 * m + 1, p)
-    return total
-
-
-def lin_comb_eval(
-    plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence, p: int
-) -> Fraction:
-    """sum a_k f_k at point p; with one block and coefficient 1 this is f_1."""
-    coeffs = [as_fraction(a) for a in coeffs]
-    if len(coeffs) != len(partition.blocks):
-        raise ValueError("one coefficient per partition block")
-    return sum(
-        (a * f_k_eval(plan, partition, k, p) for k, a in enumerate(coeffs, 1) if a),
-        ZERO,
-    )
-
-
-def pair_function(plan: EmbeddingPlan, n: int, n_points: Optional[int] = None) -> LipFunction:
-    """The single-pair function f_n = g_{2n} - g_{2n+1} restricted to the truncation."""
-    N = n_points or plan.n_points
-    values = [bump_eval(plan, 2 * n, p) - bump_eval(plan, 2 * n + 1, p) for p in range(N)]
-    return LipFunction(values=tuple(values))
+    rows = []
+    for p in range(n_points):
+        row = {}
+        for n in range(1, plan.pair_count + 1):
+            value = bump_eval(plan, 2 * n, p) - bump_eval(plan, 2 * n + 1, p)
+            if value:
+                row[n] = value
+        rows.append(row)
+    return rows
 
 
 def lin_comb_function(
     plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence, n_points: Optional[int] = None
 ) -> LipFunction:
-    N = n_points or plan.n_points
-    values = [lin_comb_eval(plan, partition, coeffs, p) for p in range(N)]
+    """sum_k a_k f_k on the first ``n_points`` points, where the block function
+    f_k sums the pair functions f_m of block k; with the one block (n,) and
+    coefficient 1 this is f_n."""
+    coeffs = [as_fraction(a) for a in coeffs]
+    if len(coeffs) != len(partition.blocks):
+        raise ValueError("one coefficient per partition block")
+    weight = {m: a for a, block in zip(coeffs, partition.blocks) for m in block}
+    rows = _pair_rows(plan, n_points or plan.n_points)
+    values = [sum((weight[n] * v for n, v in row.items() if n in weight), ZERO) for row in rows]
     return LipFunction(values=tuple(values))
 
 
@@ -249,14 +247,11 @@ def verify_linfty_isometry(
         raise ValueError("truncation exceeds the plan")
     h = lin_comb_function(plan, partition, coeffs, n_points)
     lip = lip_norm(h, plan.space(n_points))
-    lower = ZERO
-    for k, block in enumerate(partition.blocks, 1):
-        if k > len(coeffs):
-            break
-        a = abs(coeffs[k - 1])
-        for m in block:
-            if m <= pairs and a * plan.ratios[m - 1] > lower:
-                lower = a * plan.ratios[m - 1]
+    lower = max(
+        (abs(a) * plan.ratios[m - 1] for a, block in zip(coeffs, partition.blocks) for m in block
+         if m <= pairs),
+        default=ZERO,
+    )
     upper = max((abs(a) for a in coeffs), default=ZERO)
     return LinftyReport(lip=lip, lower=lower, upper=upper)
 
@@ -302,17 +297,6 @@ def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence) -> Fraction:
     return free_norm_flow(l1_combination(plan, coeffs), plan.space(2 * len(coeffs) + 1))
 
 
-def projection_coeffs(plan: EmbeddingPlan, p: int, n_pairs: Optional[int] = None) -> tuple[Fraction, ...]:
-    """Coefficients (f_1(p), ..., f_N(p)) of the projection r(x) = sum f_n(x) e_n."""
-    if not plan.exact:
-        raise ExactnessRequired("the projection is defined for exact plans")
-    pairs = plan.pair_count if n_pairs is None else n_pairs
-    return tuple(
-        bump_eval(plan, 2 * n, p) - bump_eval(plan, 2 * n + 1, p)
-        for n in range(1, pairs + 1)
-    )
-
-
 @dataclass(frozen=True)
 class ProjectionReport:
     basis_reproduced: bool  # P(e_n) = e_n exactly for all pairs
@@ -324,32 +308,34 @@ class ProjectionReport:
         return self.basis_reproduced and self.lipschitz_ok
 
 
-def verify_projection(plan: EmbeddingPlan, n_pairs: Optional[int] = None) -> ProjectionReport:
-    """Exact checks that the coefficient map is a norm-1 projection onto span{e_n}."""
+def verify_projection(plan: EmbeddingPlan) -> ProjectionReport:
+    """Exact checks that r(x) = sum_n f_n(x) e_n is a norm-1 projection onto span{e_n}.
+
+    The coefficients of a point are its sparse row {n: f_n(p)}, and each
+    check compares two rows over the union of their keys: r(e_n) = e_n is
+    row(x_2n) - row(x_2n+1) = rho(x_2n, x_2n+1) e_n, and r has norm 1 when
+    sum_n |f_n(p) - f_n(q)| <= rho(p, q) for every pair of points.
+    """
     if not plan.exact:
         raise ExactnessRequired("the projection is defined for exact plans")
-    pairs = plan.pair_count if n_pairs is None else n_pairs
+    pairs = plan.pair_count
     n_points = 2 * pairs + 1
-    coeff_rows = [projection_coeffs(plan, p, pairs) for p in range(n_points)]
+    rows = _pair_rows(plan, n_points)
 
-    basis_ok = True
-    for n in range(1, pairs + 1):
-        rho = plan.rho(2 * n, 2 * n + 1)
-        for m in range(1, pairs + 1):
-            # coefficient of e_m in P(e_n)
-            value = (coeff_rows[2 * n - 1][m - 1] - coeff_rows[2 * n][m - 1]) / rho
-            if value != (ONE if m == n else ZERO):
-                basis_ok = False
+    def gaps(p: int, q: int) -> list[tuple[int, Fraction]]:
+        a, b = rows[p], rows[q]
+        return [(m, a.get(m, ZERO) - b.get(m, ZERO)) for m in a.keys() | b.keys()]
 
-    space = plan.space(n_points)
-    lip_ok = True
-    for p in range(n_points):
-        for q in range(p + 1, n_points):
-            total = sum(
-                (abs(a - b) for a, b in zip(coeff_rows[p], coeff_rows[q])), ZERO
-            )
-            if total > space.dist[p][q]:
-                lip_ok = False
+    basis_ok = all(
+        {m: v for m, v in gaps(2 * n - 1, 2 * n) if v} == {n: plan.rho(2 * n, 2 * n + 1)}
+        for n in range(1, pairs + 1)
+    )
+    dist = plan.space(n_points).dist
+    lip_ok = all(
+        sum((abs(v) for _, v in gaps(p, q)), ZERO) <= dist[p][q]
+        for p in range(n_points)
+        for q in range(p + 1, n_points)
+    )
     return ProjectionReport(basis_reproduced=basis_ok, lipschitz_ok=lip_ok, n_pairs=pairs)
 
 
@@ -485,25 +471,17 @@ def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: int = D
     return make_plan(family, chosen, radii, case="bounded")
 
 
-def radii_unbounded(
-    family: MetricFamily,
-    n_pairs: int,
-    horizon: int = DEFAULT_HORIZON,
-    r1: Fraction = ONE,
-) -> EmbeddingPlan:
+def radii_unbounded(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
     """Greedy radii for an unbounded family.
 
-    From x_1 (the first family index) and r_1 > 0, each step takes the
+    From x_1 (the first family index) and r_1 = 1, each step takes the
     smallest next index with rho(x_{n+1}, x_n) > n * max_k(rho(x_n, x_k) + r_k)
     and sets r_{n+1} = rho(x_{n+1}, x_n) minus that maximum; the pair ratios
     then exceed 1 - 1/(2n).
     """
     L = _plan_length(n_pairs)
-    r1 = as_fraction(r1)
-    if r1 <= 0:
-        raise InvalidFamilyParameters("r_1 must be positive")
     x_idx = [1]
-    radii = [r1]
+    radii = [ONE]
     while len(x_idx) < L:
         n = len(x_idx)
         last = x_idx[-1]
@@ -513,7 +491,7 @@ def radii_unbounded(
         bound = n * peak
         nxt = None
         if family.first_index_beyond is not None:
-            nxt = family.first_index_beyond(last, bound, last + 1)
+            nxt = family.first_index_beyond(last, bound)
         else:
             limit = horizon if family.size is None else min(horizon, family.size)
             for i in range(last + 1, limit + 1):
@@ -1070,7 +1048,7 @@ def plan_to_json(plan: EmbeddingPlan) -> dict:
     }
 
 
-def plan_from_json(source, family: Optional[MetricFamily] = None) -> EmbeddingPlan:
+def plan_from_json(source) -> EmbeddingPlan:
     """Parse {"family", "x_idx", "r", "case"} from JSON text or a dict.
 
     Input that is not such an object, an empty plan, indices that are not
@@ -1089,7 +1067,6 @@ def plan_from_json(source, family: Optional[MetricFamily] = None) -> EmbeddingPl
             raise ValueError("x_idx must be a list of integers")
         if not isinstance(r, (list, tuple)):
             raise ValueError("r must be a list of rationals")
-        if family is None and not isinstance(obj["family"], str):
+        if not isinstance(obj["family"], str):
             raise ValueError("family must be a label")
-        fam = family if family is not None else parse_family(obj["family"])
-        return make_plan(fam, x_idx, r, case=obj.get("case"))
+        return make_plan(parse_family(obj["family"]), x_idx, r, case=obj.get("case"))

@@ -128,22 +128,23 @@ def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpac
         if abs(ints[i][j] - ints[j][i]) > tol - slack and abs(mat[i][j] - mat[j][i]) > exact_tol:
             raise Asymmetric(i, j)
         ints[j][i] = ints[i][j]
-    sym = distance_matrix(lambda i, j: mat[i][j], n)
+        mat[j][i] = mat[i][j]
     for i, row in enumerate(ints):
         if abs(row[i]) > tol - slack and abs(mat[i][i]) > exact_tol:
             raise NegativeOrZeroOffDiagonal(i, i)
         row[i] = slack  # 1 when rounded: keeps k = i, k = j and j = i under the bound
+        mat[i][i] = Fraction(0)
         for j, v in enumerate(row):
-            if i != j and v <= tol and sym[i][j] <= exact_tol:
+            if i != j and v <= tol and mat[i][j] <= exact_tol:
                 raise NegativeOrZeroOffDiagonal(i, j)
-    exact_rows = sym if slack else ints  # rounded ints are not exact
+    exact_rows = mat if slack else ints  # rounded ints are not exact
     if tolerance is not None or not (
         _line_certificate(exact_rows)
-        or _ultrametric_certificate(ints, sym, slack)
+        or _ultrametric_certificate(ints, mat, slack)
         or _neighbour_certificate(ints, slack)
     ):
-        _triangle_scan(ints, sym, tol - slack, exact_tol)
-    return FiniteMetricSpace(dist=tuple(map(tuple, sym)), approximate=tolerance is not None)
+        _triangle_scan(ints, mat, tol - slack, exact_tol)
+    return FiniteMetricSpace(dist=tuple(map(tuple, mat)), approximate=tolerance is not None)
 
 
 def _triangle_scan(ints, sym, int_tol, exact_tol) -> None:
@@ -183,8 +184,8 @@ class MetricFamily:
     converges_to_base: bool = False  # rho(x_n, x_1) -> 0
     delta_unbounded: bool = False  # pairing (2t, 2t+1) has delta_t -> infinity
     ultrametric: bool = False
-    # smallest index i >= lo with rho(i, center) > radius, or None
-    first_index_beyond: Optional[Callable[[int, Fraction, int], Optional[int]]] = None
+    # smallest index i > center with rho(i, center) > radius, or None
+    first_index_beyond: Optional[Callable[[int, Fraction], Optional[int]]] = None
 
     def distance(self, i: int, j: int) -> Fraction:
         if i < 1 or j < 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import EmptyLevels, InvalidFamilyParameters, outside_input
 from .metric_core import (
@@ -31,32 +31,24 @@ from .metric_core import (
 )
 
 
-def _monotone_line_seek(value: Callable[[int], Fraction], size: Optional[int]):
+def _monotone_line_seek(value: Callable[[int], Fraction]):
     """first_index_beyond for points on a line with increasing coordinates."""
 
-    def seek(center: int, radius: Fraction, lo: int) -> Optional[int]:
-        vc = value(center)
-        if value(lo) < vc - radius:
-            return lo
-        # exponential search on the right side, then bisect
-        i = max(lo, center)
+    def seek(center: int, radius: Fraction) -> int:
+        bound = value(center) + radius
+        # exponential search to the right of the centre, then bisect
+        lo = hi = center + 1
         step = 1
-        while value(i) <= vc + radius:
-            i += step
+        while value(hi) <= bound:
+            hi += step
             step *= 2
-            if size is not None and i > size:
-                i = size
-                if value(i) <= vc + radius:
-                    return None
-                break
-        hi, lo_i = i, max(lo, center)
-        while lo_i < hi:
-            mid = (lo_i + hi) // 2
-            if value(mid) > vc + radius:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if value(mid) > bound:
                 hi = mid
             else:
-                lo_i = mid + 1
-        return hi if hi >= lo else None
+                lo = mid + 1
+        return hi
 
     return seek
 
@@ -97,7 +89,7 @@ def integer_line() -> MetricFamily:
         oracle=lambda i, j: Fraction(j - i),
         bounded=False,
         delta_unbounded=True,
-        first_index_beyond=_monotone_line_seek(Fraction, None),
+        first_index_beyond=_monotone_line_seek(Fraction),
     )
 
 
@@ -123,7 +115,7 @@ def geometric_line() -> MetricFamily:
         oracle=oracle,
         bounded=False,
         delta_unbounded=True,
-        first_index_beyond=_monotone_line_seek(value, None),
+        first_index_beyond=_monotone_line_seek(value),
     )
 
 

@@ -15,18 +15,27 @@ from typing import Optional
 
 from lipfree import (
     EmbeddingPlan,
+    ExactnessRequired,
     FiniteMetricSpace,
     FreeElement,
     HorizonExhausted,
+    IndexPartition,
+    LinftyReport,
+    LipFunction,
     MetricFamily,
     NotUltrametric,
+    ProjectionReport,
+    as_fraction,
+    constructions,
     is_ultrametric,
+    lip_norm,
     make_plan,
     truncate,
     validate_metric,
 )
 from lipfree.constructions import (
     DEFAULT_HORIZON,
+    ONE,
     ZERO,
     _plan_length,
     _thin_decreasing,
@@ -397,6 +406,77 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int, horizon: int
         return make_plan(family, clique, [d / 2] * L, case="ultra-constant")
 
     raise HorizonExhausted("no ultrametric subsequence of the required shape found")
+
+
+# ---------------------------------------------------------------------------
+# Block sums and the projection, point by point on dense rows
+# ---------------------------------------------------------------------------
+# Every bump value is read through ``constructions.bump_eval`` at call time,
+# so a test that patches it reaches these routes and the library's alike.
+
+
+def _pair_value(plan: EmbeddingPlan, n: int, p: int) -> Fraction:
+    return constructions.bump_eval(plan, 2 * n, p) - constructions.bump_eval(plan, 2 * n + 1, p)
+
+
+def lin_comb_eval_reference(plan: EmbeddingPlan, partition: IndexPartition, coeffs, p: int) -> Fraction:
+    """sum_k a_k f_k at point p, each block function f_k summed over the
+    block's pairs that lie inside the plan."""
+    coeffs = [as_fraction(a) for a in coeffs]
+    if len(coeffs) != len(partition.blocks):
+        raise ValueError("one coefficient per partition block")
+    total = ZERO
+    for k, a in enumerate(coeffs, 1):
+        if a:
+            f_k = sum((_pair_value(plan, m, p) for m in partition.blocks[k - 1]
+                       if 2 * m + 1 <= plan.n_points), ZERO)
+            total += a * f_k
+    return total
+
+
+def verify_linfty_reference(plan: EmbeddingPlan, partition: IndexPartition, coeffs,
+                            n_pairs: Optional[int] = None) -> LinftyReport:
+    """``verify_linfty_isometry`` with the function built point by point."""
+    coeffs = [as_fraction(a) for a in coeffs]
+    pairs = plan.pair_count if n_pairs is None else n_pairs
+    n_points = 2 * pairs + 1
+    if n_points > plan.n_points:
+        raise ValueError("truncation exceeds the plan")
+    h = LipFunction(values=tuple(lin_comb_eval_reference(plan, partition, coeffs, p)
+                                 for p in range(n_points)))
+    lip = lip_norm(h, plan.space(n_points))
+    lower = ZERO
+    for a, block in zip(coeffs, partition.blocks):
+        for m in block:
+            if m <= pairs and abs(a) * plan.ratios[m - 1] > lower:
+                lower = abs(a) * plan.ratios[m - 1]
+    upper = max((abs(a) for a in coeffs), default=ZERO)
+    return LinftyReport(lip=lip, lower=lower, upper=upper)
+
+
+def verify_projection_reference(plan: EmbeddingPlan) -> ProjectionReport:
+    """``verify_projection`` on dense coefficient rows (f_1(p), ..., f_N(p)):
+    every coefficient of r(e_n) against the unit vector, and the l1 distance
+    of the rows of every pair of points against rho."""
+    if not plan.exact:
+        raise ExactnessRequired("the projection is defined for exact plans")
+    pairs = plan.pair_count
+    n_points = 2 * pairs + 1
+    rows = [[_pair_value(plan, n, p) for n in range(1, pairs + 1)] for p in range(n_points)]
+    basis_ok = True
+    for n in range(1, pairs + 1):
+        rho = plan.rho(2 * n, 2 * n + 1)
+        for m in range(1, pairs + 1):
+            value = (rows[2 * n - 1][m - 1] - rows[2 * n][m - 1]) / rho
+            if value != (ONE if m == n else ZERO):
+                basis_ok = False
+    dist = plan.space(n_points).dist
+    lip_ok = True
+    for p in range(n_points):
+        for q in range(p + 1, n_points):
+            if sum((abs(a - b) for a, b in zip(rows[p], rows[q])), ZERO) > dist[p][q]:
+                lip_ok = False
+    return ProjectionReport(basis_reproduced=basis_ok, lipschitz_ok=lip_ok, n_pairs=pairs)
 
 
 # ---------------------------------------------------------------------------

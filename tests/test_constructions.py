@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import json
 import random
 from collections import Counter
@@ -22,22 +23,18 @@ from lipfree import (
     admissibility_lp,
     bump_eval,
     check_plan,
-    f_k_eval,
     free_norm_flow,
     free_norm_lp,
     l1_basis,
     l1_combination,
-    lin_comb_eval,
     lin_comb_function,
     lip_norm,
     make_family,
     make_plan,
-    pair_function,
     pairing,
     parse_family,
     plan_from_json,
     plan_to_json,
-    projection_coeffs,
     radii_accumulation,
     radii_bounded_separated,
     radii_ultrametric,
@@ -52,10 +49,13 @@ from lipfree.constructions import DEFAULT_HORIZON, _DistanceTable, _monotone_cha
 from lipfree.space_catalog import ultrametric_from_codes
 from lipfree.metric_core import truncate
 from oracles import (
+    lin_comb_eval_reference,
     monotone_chain_reference,
     radii_ultrametric_reference,
     rand_fraction,
     random_metric_space,
+    verify_linfty_reference,
+    verify_projection_reference,
 )
 
 
@@ -187,14 +187,17 @@ class TestBumpAndBlocks:
     def test_bump_at_other_center_uniform(self):
         assert bump_eval(self.plan, 2, 2) == 0
 
+    def pair_function(self, n):
+        return lin_comb_function(self.plan, IndexPartition(((n,),)), [1])
+
     def test_f_k_at_pair_centers(self):
         # f_1 hits +r at x_2, -r at x_3
-        assert f_k_eval(self.plan, self.partition, 1, 1) == F(1, 2)
-        assert f_k_eval(self.plan, self.partition, 1, 2) == -F(1, 2)
+        assert self.pair_function(1)(1) == F(1, 2)
+        assert self.pair_function(1)(2) == -F(1, 2)
 
     def test_value_at_base_is_zero(self):
-        assert f_k_eval(self.plan, self.partition, 1, 0) == 0
-        assert lin_comb_eval(self.plan, self.partition, [F(5)], 0) == 0
+        assert self.pair_function(1)(0) == 0
+        assert lin_comb_function(self.plan, self.partition, [F(5)])(0) == 0
 
     def test_at_most_one_summand_nonzero(self):
         for p in range(self.plan.n_points):
@@ -208,18 +211,24 @@ class TestBumpAndBlocks:
     def test_scaled_combination(self):
         part = IndexPartition.round_robin(3, 3)
         coeffs = [F(1), F(-2), F(1, 3)]
+        h = lin_comb_function(self.plan, part, coeffs)
         for p in range(self.plan.n_points):
-            expected = sum(
-                a * f_k_eval(self.plan, part, k, p) for k, a in enumerate(coeffs, 1)
-            )
-            assert lin_comb_eval(self.plan, part, coeffs, p) == expected
+            expected = sum(a * self.pair_function(k)(p) for k, a in enumerate(coeffs, 1))
+            assert h(p) == expected == lin_comb_eval_reference(self.plan, part, coeffs, p)
 
     def test_single_block_unit_coefficient_reduces_to_f_k(self):
         part = IndexPartition.round_robin(1, 3)
+        h = lin_comb_function(self.plan, part, [1])
         for p in range(self.plan.n_points):
-            assert lin_comb_eval(self.plan, part, [1], p) == f_k_eval(
-                self.plan, part, 1, p
-            )
+            assert h(p) == sum(self.pair_function(n)(p) for n in range(1, 4))
+
+    def test_one_coefficient_per_block(self):
+        with pytest.raises(ValueError):
+            lin_comb_function(self.plan, IndexPartition.round_robin(2, 3), [1])
+
+    def test_pairs_outside_the_plan_add_nothing(self):
+        part = IndexPartition(((1, 7), (2,)))
+        assert lin_comb_function(self.plan, part, [1, 0]) == self.pair_function(1)
 
     def test_partition_must_be_disjoint(self):
         with pytest.raises(ValueError):
@@ -295,7 +304,7 @@ class TestL1Isometry:
     def test_biorthogonal_system(self):
         plan = uniform_exact_plan(3)
         for n in range(1, 4):
-            f_n = pair_function(plan, n)
+            f_n = lin_comb_function(plan, IndexPartition(((n,),)), [1])
             for m in range(1, 4):
                 assert pairing(f_n, l1_basis(plan, m)) == (1 if m == n else 0)
 
@@ -330,16 +339,16 @@ class TestL1Isometry:
 class TestProjection:
     def test_base_point_gets_zero_vector(self):
         plan = uniform_exact_plan(3)
-        assert projection_coeffs(plan, 0) == (0, 0, 0)
+        for n in range(1, 4):
+            assert lin_comb_function(plan, IndexPartition(((n,),)), [1])(0) == 0
 
     def test_pair_center_gets_its_radius(self):
         plan = uniform_exact_plan(3)
         for n in range(1, 4):
-            coeffs = projection_coeffs(plan, 2 * n - 1)  # label of position 2n
-            expected = tuple(
-                plan.r[2 * n - 1] if m == n else F(0) for m in range(1, 4)
-            )
-            assert coeffs == expected
+            for m in range(1, 4):
+                f_m = lin_comb_function(plan, IndexPartition(((m,),)), [1])
+                # label 2n - 1 is position 2n
+                assert f_m(2 * n - 1) == (plan.r[2 * n - 1] if m == n else 0)
 
     def test_verify_projection_on_exact_plans(self):
         plans = [
@@ -355,6 +364,137 @@ class TestProjection:
     def test_requires_exactness(self):
         with pytest.raises(ExactnessRequired):
             verify_projection(radii_bounded_separated(make_family("uniform", 1), 2))
+
+
+# the exact plans that the tests above build, by name
+SUITE_PLANS = {
+    "uniform:1 x2": lambda: uniform_exact_plan(2),
+    "uniform:1 x3": lambda: uniform_exact_plan(3),
+    "uniform:1 x4": lambda: uniform_exact_plan(4),
+    "convline accum": lambda: radii_accumulation(make_family("convline"), 3),
+    "star accum": lambda: radii_accumulation(star_family(), 3),
+    "intline udelta": lambda: radii_unbounded_delta(make_family("intline"), 3),
+    "geomline udelta": lambda: radii_unbounded_delta(make_family("geomline"), 4),
+    "geo-ultra udelta": lambda: radii_unbounded_delta(unbounded_ultrametric_family(), 3),
+    "dendro:7:10": lambda: radii_ultrametric(make_family("dendro", 7, 10), 4),
+    "inc-ultra": lambda: radii_ultrametric(increasing_ultrametric_family(), 2),
+    "late-cluster": lambda: radii_ultrametric(late_cluster_family(), 3),
+    "late-chain:6": lambda: radii_ultrametric(late_chain_family(6), 3),
+    "harmonic-caterpillar": lambda: radii_ultrametric(harmonic_caterpillar_family(), 3),
+    "uniform halves": lambda: make_plan(make_family("uniform", 1), range(1, 8), [F(1, 2)] * 7),
+}
+
+
+def random_exact_plans(seed: int) -> list[EmbeddingPlan]:
+    """Seeded uniform, convline, udelta and dendro plans."""
+    rng = random.Random(seed)
+    plans = [
+        radii_ultrametric(make_family("uniform", rand_fraction(rng)), rng.randint(1, 8)),
+        radii_accumulation(make_family("convline"), rng.randint(1, 5)),
+        radii_unbounded_delta(make_family(rng.choice(("intline", "geomline"))), rng.randint(1, 8)),
+    ]
+    with contextlib.suppress(HorizonExhausted):
+        family = make_family("dendro", rng.randrange(100), rng.randint(4, 12))
+        plans.append(radii_ultrametric(family, rng.randint(1, 6)))
+    return plans
+
+
+def random_linfty_inputs(rng: random.Random, plan: EmbeddingPlan):
+    """A partition of the plan's pairs, one coefficient per block, a truncation."""
+    k_blocks = rng.randint(1, 3)
+    coeffs = [rand_fraction(rng, signed=True) if rng.random() < 0.8 else F(0) for _ in range(k_blocks)]
+    n_pairs = rng.randint(1, plan.pair_count) if plan.pair_count else 0
+    return IndexPartition.round_robin(k_blocks, plan.pair_count), coeffs, n_pairs
+
+
+class TestSparseRowsAgainstDenseRows:
+    """The verifiers against the point-by-point references in ``oracles``."""
+
+    @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
+    def test_suite_plans(self, name):
+        plan = SUITE_PLANS[name]()
+        assert plan.exact
+        assert verify_projection(plan) == verify_projection_reference(plan)
+        assert verify_projection(plan).ok
+        rng = random.Random(name)
+        for _ in range(4):
+            part, coeffs, n_pairs = random_linfty_inputs(rng, plan)
+            assert verify_linfty_isometry(plan, part, coeffs, n_pairs) == verify_linfty_reference(
+                plan, part, coeffs, n_pairs
+            )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_plans(self, seed):
+        rng = random.Random(seed)
+        for plan in random_exact_plans(seed):
+            assert verify_projection(plan) == verify_projection_reference(plan), plan.case
+            part, coeffs, n_pairs = random_linfty_inputs(rng, plan)
+            assert verify_linfty_isometry(plan, part, coeffs, n_pairs) == verify_linfty_reference(
+                plan, part, coeffs, n_pairs
+            ), plan.case
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            lambda: radii_bounded_separated(make_family("remark", 5), 3),
+            lambda: radii_unbounded(make_family("intline"), 4),
+            lambda: radii_bounded_separated(make_family("uniform", F(2, 3)), 3),
+        ],
+    )
+    def test_inexact_plans_in_the_dual(self, plan):
+        plan = plan()
+        rng = random.Random(plan.family.label)
+        for _ in range(6):
+            part, coeffs, n_pairs = random_linfty_inputs(rng, plan)
+            assert verify_linfty_isometry(plan, part, coeffs, n_pairs) == verify_linfty_reference(
+                plan, part, coeffs, n_pairs
+            )
+
+    @pytest.mark.parametrize("name", ["uniform:1 x3", "dendro:7:10", "convline accum"])
+    @pytest.mark.parametrize("where", ["centre", "other centre", "base"])
+    def test_a_corrupted_bump_fails_on_both_routes(self, name, where, monkeypatch):
+        plan = SUITE_PLANS[name]()
+        n = 2
+        bump = constructions.bump_eval
+        if where == "centre":  # g_2n at x_2n moves, so r(e_n) is no longer e_n
+            target, shift = (2 * n, 2 * n - 1), plan.rho(2 * n, 2 * n + 1) / 7
+        elif where == "other centre":  # g_2n turns on at x_2, so r(e_1) gains an e_n term
+            target, shift = (2 * n, 1), plan.rho(2 * n, 2 * n + 1) / 7
+        else:  # f_n(base) moves farther from f_n(x_2n) than rho(x_1, x_2n)
+            target, shift = (2 * n, 0), plan.r[2 * n - 1] + plan.rho(1, 2 * n) + 1
+
+        def corrupted(plan_, position, p):
+            value = bump(plan_, position, p)
+            return value + shift if plan_ is plan and (position, p) == target else value
+
+        monkeypatch.setattr(constructions, "bump_eval", corrupted)
+        report = verify_projection(plan)
+        assert report == verify_projection_reference(plan)
+        if where != "base":
+            assert not report.basis_reproduced
+            part = IndexPartition.round_robin(2, plan.pair_count)
+            assert verify_linfty_isometry(plan, part, [1, -1]) == verify_linfty_reference(
+                plan, part, [1, -1]
+            )
+        else:
+            assert report.basis_reproduced and not report.lipschitz_ok
+
+    @pytest.mark.parametrize("name", ["uniform:1 x3", "dendro:7:10", "geomline udelta"])
+    def test_plan_pairs_are_fetched_once(self, name):
+        source = SUITE_PLANS[name]()
+        asked: Counter = Counter()
+
+        def counting(i, j):
+            asked[i, j] += 1
+            return source.family.oracle(i, j)
+
+        family = dataclasses.replace(source.family, oracle=counting)
+        plan = make_plan(family, source.x_idx, source.r)
+        part = IndexPartition.round_robin(2, plan.pair_count)
+        verify_linfty_isometry(plan, part, [1, F(-1, 2)])
+        verify_projection(plan)
+        verify_l1_isometry(plan, [1] * plan.pair_count)
+        assert asked == Counter(itertools.combinations(plan.x_idx, 2))
 
 
 class TestRadiiAccumulation:

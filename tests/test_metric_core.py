@@ -295,6 +295,11 @@ class TestToleranceScaling:
         space = load_space('{"dist": [[1e-10, 0.5], [0.5, 0]]}')
         assert space.dist[0][0] == 0
 
+    def test_asymmetry_within_tolerance_stores_the_upper_triangle(self):
+        space = load_space('{"dist": [[0, 0.5, 0.75], [0.5000000001, 0, 0.5], [0.75, 0.4999999999, 0]]}')
+        assert space.dist[1][0] == space.dist[0][1] == F(0.5)
+        assert space.dist[2][1] == space.dist[1][2] == F(0.5)
+
 
 class TestTruncate:
     def test_uniform(self):

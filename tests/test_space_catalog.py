@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -162,7 +162,16 @@ def test_geomline_refuses_indices_past_the_cap():
     with pytest.raises(InvalidFamilyParameters):
         family.oracle(2, MAX_GEOMLINE_INDEX + 1)
     with pytest.raises(InvalidFamilyParameters):
-        family.first_index_beyond(MAX_GEOMLINE_INDEX + 1, F(1), 1)
+        family.first_index_beyond(MAX_GEOMLINE_INDEX + 1, F(1))
+
+
+@pytest.mark.parametrize("label", ["intline", "geomline"])
+def test_first_index_beyond_is_the_least_index_past_the_radius(label):
+    family = parse_family(label)
+    for center in range(1, 12):
+        for radius in (F(0), F(1, 3), F(1), F(5), F(40), F(1000)):
+            expected = next(i for i in count(center + 1) if family.distance(center, i) > radius)
+            assert family.first_index_beyond(center, radius) == expected
 
 
 @pytest.mark.parametrize("label", ["convline", "intline", "geomline", *(f"remark:{k}" for k in range(1, 7))])
