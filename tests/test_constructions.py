@@ -366,15 +366,17 @@ class TestProjection:
             verify_projection(radii_bounded_separated(make_family("uniform", 1), 2))
 
 
-# the exact plans that the tests above build, by name
+# the exact plans that the tests here and in test_acceptance build, by name
 SUITE_PLANS = {
     "uniform:1 x2": lambda: uniform_exact_plan(2),
     "uniform:1 x3": lambda: uniform_exact_plan(3),
     "uniform:1 x4": lambda: uniform_exact_plan(4),
+    "uniform:1 x10": lambda: uniform_exact_plan(10),
     "convline accum": lambda: radii_accumulation(make_family("convline"), 3),
     "star accum": lambda: radii_accumulation(star_family(), 3),
     "intline udelta": lambda: radii_unbounded_delta(make_family("intline"), 3),
-    "geomline udelta": lambda: radii_unbounded_delta(make_family("geomline"), 4),
+    "intline udelta x5": lambda: radii_unbounded_delta(make_family("intline"), 5),
+    "geomline udelta": lambda: radii_unbounded_delta(make_family("geomline"), 5),
     "geo-ultra udelta": lambda: radii_unbounded_delta(unbounded_ultrametric_family(), 3),
     "dendro:7:10": lambda: radii_ultrametric(make_family("dendro", 7, 10), 4),
     "inc-ultra": lambda: radii_ultrametric(increasing_ultrametric_family(), 2),
@@ -382,6 +384,10 @@ SUITE_PLANS = {
     "late-chain:6": lambda: radii_ultrametric(late_chain_family(6), 3),
     "harmonic-caterpillar": lambda: radii_ultrametric(harmonic_caterpillar_family(), 3),
     "uniform halves": lambda: make_plan(make_family("uniform", 1), range(1, 8), [F(1, 2)] * 7),
+    **{
+        f"dendro:{seed}:10": lambda seed=seed: radii_ultrametric(make_family("dendro", seed, 10), 4)
+        for seed in (*range(1, 11), *range(101, 106))
+    },
 }
 
 
