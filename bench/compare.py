@@ -11,8 +11,8 @@ pairs the change won in the direction ``BENCHMARK.json`` calls better.  One
 traced run per side adds the per-layer figures.  ``bench/adversarial.py``
 runs ``ADVERSARIAL_RUNS`` times on each side's sources, alternating in the
 same way, so that drift of the host over the run reaches both sides; its
-output keeps each side's median seconds per entry, and each hash once when
-every run agrees on it (else every run's).
+output keeps each side's runs, median and quartiles of the seconds per
+entry, and each hash once when every run agrees on it (else every run's).
 """
 
 from __future__ import annotations
@@ -50,13 +50,13 @@ def adversarial(checkout: str) -> dict:
 
 
 def merge_runs(runs: list):
-    """One nested result from several: numbers by their median, anything
-    else once if every run agrees, else as the list of runs."""
+    """One nested result from several: timings (floats) by their ``summary``,
+    anything else once if every run agrees, else as the list of runs."""
     first = runs[0]
     if isinstance(first, dict):
         return {key: merge_runs([run[key] for run in runs]) for key in first}
-    if isinstance(first, (int, float)) and not isinstance(first, bool):
-        return statistics.median(runs)
+    if isinstance(first, float):
+        return summary(runs)
     return first if all(run == first for run in runs) else runs
 
 
@@ -65,7 +65,7 @@ def summary(values: list[float]) -> dict:
     return {"runs": values, "q1": q1, "median": statistics.median(values), "q3": q3}
 
 
-def adversarial_medians(sides: dict) -> dict:
+def adversarial_summaries(sides: dict) -> dict:
     runs = {"parent": [], "change": []}
     for p in range(ADVERSARIAL_RUNS):
         order = ("parent", "change") if p % 2 == 0 else ("change", "parent")
@@ -110,7 +110,7 @@ def main() -> None:
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in sides},
         "end_to_end": metrics,
         "traced": {side: run_benchmark(sides[side], args.seed, 1)["metrics"] for side in sides},
-        "adversarial": adversarial_medians(sides),
+        "adversarial": adversarial_summaries(sides),
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(out, handle, indent=1)

@@ -10,8 +10,8 @@ projection onto it.
 
 The radii_* builders execute the selection arguments of the source
 constructions greedily and deterministically: every "there exists an index"
-step takes the smallest admissible family index, scanning at most ``horizon``
-candidates (default 10000).
+step takes the smallest admissible family index, scanning at most ``HORIZON``
+candidates, or every point of a smaller family.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .metric_core import (
 from .norm_engine import free_norm_flow, lip_norm
 from .simplex import solve_lp_max
 
-DEFAULT_HORIZON = 10000
+HORIZON = 10000
 MAX_ADMISSIBILITY_POINTS = 128  # Bellman-Ford on 2N nodes: 0.2 s on catalog families
 MAX_ADMISSIBILITY_LP_POINTS = 64  # the exact LP has N(N-1)/2 separation rows
 ZERO = Fraction(0)
@@ -60,11 +60,11 @@ ONE = Fraction(1)
 class EmbeddingPlan:
     """Subsequence indices and radii of one construction.
 
-    Building a plan fetches each distance between its positions once, into
-    ``dist``, checks the separation inequality on every pair, raising
-    SeparationViolation(m, n) at the first (lexicographic) violated pair,
-    and derives the pair ratios q_n and the exactness flag (every ratio
-    equals 1).
+    A plan has 1..MAX_POINTS points and a string or no case.  Building it
+    fetches each distance between its positions once, into ``dist``, checks
+    the separation inequality on every pair, raising SeparationViolation(m, n)
+    at the first (lexicographic) violated pair, and derives the pair ratios
+    q_n and the exactness flag (every ratio equals 1).
     """
 
     family: MetricFamily
@@ -85,6 +85,10 @@ class EmbeddingPlan:
             raise ValueError("plan indices must be strictly increasing")
         if any(v < 0 for v in self.r):
             raise ValueError("radii must be nonnegative")
+        if len(self.x_idx) > MAX_POINTS:
+            raise ValueError(f"a plan has at most {MAX_POINTS} points")
+        if not isinstance(self.case, (str, type(None))):  # plans are hashed by _plan_space
+            raise ValueError("case must be a string or None")
 
         def separated(m: int, n: int) -> Fraction:
             d = self.family.distance(self.x_idx[m], self.x_idx[n])
@@ -136,15 +140,10 @@ class PlanReport:
     exact: bool
 
 
-def check_plan(plan: EmbeddingPlan, n_points: Optional[int] = None) -> PlanReport:
-    """Report the pair ratios of the plan's first ``n_points`` positions.
-
-    Separation was checked when the plan was built; the exact flag is true
-    when every ratio of the prefix is 1.
-    """
-    N = plan.n_points if n_points is None else min(n_points, plan.n_points)
-    ratios = tuple(enumerate(plan.ratios[: max(N - 1, 0) // 2], 1))
-    return PlanReport(n_points=N, ratios=ratios, exact=all(q == 1 for _, q in ratios))
+def check_plan(plan: EmbeddingPlan) -> PlanReport:
+    """The plan's numbered pair ratios; building the plan checked separation."""
+    ratios = tuple(enumerate(plan.ratios, 1))
+    return PlanReport(n_points=plan.n_points, ratios=ratios, exact=plan.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +227,20 @@ class LinftyReport:
     upper: Fraction  # max |a_k|
 
 
-def verify_linfty_isometry(
-    plan: EmbeddingPlan,
-    partition: IndexPartition,
-    coeffs: Sequence,
-    n_pairs: Optional[int] = None,
-) -> LinftyReport:
-    """Lipschitz norm of sum a_k f_k on the truncation with 2*n_pairs+1 points.
+def verify_linfty_isometry(plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence) -> LinftyReport:
+    """Lipschitz norm of sum a_k f_k on the plan's 2*pair_count+1 pair points.
 
     The norm never exceeds max|a_k| (disjoint supports) and is at least
-    |a_k| * q_n for every pair n of block k inside the truncation, so it
-    converges to max|a_k| exactly as the ratios approach 1.
+    |a_k| * q_n for every pair n of block k inside the plan, so it converges
+    to max|a_k| exactly as the ratios approach 1.  To truncate, pass a prefix plan.
     """
     coeffs = [as_fraction(a) for a in coeffs]
-    pairs = plan.pair_count if n_pairs is None else n_pairs
-    n_points = 2 * pairs + 1
-    if n_points > plan.n_points:
-        raise ValueError("truncation exceeds the plan")
+    n_points = 2 * plan.pair_count + 1
     h = lin_comb_function(plan, partition, coeffs, n_points)
     lip = lip_norm(h, plan.space(n_points))
     lower = max(
         (abs(a) * plan.ratios[m - 1] for a, block in zip(coeffs, partition.blocks) for m in block
-         if m <= pairs),
+         if m <= plan.pair_count),
         default=ZERO,
     )
     upper = max((abs(a) for a in coeffs), default=ZERO)
@@ -358,7 +349,12 @@ def _require_points(family: MetricFamily, needed: int) -> None:
         )
 
 
-def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
+def _scan_limit(family: MetricFamily) -> int:
+    """The last family index a builder scans: HORIZON, or the family's size if smaller."""
+    return HORIZON if family.size is None else min(HORIZON, family.size)
+
+
+def radii_accumulation(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     """Radii for a sequence converging to the family's first point.
 
     If on the scanned prefix every pair satisfies rho(x_m, x_n) =
@@ -388,7 +384,7 @@ def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: int = DEFAUL
     radii = [ZERO]
     cap: Optional[Fraction] = None
     next_i = 2
-    limit = horizon if family.size is None else min(horizon, family.size)
+    limit = _scan_limit(family)
     for _ in range(n_pairs):
         found = None
         i = next_i
@@ -414,12 +410,12 @@ def radii_accumulation(family: MetricFamily, n_pairs: int, horizon: int = DEFAUL
     return make_plan(family, x_idx, radii, case="accum-strict")
 
 
-def _resolve_d_limit(family: MetricFamily, horizon: int) -> Fraction:
+def _resolve_d_limit(family: MetricFamily) -> Fraction:
     """The limit d of the d_k, from metadata or an exact stabilised estimate."""
     if family.d_limit is not None:
         return family.d_limit
     window = 16
-    hi = horizon if family.size is None else min(horizon, family.size)
+    hi = _scan_limit(family)
     if hi < 2 * window + 4:
         raise MetadataRequired(f"{family.label} is too small to estimate limits")
     tail = []
@@ -433,7 +429,7 @@ def _resolve_d_limit(family: MetricFamily, horizon: int) -> Fraction:
     return tail[0]
 
 
-def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
+def radii_bounded_separated(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     """Radii for a bounded uniformly separated family.
 
     Extracts a subsequence whose pairwise distances fall in the shrinking
@@ -444,8 +440,8 @@ def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: int = D
     L = _plan_length(n_pairs)
     if family.bounded is False:
         raise MetadataRequired(f"{family.label} is not bounded")
-    d = _resolve_d_limit(family, horizon)
-    limit = horizon if family.size is None else min(horizon, family.size)
+    d = _resolve_d_limit(family)
+    limit = _scan_limit(family)
 
     chosen: list[int] = []
     for start in range(1, limit + 1):
@@ -471,7 +467,7 @@ def radii_bounded_separated(family: MetricFamily, n_pairs: int, horizon: int = D
     return make_plan(family, chosen, radii, case="bounded")
 
 
-def radii_unbounded(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
+def radii_unbounded(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     """Greedy radii for an unbounded family.
 
     From x_1 (the first family index) and r_1 = 1, each step takes the
@@ -493,8 +489,7 @@ def radii_unbounded(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_H
         if family.first_index_beyond is not None:
             nxt = family.first_index_beyond(last, bound)
         else:
-            limit = horizon if family.size is None else min(horizon, family.size)
-            for i in range(last + 1, limit + 1):
+            for i in range(last + 1, _scan_limit(family) + 1):
                 if family.distance(i, last) > bound:
                     nxt = i
                     break
@@ -505,7 +500,7 @@ def radii_unbounded(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_H
     return make_plan(family, x_idx, radii, case="unbounded")
 
 
-def radii_unbounded_delta(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
+def radii_unbounded_delta(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     """Radii along a marked pairing whose base-point defect grows without bound.
 
     For pair t the defect is delta_t = (rho(x_2t, x_1) + rho(x_2t+1, x_1)
@@ -522,7 +517,7 @@ def radii_unbounded_delta(family: MetricFamily, n_pairs: int, horizon: int = DEF
     t = 1
     pairs_done = 0
     while pairs_done < n_pairs:
-        if t > horizon:
+        if t > HORIZON:
             raise HorizonExhausted("no pair with large enough defect within the horizon")
         i, j = 2 * t, 2 * t + 1
         if family.size is not None and j > family.size:
@@ -712,7 +707,7 @@ def _monotone_chain(table: _DistanceTable, length: int, decreasing: bool) -> Opt
             return stack
 
 
-def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
+def radii_ultrametric(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     """Radii inside an ultrametric family via the bounded trichotomy.
 
     Scans for, in order: a chain with row-constant strictly decreasing
@@ -725,7 +720,7 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT
     searches share one table of the family distances on the scanned prefix.
     """
     L = _plan_length(n_pairs)
-    scan = min(horizon, family.size or horizon, MAX_POINTS)
+    scan = min(family.size or MAX_POINTS, MAX_POINTS)
     probe = truncate(family, min(scan, 40))
     ok, witness = is_ultrametric(probe)
     if not ok:
@@ -1051,9 +1046,10 @@ def plan_to_json(plan: EmbeddingPlan) -> dict:
 def plan_from_json(source) -> EmbeddingPlan:
     """Parse {"family", "x_idx", "r", "case"} from JSON text or a dict.
 
-    Input that is not such an object, an empty plan, indices that are not
-    strictly increasing positive integers and radii that are not nonnegative
-    rationals raise InvalidFamilyParameters; radii that break separation raise
+    Input that is not such an object, a case that is not a string or null, a
+    plan of no or more than MAX_POINTS points, indices that are not strictly
+    increasing positive integers and radii that are not nonnegative rationals
+    raise InvalidFamilyParameters; radii that break separation raise
     SeparationViolation.
     """
     from .space_catalog import parse_family

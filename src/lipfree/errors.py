@@ -78,11 +78,11 @@ class PointOutsideSpace(LipfreeError):
 
 
 class SeparationViolation(LipfreeError):
-    def __init__(self, m: int, n: int, r_sum=None, rho=None):
+    def __init__(self, m: int, n: int, r_sum, rho):
         self.m, self.n = m, n
         self.r_sum, self.rho = r_sum, rho
-        detail = "" if r_sum is None else f": r_{m}+r_{n} = {r_sum} > {rho} = rho(x_{m},x_{n})"
-        super().__init__(f"separation fails at positions ({m}, {n}){detail}")
+        detail = f"r_{m}+r_{n} = {r_sum} > {rho} = rho(x_{m},x_{n})"
+        super().__init__(f"separation fails at positions ({m}, {n}): {detail}")
 
 
 class ExactnessRequired(LipfreeError):

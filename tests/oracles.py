@@ -34,7 +34,6 @@ from lipfree import (
     validate_metric,
 )
 from lipfree.constructions import (
-    DEFAULT_HORIZON,
     ONE,
     ZERO,
     _plan_length,
@@ -348,7 +347,7 @@ def monotone_chain_reference(family: MetricFamily, scan: int, length: int, decre
             cursor[depth] = cand + 1
 
 
-def radii_ultrametric_reference(family: MetricFamily, n_pairs: int, horizon: int = DEFAULT_HORIZON) -> EmbeddingPlan:
+def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     """``radii_ultrametric`` on direct ``family.distance`` calls and the two
     searches above; every other step is the library's.
 
@@ -363,7 +362,7 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int, horizon: int
     (constant case, r_n = d/2).  All three produce exact plans.
     """
     L = _plan_length(n_pairs)
-    scan = min(horizon, family.size or horizon, 512)
+    scan = min(family.size or 512, 512)
     probe = min(scan, 40)
     ok, witness = is_ultrametric(truncate(family, probe))
     if not ok:
@@ -434,14 +433,17 @@ def lin_comb_eval_reference(plan: EmbeddingPlan, partition: IndexPartition, coef
     return total
 
 
-def verify_linfty_reference(plan: EmbeddingPlan, partition: IndexPartition, coeffs,
-                            n_pairs: Optional[int] = None) -> LinftyReport:
+def prefix(plan: EmbeddingPlan, pairs: int) -> EmbeddingPlan:
+    """The plan's first ``pairs`` pairs: its first 2 * pairs + 1 points."""
+    n_points = 2 * pairs + 1
+    return make_plan(plan.family, plan.x_idx[:n_points], plan.r[:n_points], plan.case)
+
+
+def verify_linfty_reference(plan: EmbeddingPlan, partition: IndexPartition, coeffs) -> LinftyReport:
     """``verify_linfty_isometry`` with the function built point by point."""
     coeffs = [as_fraction(a) for a in coeffs]
-    pairs = plan.pair_count if n_pairs is None else n_pairs
+    pairs = plan.pair_count
     n_points = 2 * pairs + 1
-    if n_points > plan.n_points:
-        raise ValueError("truncation exceeds the plan")
     h = LipFunction(values=tuple(lin_comb_eval_reference(plan, partition, coeffs, p)
                                  for p in range(n_points)))
     lip = lip_norm(h, plan.space(n_points))

@@ -9,6 +9,13 @@ from hypothesis import strategies as st
 from lipfree.cli import main
 
 
+# plan files that test_bad_input_never_leaks_a_traceback writes to {tmp}
+BAD_PLAN_FILES = {
+    "601-points.json": {"family": "uniform:1", "x_idx": list(range(1, 602)), "r": ["1/2"] * 601},
+    "list-case.json": {"family": "uniform:1", "x_idx": [1, 2, 3], "r": ["1/2"] * 3, "case": ["x"]},
+}
+
+
 @pytest.fixture
 def run(capsys):
     def invoke(*argv):
@@ -159,6 +166,8 @@ class TestErrors:
              "InvalidFamilyParameters"),
             ('{"family": "uniform:1", "x_idx": [], "r": []}', "InvalidFamilyParameters"),
             ('{"family": "uniform:1", "x_idx": [0], "r": [0]}', "InvalidFamilyParameters"),
+            ('{"family": "uniform:1", "x_idx": [1, 2, 3], "r": [0, 0, 0], "case": {"a": 1}}',
+             "InvalidFamilyParameters"),
             ('{"family": "uniform:1", "x_idx": [1, 2, 3], "r": ["1", "1/2", "1/2"]}',
              "SeparationViolation"),
         ],
@@ -166,7 +175,7 @@ class TestErrors:
             "missing-file", "malformed-json", "not-utf8", "not-an-object", "missing-family",
             "missing-x_idx", "missing-r", "index-not-int", "indices-not-increasing",
             "negative-radius", "radius-not-rational", "radius-zero-denominator",
-            "lengths-differ", "empty", "index-zero", "separation",
+            "lengths-differ", "empty", "index-zero", "case-not-a-string", "separation",
         ],
     )
     def test_bad_plan_file_is_a_named_error(self, run, tmp_path, content, error, n_flag):
@@ -204,6 +213,8 @@ class TestErrors:
             ("construct", "--family", "dendro:1:512", "--N", "1"),
             ("norm", "--space", "dendro:1:2:513:3", "--element", "[]"),
             ("verify", "--family", "dendro:1:1000000:3", "--N", "1", "--coeffs", "[1]"),
+            ("verify", "--plan", "{tmp}/601-points.json", "--coeffs", "[1]"),
+            ("verify", "--plan", "{tmp}/list-case.json", "--coeffs", "[1]"),
         ],
         ids=[
             "two-point-not-rational", "two-point-zero-denominator", "ordering-not-int",
@@ -211,12 +222,14 @@ class TestErrors:
             "negative-pairs", "negative-pairs-unbounded", "unwritable-emit", "unwritable-svg",
             "unwritable-csv", "truncation-too-large", "pairs-too-many", "admissibility-too-large",
             "admissibility-cap-plus-one", "dendro-depth-cap-plus-one", "dendro-leaves-cap-plus-one",
-            "dendro-depth-huge",
+            "dendro-depth-huge", "plan-file-too-long", "plan-case-a-list",
         ],
     )
     def test_bad_input_never_leaks_a_traceback(self, run, tmp_path, argv):
         missing = tmp_path / "missing"
-        code, out, err = run(*(arg.format(missing=missing) for arg in argv))
+        for name, plan in BAD_PLAN_FILES.items():
+            (tmp_path / name).write_text(json.dumps(plan))
+        code, out, err = run(*(arg.format(missing=missing, tmp=tmp_path) for arg in argv))
         assert code == 1
         assert out == ""
         assert err.startswith("InvalidFamilyParameters:")

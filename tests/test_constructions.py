@@ -45,12 +45,13 @@ from lipfree import (
     verify_projection,
 )
 from lipfree import constructions
-from lipfree.constructions import DEFAULT_HORIZON, _DistanceTable, _monotone_chain
+from lipfree.constructions import _DistanceTable, _monotone_chain
 from lipfree.space_catalog import ultrametric_from_codes
 from lipfree.metric_core import truncate
 from oracles import (
     lin_comb_eval_reference,
     monotone_chain_reference,
+    prefix,
     radii_ultrametric_reference,
     rand_fraction,
     random_metric_space,
@@ -166,10 +167,19 @@ class TestCheckPlan:
         assert (info.value.m, info.value.n) == (1, 2)
         assert info.value.r_sum == 2 and info.value.rho == 1
 
-    def test_prefix_argument(self):
-        family = make_family("uniform", 1)
-        plan = make_plan(family, range(1, 8), [F(1, 2)] * 7)
-        assert len(check_plan(plan, 5).ratios) == 2
+    def test_more_than_max_points_is_refused_before_any_fetch(self):
+        asked = []
+        family = dataclasses.replace(
+            make_family("uniform", 1), oracle=lambda i, j: asked.append((i, j)) or F(1)
+        )
+        with pytest.raises(ValueError, match="at most 512 points"):
+            make_plan(family, range(1, 514), [F(1, 2)] * 513)
+        assert asked == []
+
+    @pytest.mark.parametrize("case", [["x"], {"a": 1}, 1])
+    def test_case_is_a_string_or_none(self, case):
+        with pytest.raises(ValueError, match="case must be"):
+            make_plan(make_family("uniform", 1), [1, 2, 3], [0, 0, 0], case)
 
 
 class TestBumpAndBlocks:
@@ -243,14 +253,14 @@ class TestBumpAndBlocks:
 class TestLinftyIsometry:
     def test_zero_coefficients(self):
         plan = uniform_exact_plan(3)
-        report = verify_linfty_isometry(plan, IndexPartition.round_robin(2, 3), [0, 0], 3)
+        report = verify_linfty_isometry(plan, IndexPartition.round_robin(2, 3), [0, 0])
         assert report.lip == 0
 
     def test_uniform_exact_plan_attains_max(self):
         plan = uniform_exact_plan(3)
         part = IndexPartition.round_robin(2, 3)
         for coeffs in ([1, -2], [F(1, 3), F(1, 7)], [-1, -1]):
-            report = verify_linfty_isometry(plan, part, coeffs, 3)
+            report = verify_linfty_isometry(plan, part, coeffs)
             assert report.lip == max(abs(F(a)) for a in coeffs)
             assert report.lower <= report.lip <= report.upper
 
@@ -258,7 +268,7 @@ class TestLinftyIsometry:
         plan = uniform_exact_plan(3)
         part = IndexPartition.round_robin(2, 3)  # blocks {1, 3} and {2}
         for n_pairs in (2, 3):  # both truncations cover each block
-            report = verify_linfty_isometry(plan, part, [F(1, 2), -1], n_pairs)
+            report = verify_linfty_isometry(prefix(plan, n_pairs), part, [F(1, 2), -1])
             assert report.lip == 1
 
     def test_intline_window(self):
@@ -266,7 +276,7 @@ class TestLinftyIsometry:
         part = IndexPartition.round_robin(1, 4)
         previous = F(0)
         for n_pairs in (1, 2, 3, 4):
-            report = verify_linfty_isometry(plan, part, [1], n_pairs)
+            report = verify_linfty_isometry(prefix(plan, n_pairs), part, [1])
             assert 1 - F(1, 2 * n_pairs) <= report.lip <= 1
             assert report.lip >= previous  # non-decreasing in the truncation
             previous = report.lip
@@ -284,7 +294,7 @@ class TestLinftyIsometry:
                 for s2 in (-1, 1):
                     for mag in (F(1), F(3, 7)):
                         coeffs = [s1 * mag, s2 * mag]
-                        report = verify_linfty_isometry(plan, part, coeffs, plan.pair_count)
+                        report = verify_linfty_isometry(plan, part, coeffs)
                         assert report.lip <= max(abs(c) for c in coeffs) <= 1
 
 
@@ -406,11 +416,12 @@ def random_exact_plans(seed: int) -> list[EmbeddingPlan]:
 
 
 def random_linfty_inputs(rng: random.Random, plan: EmbeddingPlan):
-    """A partition of the plan's pairs, one coefficient per block, a truncation."""
+    """A partition of the plan's pairs, one coefficient per block, and a
+    prefix of the plan, which the partition may overrun."""
     k_blocks = rng.randint(1, 3)
     coeffs = [rand_fraction(rng, signed=True) if rng.random() < 0.8 else F(0) for _ in range(k_blocks)]
-    n_pairs = rng.randint(1, plan.pair_count) if plan.pair_count else 0
-    return IndexPartition.round_robin(k_blocks, plan.pair_count), coeffs, n_pairs
+    window = prefix(plan, rng.randint(1, plan.pair_count) if plan.pair_count else 0)
+    return IndexPartition.round_robin(k_blocks, plan.pair_count), coeffs, window
 
 
 class TestSparseRowsAgainstDenseRows:
@@ -424,9 +435,9 @@ class TestSparseRowsAgainstDenseRows:
         assert verify_projection(plan).ok
         rng = random.Random(name)
         for _ in range(4):
-            part, coeffs, n_pairs = random_linfty_inputs(rng, plan)
-            assert verify_linfty_isometry(plan, part, coeffs, n_pairs) == verify_linfty_reference(
-                plan, part, coeffs, n_pairs
+            part, coeffs, window = random_linfty_inputs(rng, plan)
+            assert verify_linfty_isometry(window, part, coeffs) == verify_linfty_reference(
+                window, part, coeffs
             )
 
     @pytest.mark.parametrize("seed", range(6))
@@ -434,9 +445,9 @@ class TestSparseRowsAgainstDenseRows:
         rng = random.Random(seed)
         for plan in random_exact_plans(seed):
             assert verify_projection(plan) == verify_projection_reference(plan), plan.case
-            part, coeffs, n_pairs = random_linfty_inputs(rng, plan)
-            assert verify_linfty_isometry(plan, part, coeffs, n_pairs) == verify_linfty_reference(
-                plan, part, coeffs, n_pairs
+            part, coeffs, window = random_linfty_inputs(rng, plan)
+            assert verify_linfty_isometry(window, part, coeffs) == verify_linfty_reference(
+                window, part, coeffs
             ), plan.case
 
     @pytest.mark.parametrize(
@@ -451,9 +462,9 @@ class TestSparseRowsAgainstDenseRows:
         plan = plan()
         rng = random.Random(plan.family.label)
         for _ in range(6):
-            part, coeffs, n_pairs = random_linfty_inputs(rng, plan)
-            assert verify_linfty_isometry(plan, part, coeffs, n_pairs) == verify_linfty_reference(
-                plan, part, coeffs, n_pairs
+            part, coeffs, window = random_linfty_inputs(rng, plan)
+            assert verify_linfty_isometry(window, part, coeffs) == verify_linfty_reference(
+                window, part, coeffs
             )
 
     @pytest.mark.parametrize("name", ["uniform:1 x3", "dendro:7:10", "convline accum"])
@@ -554,7 +565,7 @@ class TestRadiiBoundedSeparated:
             assert q == 1 - F(1, 4 * n) - F(1, 2 * (2 * n + 1))
 
     def test_remark5_subsequence(self):
-        plan = radii_bounded_separated(make_family("remark", 5), 3, horizon=3000)
+        plan = radii_bounded_separated(make_family("remark", 5), 3)
         assert plan.x_idx == (1, 3, 5, 7, 9, 11, 13)
         report = check_plan(plan)
         for n, q in report.ratios:
@@ -569,17 +580,18 @@ class TestRadiiBoundedSeparated:
     def test_metadata_required_for_small_custom_family(self):
         family = MetricFamily(label="tiny", oracle=lambda i, j: F(1), size=10)
         with pytest.raises(MetadataRequired):
-            radii_bounded_separated(family, 2, horizon=50)
+            radii_bounded_separated(family, 2)
 
     def test_metadata_required_for_oscillating_family(self):
         # distances hop between 7/4 and 9/4: rows never stabilise
         family = MetricFamily(
             label="osc",
             oracle=lambda i, j: F(2) + F((-1) ** j, 4),
+            size=200,
             bounded=True,
         )
         with pytest.raises(MetadataRequired):
-            radii_bounded_separated(family, 2, horizon=200)
+            radii_bounded_separated(family, 2)
 
     def test_metadata_required_for_convergent_line(self):
         # convline declares no limit d and its rows 1/(k-1) - 1/(n-1) never stabilise
@@ -611,7 +623,7 @@ class TestRadiiUnbounded:
 
     def test_uniform_exhausts_horizon(self):
         with pytest.raises(HorizonExhausted):
-            radii_unbounded(make_family("uniform", 1), 1, horizon=300)
+            radii_unbounded(dataclasses.replace(make_family("uniform", 1), size=300), 1)
 
 
 class TestRadiiUnboundedDelta:
@@ -710,28 +722,29 @@ def random_codes_family(seed: int) -> MetricFamily:
     return ultrametric_from_codes(codes, levels, f"codes:{seed}")
 
 
-def _outcome(build, family, n_pairs, horizon):
+def _outcome(build, family, n_pairs):
     """(case, x_idx, r) of the plan, or the error's class and message."""
     try:
-        plan = build(family, n_pairs, horizon)
+        plan = build(family, n_pairs)
     except LipfreeError as exc:
         return type(exc), str(exc)
     return plan.case, plan.x_idx, plan.r
 
 
-# (family, horizon, pair counts): every search stage, every case, budget cuts
-# at scans of 20, 24, 64 and 512, and the greedy extension across 512 leaves
+# (family, scan cut, pair counts): every search stage, every case, budget
+# cuts at scans of 20, 24, 64 and 512, and the greedy extension across 512
+# leaves.  A cut gives the family that many points; None keeps its own size.
 _SWEEP = [
     *((lambda d=d: make_family("uniform", d), 20, range(1, 9)) for d in ("1", "3/2", "2/3", "5/2", "7/3")),
-    (lambda: make_family("uniform", 1), DEFAULT_HORIZON, (3,)),
-    (lambda: make_family("dendro", 1, 3), DEFAULT_HORIZON, (1, 2, 5)),
-    (lambda: make_family("dendro", 2, 5), DEFAULT_HORIZON, (2, 3, 7)),
-    (lambda: make_family("dendro", 7, 10), DEFAULT_HORIZON, (3, 4, 8)),
-    (lambda: make_family("dendro", 3, 9, 512), DEFAULT_HORIZON, (1, 4)),
-    *((lambda seed=seed: random_codes_family(seed), DEFAULT_HORIZON, range(1, 9)) for seed in range(3)),
+    (lambda: make_family("uniform", 1), None, (3,)),
+    (lambda: make_family("dendro", 1, 3), None, (1, 2, 5)),
+    (lambda: make_family("dendro", 2, 5), None, (2, 3, 7)),
+    (lambda: make_family("dendro", 7, 10), None, (3, 4, 8)),
+    (lambda: make_family("dendro", 3, 9, 512), None, (1, 4)),
+    *((lambda seed=seed: random_codes_family(seed), None, range(1, 9)) for seed in range(3)),
     (unbounded_ultrametric_family, 24, range(1, 9)),
     (increasing_ultrametric_family, 24, range(1, 9)),
-    (late_cluster_family, DEFAULT_HORIZON, (1, 4, 6)),
+    (late_cluster_family, None, (1, 4, 6)),
     (harmonic_caterpillar_family, 48, range(1, 9)),
 ]
 
@@ -740,12 +753,12 @@ class TestUltrametricTable:
     """The searches on the fetch-once table against the same searches on
     direct oracle calls (``oracles.radii_ultrametric_reference``)."""
 
-    @pytest.mark.parametrize("make, horizon, pair_counts", _SWEEP)
-    def test_same_plans_and_errors_as_the_reference(self, make, horizon, pair_counts):
-        family = make()
+    @pytest.mark.parametrize("make, cut, pair_counts", _SWEEP)
+    def test_same_plans_and_errors_as_the_reference(self, make, cut, pair_counts):
+        family = make() if cut is None else dataclasses.replace(make(), size=cut)
         for n_pairs in pair_counts:
-            assert _outcome(radii_ultrametric, family, n_pairs, horizon) == _outcome(
-                radii_ultrametric_reference, family, n_pairs, horizon
+            assert _outcome(radii_ultrametric, family, n_pairs) == _outcome(
+                radii_ultrametric_reference, family, n_pairs
             ), (family.label, n_pairs)
 
     @pytest.mark.parametrize(
@@ -778,8 +791,9 @@ class TestUltrametricTable:
             chain = _monotone_chain(table, length, decreasing=True)
             assert chain == monotone_chain_reference(family, scan, length, decreasing=True)
             assert (chain is None) == ends_on_budget
-            assert _outcome(radii_ultrametric, family, n_pairs, scan) == _outcome(
-                radii_ultrametric_reference, family, n_pairs, scan
+            cut = dataclasses.replace(family, size=scan)
+            assert _outcome(radii_ultrametric, cut, n_pairs) == _outcome(
+                radii_ultrametric_reference, cut, n_pairs
             )
 
     @pytest.mark.parametrize(
