@@ -13,6 +13,8 @@ import json
 import sys
 from functools import lru_cache
 
+from . import constructions
+
 # admissibility_lp and free_norm_lp are unused here; perfbench's
 # CROSS_MODULE_BINDINGS still names cli.admissibility_lp and cli.free_norm_lp,
 # until the next benchmark change binds admissibility and free_norm instead
@@ -21,20 +23,23 @@ from .constructions import (  # noqa: F401
     admissibility_lp,
     plan_from_json,
     plan_to_json,
-    radii_accumulation,
-    radii_bounded_separated,
-    radii_ultrametric,
-    radii_unbounded,
-    radii_unbounded_delta,
     verify_l1_isometry,
 )
 from .errors import InvalidFamilyParameters, LipfreeError, outside_input
 from .metric_core import as_fraction, fraction_str, free_element_from_json, read_text
 from .norm_engine import ball_section, free_norm, free_norm_lp, two_point_norm  # noqa: F401
-from .space_catalog import FAMILY_INFO, parse_family, parse_space
+from .space_catalog import CATALOG, parse_family, parse_space
 from .svg import ball_section_csv, render_ball_section
 
-CASES = ("auto", "accum", "bounded", "unbounded", "udelta", "ultra")
+# --case value -> constructions builder, besides "auto".  The builder is looked
+# up on the module at each call, so a wrapper installed there sees the call.
+CASES = {
+    "accum": "radii_accumulation",
+    "bounded": "radii_bounded_separated",
+    "unbounded": "radii_unbounded",
+    "udelta": "radii_unbounded_delta",
+    "ultra": "radii_ultrametric",
+}
 
 
 def _read_arg(value: str) -> str:
@@ -72,14 +77,7 @@ def _construct_plan(family_label: str, case: str, n_pairs: int):
             case = "unbounded"
         else:
             case = "bounded"
-    builder = {
-        "accum": radii_accumulation,
-        "bounded": radii_bounded_separated,
-        "unbounded": radii_unbounded,
-        "udelta": radii_unbounded_delta,
-        "ultra": radii_ultrametric,
-    }[case]
-    return builder(family, n_pairs)
+    return getattr(constructions, CASES[case])(family, n_pairs)
 
 
 def _cmd_norm(args) -> None:
@@ -160,7 +158,7 @@ def _cmd_admissibility(args) -> None:
 
 def _cmd_spaces(args) -> None:
     if args.action == "list":
-        _emit(FAMILY_INFO)
+        _emit([{"id": i, "params": e.params, "exercises": e.exercises} for i, e in CATALOG.items()])
 
 
 @lru_cache(maxsize=1)
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build an embedding plan")
     p.add_argument("--family", required=True)
-    p.add_argument("--case", choices=CASES, default="auto")
+    p.add_argument("--case", choices=("auto", *CASES), default="auto")
     p.add_argument("--N", type=int, required=True, help="number of pairs")
     p.add_argument("--emit", help="write the plan JSON to this path")
     p.set_defaults(func=_cmd_construct)
@@ -201,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a plan and evaluate the l1 norm identity")
     p.add_argument("--plan", help="plan JSON path")
     p.add_argument("--family", help="alternatively, construct the plan first")
-    p.add_argument("--case", choices=CASES, default="auto")
+    p.add_argument("--case", choices=("auto", *CASES), default="auto")
     p.add_argument("--N", type=int, help="number of pairs (with --family)")
     p.add_argument("--coeffs", required=True, help="JSON list of rationals, or @file")
     p.set_defaults(func=_cmd_verify)

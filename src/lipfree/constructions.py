@@ -34,6 +34,7 @@ from .errors import (
     outside_input,
 )
 from .metric_core import (
+    FLOAT_TOLERANCE,
     MAX_POINTS,
     FiniteMetricSpace,
     FreeElement,
@@ -123,7 +124,8 @@ class EmbeddingPlan:
 
 @lru_cache(maxsize=256)
 def _plan_space(plan: EmbeddingPlan, n_points: int) -> FiniteMetricSpace:
-    return validate_metric([row[:n_points] for row in plan.dist[:n_points]])
+    tolerance = FLOAT_TOLERANCE if plan.family.approximate else None
+    return validate_metric([row[:n_points] for row in plan.dist[:n_points]], tolerance)
 
 
 def make_plan(family: MetricFamily, x_idx, r, case: Optional[str] = None) -> EmbeddingPlan:

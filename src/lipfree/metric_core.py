@@ -99,7 +99,7 @@ def _integer_matrix(mat, tol: Fraction = Fraction(0)):
     return [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0], slack
 
 
-def validate_metric(dist, tolerance: Optional[float] = None) -> FiniteMetricSpace:
+def validate_metric(dist, tolerance: Optional[Fraction] = None) -> FiniteMetricSpace:
     """Check the metric axioms and return the validated space.
 
     Raises the first violated axiom with its witness indices, scanning
@@ -184,6 +184,7 @@ class MetricFamily:
     converges_to_base: bool = False  # rho(x_n, x_1) -> 0
     delta_unbounded: bool = False  # pairing (2t, 2t+1) has delta_t -> infinity
     ultrametric: bool = False
+    approximate: bool = False  # from float file input: validated with FLOAT_TOLERANCE
     # smallest index i > center with rho(i, center) > radius, or None
     first_index_beyond: Optional[Callable[[int, Fraction], Optional[int]]] = None
 
@@ -217,7 +218,8 @@ def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
         raise InvalidFamilyParameters(
             f"family {family.label} has only {family.size} points"
         )
-    return validate_metric(distance_matrix(lambda i, j: family.distance(i + 1, j + 1), N))
+    mat = distance_matrix(lambda i, j: family.distance(i + 1, j + 1), N)
+    return validate_metric(mat, FLOAT_TOLERANCE if family.approximate else None)
 
 
 def _line_certificate(rows) -> bool:
@@ -417,8 +419,7 @@ def load_space(source) -> FiniteMetricSpace:
     has_float = any(
         isinstance(v, float) and not float(v).is_integer() for row in dist for v in row
     )
-    tolerance = float(FLOAT_TOLERANCE) if has_float else None
-    return validate_metric(dist, tolerance=tolerance)
+    return validate_metric(dist, FLOAT_TOLERANCE if has_float else None)
 
 
 def free_element_to_json(element: FreeElement) -> list:

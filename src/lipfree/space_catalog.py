@@ -1,6 +1,6 @@
 """Generators for the catalog metric families and randomized test families.
 
-Catalog ids (CLI spellings):
+Catalog ids (CLI spellings; ``CATALOG`` maps each id to its builder):
 
 * ``uniform:d``   all pairwise distances equal d
 * ``convline``    0, 1, 1/2, 1/3, ... on the real line (accumulation at the base)
@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import EmptyLevels, InvalidFamilyParameters, outside_input
 from .metric_core import (
@@ -268,40 +268,57 @@ def family_from_space(space: FiniteMetricSpace, label: str = "custom") -> Metric
         size=space.n,
         bounded=True,
         ultrametric=ultra,
+        approximate=space.approximate,
     )
 
 
-def make_family(family_id: str, *params) -> MetricFamily:
-    """Build a catalog family by id; raises InvalidFamilyParameters otherwise.
+def file_family(path: str) -> MetricFamily:
+    return family_from_space(load_space(read_text(path)), label=f"file:{path}")
 
-    The ``custom`` family takes the path of a JSON space file.
+
+class CatalogEntry(NamedTuple):
+    build: Callable[..., MetricFamily]
+    params: str
+    exercises: str
+
+
+# family id -> its builder, and the texts ``lipfree spaces list`` prints
+CATALOG = {
+    "uniform": CatalogEntry(
+        uniform, "d: positive rational", "bounded uniformly separated case; ultrametric constant case"
+    ),
+    "convline": CatalogEntry(convergent_line, "none", "accumulation-point case (strict subcase)"),
+    "intline": CatalogEntry(integer_line, "none", "unbounded greedy case; unbounded-delta pairing"),
+    "geomline": CatalogEntry(
+        geometric_line, "none", "unbounded greedy case with fast growth; unbounded-delta pairing"
+    ),
+    "remark": CatalogEntry(remark, "k: 1..6", "admissibility probes: spaces without exact radii"),
+    "dendro": CatalogEntry(
+        dendrogram,
+        "seed: int, depth: int, leaves: int (optional)",
+        "ultrametric subsequence extraction and exact l1 plans",
+    ),
+    "file": CatalogEntry(file_family, "path to JSON {n, dist}", "custom finite spaces"),
+}
+
+
+def make_family(family_id: str, *params) -> MetricFamily:
+    """Build the CATALOG family ``family_id`` from its parameters.
+
+    An unknown id, a wrong number of parameters or a malformed one raises
+    InvalidFamilyParameters.
     """
+    if family_id not in CATALOG:
+        raise InvalidFamilyParameters(f"unknown family id {family_id!r}")
     with outside_input(f"parameters for {family_id}"):
-        if family_id == "uniform":
-            (d,) = params
-            return uniform(d)
-        if family_id == "convline":
-            return convergent_line()
-        if family_id == "intline":
-            return integer_line()
-        if family_id == "geomline":
-            return geometric_line()
-        if family_id == "remark":
-            (which,) = params
-            return remark(which)
-        if family_id == "dendro":
-            return dendrogram(*params)
-        if family_id == "custom":
-            (path,) = params
-            return family_from_space(load_space(read_text(path)), label=f"file:{path}")
-    raise InvalidFamilyParameters(f"unknown family id {family_id!r}")
+        return CATALOG[family_id].build(*params)
 
 
 def parse_family(label: str) -> MetricFamily:
     """Family shorthand: ``uniform:1``, ``remark:2``, ``dendro:7:10``, ``file:path``."""
     parts = label.split(":")
     if parts[0] == "file":
-        return make_family("custom", ":".join(parts[1:]))
+        return make_family("file", ":".join(parts[1:]))
     return make_family(parts[0], *parts[1:])
 
 
@@ -318,41 +335,3 @@ def parse_space(label: str):
         n = int(parts[-1])
     return truncate(family, n)
 
-
-FAMILY_INFO = [
-    {
-        "id": "uniform",
-        "params": "d: positive rational",
-        "exercises": "bounded uniformly separated case; ultrametric constant case",
-    },
-    {
-        "id": "convline",
-        "params": "none",
-        "exercises": "accumulation-point case (strict subcase)",
-    },
-    {
-        "id": "intline",
-        "params": "none",
-        "exercises": "unbounded greedy case; unbounded-delta pairing",
-    },
-    {
-        "id": "geomline",
-        "params": "none",
-        "exercises": "unbounded greedy case with fast growth; unbounded-delta pairing",
-    },
-    {
-        "id": "remark",
-        "params": "k: 1..6",
-        "exercises": "admissibility probes: spaces without exact radii",
-    },
-    {
-        "id": "dendro",
-        "params": "seed: int, depth: int, leaves: int (optional)",
-        "exercises": "ultrametric subsequence extraction and exact l1 plans",
-    },
-    {
-        "id": "file",
-        "params": "path to JSON {n, dist}",
-        "exercises": "custom finite spaces",
-    },
-]

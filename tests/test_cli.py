@@ -70,6 +70,18 @@ class TestErrors:
         assert code == 1
         assert err.startswith("TriangleViolation:")
 
+    def test_float_file_family_is_checked_as_approximate(self, run, tmp_path):
+        # the float line breaks a triangle by ~1e-17: norm accepts it as approximate,
+        # and construct reaches the ultrametric test instead of a TriangleViolation
+        xs = [0.0, 0.1, 0.3, 0.6, 1.0, 1.7]
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"dist": [[abs(a - b) for b in xs] for a in xs]}))
+        code, _, _ = run("norm", "--space", f"file:{path}", "--element", '[{"point":5,"coef":"1"}]')
+        assert code == 0
+        code, out, err = run("construct", "--family", f"file:{path}", "--case", "ultra", "--N", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("NotUltrametric:")
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -215,6 +227,13 @@ class TestErrors:
             ("verify", "--family", "dendro:1:1000000:3", "--N", "1", "--coeffs", "[1]"),
             ("verify", "--plan", "{tmp}/601-points.json", "--coeffs", "[1]"),
             ("verify", "--plan", "{tmp}/list-case.json", "--coeffs", "[1]"),
+            # parameters the family does not take
+            ("norm", "--space", "convline:3:6", "--element", "[]"),
+            ("norm", "--space", "intline:zz:yy:5", "--element", "[]"),
+            ("norm", "--space", "geomline:7:5", "--element", "[]"),
+            ("construct", "--family", "convline:3", "--N", "2"),
+            ("construct", "--family", "intline:zz:yy", "--N", "2"),
+            ("construct", "--family", "geomline:7", "--N", "2"),
         ],
         ids=[
             "two-point-not-rational", "two-point-zero-denominator", "ordering-not-int",
@@ -223,6 +242,8 @@ class TestErrors:
             "unwritable-csv", "truncation-too-large", "pairs-too-many", "admissibility-too-large",
             "admissibility-cap-plus-one", "dendro-depth-cap-plus-one", "dendro-leaves-cap-plus-one",
             "dendro-depth-huge", "plan-file-too-long", "plan-case-a-list",
+            "convline-space-extra", "intline-space-extra", "geomline-space-extra",
+            "convline-family-extra", "intline-family-extra", "geomline-family-extra",
         ],
     )
     def test_bad_input_never_leaks_a_traceback(self, run, tmp_path, argv):
@@ -257,8 +278,21 @@ class TestSpaces:
     def test_list_is_json_with_all_ids(self, run):
         code, out, _ = run("spaces", "list")
         assert code == 0
-        ids = {entry["id"] for entry in json.loads(out)}
-        assert ids == {"uniform", "convline", "intline", "geomline", "remark", "dendro", "file"}
+        assert json.loads(out) == [
+            {"id": "uniform", "params": "d: positive rational",
+             "exercises": "bounded uniformly separated case; ultrametric constant case"},
+            {"id": "convline", "params": "none",
+             "exercises": "accumulation-point case (strict subcase)"},
+            {"id": "intline", "params": "none",
+             "exercises": "unbounded greedy case; unbounded-delta pairing"},
+            {"id": "geomline", "params": "none",
+             "exercises": "unbounded greedy case with fast growth; unbounded-delta pairing"},
+            {"id": "remark", "params": "k: 1..6",
+             "exercises": "admissibility probes: spaces without exact radii"},
+            {"id": "dendro", "params": "seed: int, depth: int, leaves: int (optional)",
+             "exercises": "ultrametric subsequence extraction and exact l1 plans"},
+            {"id": "file", "params": "path to JSON {n, dist}", "exercises": "custom finite spaces"},
+        ]
 
 
 class TestConstructVerifyRoundTrip:

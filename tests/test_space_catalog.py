@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 from itertools import combinations, count
@@ -8,11 +9,14 @@ from lipfree import (
     DendrogramSpec,
     EmptyLevels,
     InvalidFamilyParameters,
+    NotUltrametric,
     dendrogram_ultrametric,
     is_ultrametric,
     make_family,
+    make_plan,
     parse_family,
     parse_space,
+    radii_ultrametric,
     truncate,
     ultrametric_from_codes,
 )
@@ -78,6 +82,25 @@ class TestMakeFamily:
     def test_bad_remark(self):
         with pytest.raises(InvalidFamilyParameters):
             make_family("remark", 7)
+
+    @pytest.mark.parametrize(
+        "family_id, params",
+        [("convline", ("3",)), ("intline", ("zz", "yy")), ("geomline", ("7",)),
+         ("uniform", ()), ("remark", (1, 2)), ("dendro", (1, 2, 64, 5)), ("file", ())],
+    )
+    def test_parameters_the_family_does_not_take(self, family_id, params):
+        with pytest.raises(InvalidFamilyParameters):
+            make_family(family_id, *params)
+
+    def test_file_family_is_spelled_file(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"dist": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}))
+        family = make_family("file", str(path))
+        assert family.label == f"file:{path}"
+        assert family.size == 3 and family.distance(1, 3) == 2
+        assert parse_family(f"file:{path}").label == family.label
+        with pytest.raises(InvalidFamilyParameters, match="unknown family id"):
+            make_family("custom", str(path))
 
     @pytest.mark.parametrize("label", ALL_FAMILY_LABELS)
     def test_catalog_truncations_validate_to_64(self, label):
@@ -152,6 +175,19 @@ class TestDendrogram:
         ):
             with pytest.raises(InvalidFamilyParameters):
                 parse_family(label)
+
+
+def test_float_file_family_is_validated_with_the_tolerance(tmp_path):
+    # float differences break the triangle (0, 1, 5) by ~1e-17, inside FLOAT_TOLERANCE
+    xs = [0.0, 0.1, 0.3, 0.6, 1.0, 1.7]
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"dist": [[abs(a - b) for b in xs] for a in xs]}))
+    family = make_family("file", str(path))
+    assert family.approximate
+    assert truncate(family, 6).approximate
+    assert make_plan(family, range(1, 7), [0] * 6).space().approximate
+    with pytest.raises(NotUltrametric):
+        radii_ultrametric(family, 1)
 
 
 def test_geomline_refuses_indices_past_the_cap():
