@@ -216,7 +216,7 @@ def main() -> None:
             out[f"n={n}"]["free_norm_sha256"] = digest(value)
         if n not in ADMISSIBILITY_SIZES:
             continue
-        family = family_from_space(space)
+        family = family_from_space(space, f"adversarial:{n}")
         for name, probe, sizes in (
             ("admissibility", admissibility, ADMISSIBILITY_SIZES),
             ("admissibility_lp", admissibility_lp, ADMISSIBILITY_LP_SIZES),

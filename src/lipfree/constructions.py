@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import ceil
 from typing import Optional, Sequence
 
 from .errors import (
@@ -43,6 +43,7 @@ from .metric_core import (
     as_fraction,
     distance_matrix,
     fraction_str,
+    integer_scale,
     is_ultrametric,
     truncate,
     validate_metric,
@@ -122,7 +123,7 @@ class EmbeddingPlan:
         return _plan_space(self, n_points or self.n_points)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2)  # one plan's verifiers; each entry keeps its plan alive
 def _plan_space(plan: EmbeddingPlan, n_points: int) -> FiniteMetricSpace:
     tolerance = FLOAT_TOLERANCE if plan.family.approximate else None
     return validate_metric([row[:n_points] for row in plan.dist[:n_points]], tolerance)
@@ -590,15 +591,10 @@ class _DistanceTable:
 
     def ints(self, i: int) -> tuple[int, list]:
         """The row's lcm L and its values times L."""
-        found = self._ints.get(i)
-        if found is None:
-            values = self.values(i)[i + 1 :]
-            denominators = {v.denominator for v in values}
-            scale = lcm(*denominators)
-            factor = {q: scale // q for q in denominators}
-            ints = [None] * (i + 1) + [v.numerator * factor[v.denominator] for v in values]
-            found = self._ints[i] = (scale, ints)
-        return found
+        if i not in self._ints:
+            ints, scale = integer_scale(self.values(i)[i + 1 :])
+            self._ints[i] = (scale, [None] * (i + 1) + ints)
+        return self._ints[i]
 
 
 def _uniform_clique(table: _DistanceTable, length: int) -> Optional[list[int]]:
@@ -973,8 +969,8 @@ def admissibility(
     if N < 3:
         return AdmissibilityResult(tau=None, radii=None, no_pair_slots=True)
     rho = distance_matrix(lambda i, j: family.distance(order[i], order[j]), N)
-    scale = lcm(*(v.denominator for row in rho for v in row))
-    w = [[v.numerator * (scale // v.denominator) for v in row] for row in rho]
+    flat, scale = integer_scale([v for row in rho for v in row])
+    w = [flat[i : i + N] for i in range(0, N * N, N)]
     partner = [None] * N  # 0-based positions 2n - 1 and 2n form slot n
     for n in range(1, (N - 1) // 2 + 1):
         partner[2 * n - 1], partner[2 * n] = 2 * n, 2 * n - 1

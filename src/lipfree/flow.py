@@ -18,8 +18,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
+
+from .metric_core import integer_scale
 
 MAX_AUGMENTATIONS = 100000
 
@@ -39,11 +40,6 @@ class Transport:
     potentials: tuple[Fraction, ...]
 
 
-def _scale(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def min_cost_transport(
     supplies: Sequence[Fraction],
     demands: Sequence[Fraction],
@@ -55,7 +51,7 @@ def min_cost_transport(
     must equal total demand; both must be positive entrywise.
     """
     k, l = len(supplies), len(demands)
-    masses, mass_scale = _scale([Fraction(v) for v in (*supplies, *demands)])
+    masses, mass_scale = integer_scale([Fraction(v) for v in (*supplies, *demands)])
     total = sum(masses[:k])
     if total != sum(masses[k:]):
         raise ValueError("supplies and demands must balance")
@@ -66,7 +62,7 @@ def min_cost_transport(
     costs = [Fraction(cost(i, j)) for i in range(k) for j in range(l)]
     if any(c < 0 for c in costs):
         raise ValueError("costs must be nonnegative")
-    costs, cost_scale = _scale(costs)
+    costs, cost_scale = integer_scale(costs)
 
     source = k + l
     sink = k + l + 1

@@ -23,6 +23,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, compress
@@ -45,17 +46,21 @@ MAX_POINTS = 512  # truncation cap: the O(n^3) scan of a space that no
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce ints, 'p/q' strings, Fractions and floats to an exact Fraction."""
+    """Coerce ints, 'p/q' strings, Fractions and floats to an exact Fraction.
+
+    A string's exponent above Python's integer-string digit limit raises
+    ValueError: it would build an integer of that many digits."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)  # exact binary value of the float
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        exponent = value.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "")
+        limit = sys.get_int_max_str_digits()
+        if limit and exponent.isdecimal() and int(exponent) > limit:
+            raise ValueError(f"exponent of {value[:40]!r} exceeds {limit}")
+    if isinstance(value, (int, str, float)):
+        return Fraction(value)  # a float gives its exact binary value
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -74,6 +79,14 @@ class FiniteMetricSpace:
     @property
     def n(self) -> int:
         return len(self.dist)
+
+
+def integer_scale(values: Sequence) -> tuple[list[int], int]:
+    """``values`` (ints or Fractions) times the lcm of their denominators, and that lcm."""
+    denominators = {v.denominator for v in values}
+    scale = lcm(*denominators)
+    factor = {d: scale // d for d in denominators}
+    return [v.numerator * factor[v.denominator] for v in values], scale
 
 
 _SCAN_BITS = 256

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
+
+from .metric_core import integer_scale
 
 MAX_PIVOTS = 20000
 
@@ -22,18 +23,6 @@ MAX_PIVOTS = 20000
 class LPSolution:
     value: Fraction
     x: tuple[Fraction, ...]
-
-
-def _integer_row(values) -> list[int]:
-    # ints and Fractions both expose numerator/denominator; scale by the lcm
-    scale = 1
-    for v in values:
-        d = v.denominator
-        if d != 1:
-            scale = lcm(scale, d)
-    if scale == 1:
-        return [v.numerator for v in values]
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve_lp_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LPSolution:
@@ -47,9 +36,8 @@ def solve_lp_max(c: Sequence, rows: Sequence[Sequence], rhs: Sequence) -> LPSolu
     for row, b in zip(rows, rhs):
         if len(row) != n:
             raise ValueError("constraint row length mismatch")
-        tableau.append(_integer_row([*row, b]))
-    obj_scale = lcm(*(v.denominator for v in c)) if c else 1
-    obj = [v.numerator * (obj_scale // v.denominator) for v in c]
+        tableau.append(integer_scale([*row, b])[0])
+    obj, obj_scale = integer_scale(c)
 
     width = n + m + 1
     for i, row in enumerate(tableau):

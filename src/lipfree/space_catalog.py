@@ -259,8 +259,11 @@ def dendrogram(seed, depth, leaf_count=None) -> MetricFamily:
     return dendrogram_ultrametric(spec)
 
 
-def family_from_space(space: FiniteMetricSpace, label: str = "custom") -> MetricFamily:
-    """Wrap a validated finite space as a (finite) family; point i maps to index i+1."""
+def family_from_space(space: FiniteMetricSpace, label: str) -> MetricFamily:
+    """Wrap a validated finite space as a (finite) family; point i maps to index i+1.
+
+    A plan on the family reads back by ``plan_from_json`` only when ``label``
+    is a catalog or ``file:`` label that rebuilds it."""
     ultra, _ = is_ultrametric(space)
     return MetricFamily(
         label=label,

@@ -1,18 +1,27 @@
 import contextlib
 import io
 import json
+import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lipfree import make_family, plan_from_json
 from lipfree.cli import main
 
+# an exponent one above the integer-string digit limit
+EXPONENT = sys.get_int_max_str_digits() + 1
 
-# plan files that test_bad_input_never_leaks_a_traceback writes to {tmp}
-BAD_PLAN_FILES = {
+# files that test_bad_input_never_leaks_a_traceback writes to {tmp}
+BAD_FILES = {
     "601-points.json": {"family": "uniform:1", "x_idx": list(range(1, 602)), "r": ["1/2"] * 601},
     "list-case.json": {"family": "uniform:1", "x_idx": [1, 2, 3], "r": ["1/2"] * 3, "case": ["x"]},
+    "exponent-radius.json": {
+        "family": "uniform:1", "x_idx": [1, 2, 3], "r": [f"1e-{EXPONENT}"] * 3,
+    },
+    "exponent-space.json": {"dist": [[0, f"1e{EXPONENT}"], [f"1e{EXPONENT}", 0]]},
 }
 
 
@@ -234,6 +243,14 @@ class TestErrors:
             ("construct", "--family", "convline:3", "--N", "2"),
             ("construct", "--family", "intline:zz:yy", "--N", "2"),
             ("construct", "--family", "geomline:7", "--N", "2"),
+            # exponents past the integer-string digit limit
+            ("two-point", "--a", "1e{exponent}", "--b", "1", "--dx0", "1", "--dy0", "1",
+             "--dxy", "1"),
+            ("norm", "--space", "uniform:1:3",
+             "--element", '[{{"point": 1, "coef": "1e{exponent}"}}]'),
+            ("verify", "--family", "uniform:1", "--N", "1", "--coeffs", '["1e-{exponent}"]'),
+            ("norm", "--space", "file:{tmp}/exponent-space.json", "--element", "[]"),
+            ("verify", "--plan", "{tmp}/exponent-radius.json", "--coeffs", "[1]"),
         ],
         ids=[
             "two-point-not-rational", "two-point-zero-denominator", "ordering-not-int",
@@ -244,13 +261,17 @@ class TestErrors:
             "dendro-depth-huge", "plan-file-too-long", "plan-case-a-list",
             "convline-space-extra", "intline-space-extra", "geomline-space-extra",
             "convline-family-extra", "intline-family-extra", "geomline-family-extra",
+            "exponent-two-point", "exponent-coef", "exponent-coeffs", "exponent-file-space",
+            "exponent-plan-radius",
         ],
     )
     def test_bad_input_never_leaks_a_traceback(self, run, tmp_path, argv):
         missing = tmp_path / "missing"
-        for name, plan in BAD_PLAN_FILES.items():
-            (tmp_path / name).write_text(json.dumps(plan))
-        code, out, err = run(*(arg.format(missing=missing, tmp=tmp_path) for arg in argv))
+        for name, content in BAD_FILES.items():
+            (tmp_path / name).write_text(json.dumps(content))
+        code, out, err = run(
+            *(arg.format(missing=missing, tmp=tmp_path, exponent=EXPONENT) for arg in argv)
+        )
         assert code == 1
         assert out == ""
         assert err.startswith("InvalidFamilyParameters:")
@@ -325,6 +346,35 @@ class TestConstructVerifyRoundTrip:
         obj = json.loads(out)
         assert obj["x_idx"] == [1, 3, 10]
         assert obj["r"] == ["1", "1", "4"]
+
+    def test_auto_scans_for_the_unbounded_indices(self, run):
+        # remark:1 has no first_index_beyond, so radii_unbounded scans the indices
+        code, out, _ = run("construct", "--family", "remark:1", "--N", "3")
+        assert code == 0
+        plan = plan_from_json(out)
+        assert plan.case == "unbounded"
+        assert all(q > 1 - F(1, 2 * n) for n, q in enumerate(plan.ratios, 1))
+
+    def test_bounded_case_estimates_the_limit(self, run):
+        family = make_family("dendro", 1, 4)
+        assert family.d_limit is None  # so the limit comes from the last leaves
+        code, out, _ = run("construct", "--family", "dendro:1:4", "--case", "bounded", "--N", "2")
+        assert code == 0
+        d = family.distance(63, 64)
+        assert json.loads(out)["r"] == [str(d / 2 * (1 - F(1, n))) for n in range(1, 6)]
+
+    @pytest.mark.parametrize(
+        "family, case, n_pairs, error",
+        [
+            ("convline", "accum", "16", "HorizonExhausted"),
+            ("intline", "udelta", "16", "HorizonExhausted"),
+            ("intline", "bounded", "2", "MetadataRequired"),
+        ],
+    )
+    def test_builder_failure_is_a_named_error(self, run, family, case, n_pairs, error):
+        code, out, err = run("construct", "--family", family, "--case", case, "--N", n_pairs)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{error}:")
 
     def test_dendro_plan_round_trip(self, run, tmp_path):
         plan_path = tmp_path / "plan.json"

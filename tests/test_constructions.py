@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
+import gc
 import itertools
 import json
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction as F
 
@@ -46,7 +48,7 @@ from lipfree import (
 )
 from lipfree import constructions
 from lipfree.constructions import _DistanceTable, _monotone_chain
-from lipfree.space_catalog import ultrametric_from_codes
+from lipfree.space_catalog import family_from_space, ultrametric_from_codes
 from lipfree.metric_core import truncate
 from oracles import (
     lin_comb_eval_reference,
@@ -1027,6 +1029,26 @@ class TestPlanSerialization:
         obj = plan_to_json(plan)
         obj["exact"] = False  # stored flag is not trusted
         assert plan_from_json(obj).exact
+
+    def test_space_family_reads_back_under_a_catalog_label(self):
+        space = truncate(make_family("uniform", 1), 5)
+        with pytest.raises(TypeError):
+            family_from_space(space)  # no default label, which would be no catalog id
+        plan = radii_ultrametric(family_from_space(space, "uniform:1"), 2)
+        restored = plan_from_json(json.dumps(plan_to_json(plan)))
+        assert (restored.x_idx, restored.r) == (plan.x_idx, plan.r)
+
+
+def test_plan_space_cache_lets_dropped_plans_go():
+    family = make_family("uniform", 1)
+    refs = []
+    for n in range(3, 11):
+        plan = make_plan(family, range(1, n + 1), [0] * n)
+        plan.space()
+        refs.append(weakref.ref(plan))
+    del plan
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) <= 2
 
 
 class TestLipFunctionsFromPlans:

@@ -1,6 +1,8 @@
 import json
 import random
+import sys
 from itertools import combinations
+from math import lcm
 from fractions import Fraction as F
 
 import pytest
@@ -28,6 +30,8 @@ from lipfree.metric_core import (
     _line_certificate,
     _neighbour_certificate,
     _prim_certificate,
+    as_fraction,
+    integer_scale,
 )
 from oracles import dendrogram_lca_bruteforce, triangle_scan, ultrametric_scan
 
@@ -163,6 +167,39 @@ class TestIntegerKernelParity:
         ok, witness = is_ultrametric(FiniteMetricSpace(dist=tuple(map(tuple, d))))
         assert witness == ultrametric_scan(d)
         assert ok == (witness is None)
+
+
+class TestIntegerScale:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_values_times_the_lcm(self, seed):
+        rng = random.Random(seed)
+        values = [
+            rng.choice([rng.randint(-50, 50), F(rng.randint(-50, 50), rng.randint(1, 40))])
+            for _ in range(rng.randint(1, 30))
+        ]
+        ints, scale = integer_scale(values)
+        assert scale == lcm(*(F(v).denominator for v in values))
+        assert all(type(i) is int for i in ints)
+        assert ints == [v * scale for v in values]
+
+    def test_ints_and_empty_input(self):
+        assert integer_scale([3, -4, 0]) == ([3, -4, 0], 1)
+        assert integer_scale([]) == ([], 1)
+
+
+class TestExponentLimit:
+    """An exponent above the integer-string digit limit is refused before
+    Fraction builds an integer of that many digits."""
+
+    @pytest.mark.parametrize("text", ["1e{}", "2.5E-{}", " -1e+{} ", "1e{}0000", "1e{}_0"])
+    def test_refused_above_the_limit(self, text):
+        with pytest.raises(ValueError, match="exponent"):
+            as_fraction(text.format(sys.get_int_max_str_digits() + 1))
+
+    def test_accepted_at_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert as_fraction(f"1e-{limit}") == F(1, 10**limit)
+        assert as_fraction("15e-1") == F(3, 2)
 
 
 class TestRoundedScans:
