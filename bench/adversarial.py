@@ -37,6 +37,12 @@ have a common denominator past 256 bits), and ``validate_metric``
 and ``is_ultrametric`` on the shallow-first prime-level caterpillar of
 ``PRIME_LEVEL_POINTS`` points.  Each entry has a hash of the space or verdict.
 
+The ``load_space`` entry times ``load_space`` on the JSON text of a seeded
+weights matrix at each size in ``LOAD_SIZES``: every entry above the
+diagonal is 1 + a/d with 1 <= d <= 8 as a 'p/q' string, so a few dozen
+distinct strings fill the matrix, and the nearest-neighbour certificate
+accepts it without the triangle scan.  Each entry has a hash of the space.
+
 The ``projection`` entry times the two verifiers of the exact
 ``radii_ultrametric`` plan of ``uniform:1`` at each pair count in
 ``PROJECTION_PAIRS``: ``verify_projection`` and ``verify_linfty_isometry``
@@ -62,6 +68,7 @@ from lipfree import (
     admissibility_lp,
     free_norm_flow,
     is_ultrametric,
+    load_space,
     parse_family,
     radii_ultrametric,
     truncate,
@@ -87,6 +94,7 @@ PRIME_LEVEL_POINTS = 256
 PRIME_LEVEL_PAIRS = (4, 20)
 TRUNCATIONS = (("convline", 180), ("convline", 256), ("dendro:11:30:512", 512),
                ("remark:3", 128), ("remark:3", 512))
+LOAD_SIZES = (24, 256)
 PROJECTION_PAIRS = (15, 63, 127)
 LINFTY_COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 
@@ -169,6 +177,26 @@ def truncation_timings() -> dict:
     return out
 
 
+def weights_text(n: int) -> str:
+    """JSON text of an n-point matrix with entries 1 + a/d in [1, 2], seeded by n."""
+    rng = random.Random(n)
+    dist = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = rng.randint(1, 8)
+            dist[i][j] = dist[j][i] = str(1 + Fraction(rng.randint(0, d), d))
+    return json.dumps({"n": n, "dist": dist})
+
+
+def load_space_timings() -> dict:
+    out = {}
+    for n in LOAD_SIZES:
+        text = weights_text(n)
+        seconds, space = timed(lambda: load_space(text))
+        out[f"load_space weights n={n}"] = {"s": seconds, "sha256": digest(space.dist)}
+    return out
+
+
 def projection_timings() -> dict:
     out = {}
     for n_pairs in PROJECTION_PAIRS:
@@ -226,7 +254,8 @@ def main() -> None:
                 out[f"n={n}"][f"{name}_s"] = seconds
                 out[f"n={n}"][f"{name}_tau_sha256"] = digest(result.tau)
     print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings(),
-                      "truncation": truncation_timings(), "projection": projection_timings()}))
+                      "truncation": truncation_timings(), "load_space": load_space_timings(),
+                      "projection": projection_timings()}))
 
 
 if __name__ == "__main__":

@@ -63,6 +63,10 @@ class InvalidTriple(LipfreeError):
     pass
 
 
+class ResultTooLarge(LipfreeError):
+    """An exact answer with more digits than Python prints as a string."""
+
+
 class DegeneratePair(LipfreeError):
     pass
 

@@ -36,6 +36,7 @@ from .errors import (
     InvalidFamilyParameters,
     NegativeOrZeroOffDiagonal,
     PointOutsideSpace,
+    ResultTooLarge,
     TriangleViolation,
     outside_input,
 )
@@ -65,8 +66,16 @@ def as_fraction(value) -> Fraction:
 
 
 def fraction_str(value: Fraction) -> str:
-    """Canonical 'p/q' (or 'p') encoding used in all JSON output."""
-    return str(Fraction(value))
+    """Canonical 'p/q' (or 'p') encoding used in all JSON output.
+
+    A numerator or denominator with more digits than Python's integer-string
+    digit limit raises ResultTooLarge."""
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ResultTooLarge(f"an exact result has more than {limit} digits") from exc
 
 
 @dataclass(frozen=True)
@@ -112,6 +121,14 @@ def _integer_matrix(mat, tol: Fraction = Fraction(0)):
     return [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0], slack
 
 
+class _ParseCache(dict):
+    """String entry -> its ``as_fraction``, parsed on first lookup only."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = as_fraction(text)
+        return value
+
+
 def validate_metric(dist, tolerance: Optional[Fraction] = None) -> FiniteMetricSpace:
     """Check the metric axioms and return the validated space.
 
@@ -125,6 +142,11 @@ def validate_metric(dist, tolerance: Optional[Fraction] = None) -> FiniteMetricS
     ultrametric, or has each distance at most the sum of its ends' least
     distances is a metric.
 
+    Entries are read in row-major order, so the first one that is no
+    rational is the one reported.  ``Fraction`` entries are taken as they
+    are, and each distinct string is parsed once: a file matrix repeats a few
+    strings n^2 times.
+
     With ``tolerance`` set (custom float input), comparisons allow that much
     slack and the result is flagged approximate; entries are still stored as
     exact fractions of the given values, symmetrised from the upper triangle.
@@ -132,8 +154,12 @@ def validate_metric(dist, tolerance: Optional[Fraction] = None) -> FiniteMetricS
     n = len(dist)
     if n == 0 or any(len(row) != n for row in dist):
         raise InvalidFamilyParameters("distance matrix must be square and nonempty")
+    parsed = _ParseCache()
     with outside_input("distance entries"):
-        mat = [[as_fraction(v) for v in row] for row in dist]
+        mat = [
+            [v if type(v) is Fraction else parsed[v] if type(v) is str else as_fraction(v) for v in row]
+            for row in dist
+        ]
     exact_tol = Fraction(tolerance or 0)
     ints, tol, slack = _integer_matrix(mat, exact_tol)
 

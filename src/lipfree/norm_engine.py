@@ -9,7 +9,9 @@ and one independent oracle:
   whose cost bounds the norm from above, and an attaining 1-Lipschitz
   function built from the transport duals, whose pairing bounds it from
   below.  The engine checks that both bounds meet the value before it
-  returns, so the value does not rest on the solver being right.
+  returns, so the value does not rest on the solver being right.  The
+  minimum that defines the function at each point is found on integers, so
+  the function costs one Fraction sum per point.
   ``free_norm_flow`` is its value alone.
 * ``free_norm_lp`` solves the defining linear program over base-normalised
   Lipschitz functions with an exact rational simplex, and returns an
@@ -32,7 +34,7 @@ from typing import Optional
 from .errors import DegeneratePair, InvalidTriple, PointOutsideSpace, TooFewPoints
 from .flow import min_cost_transport
 from .geometry import canonical_ccw, intersect_halfplanes
-from .metric_core import FiniteMetricSpace, FreeElement, LipFunction, as_fraction
+from .metric_core import FiniteMetricSpace, FreeElement, LipFunction, as_fraction, integer_scale
 from .simplex import solve_lp_max
 
 
@@ -132,8 +134,16 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     and the positive part ships onto the negative part at metric cost.  The
     attaining function is the c-transform of the sink duals beta_j,
     f(x) = min_j (beta_j + rho(x, y_j)) - f(0), which is 1-Lipschitz on the
-    whole space.  Before returning, the plan's marginals, the plan's cost and
-    the pairing of f with the element are each checked to equal the value.
+    whole space.  The duals are scaled to integers once, and each point's
+    distances to the sinks once, both by ``integer_scale``; the argmin sink
+    j* of each point is found on those ints over the product of the two
+    scales, and f(x) is the one exact sum (beta_j* - f(0)) + rho(x, y_j*).
+    A scale per point, not one for the whole n x l block: with a distinct
+    prime denominator in every entry, the block's lcm is the product of all
+    n * l primes (20,177 bits on the 64-point matrix of
+    ``bench/adversarial.py``, where the duals' lcm has 662).  Before
+    returning, the plan's marginals, the plan's cost and the pairing of f
+    with the element are each checked to equal the value.
 
     An approximate space (float entries, accepted within the validation
     tolerance) may break a triangle by up to that tolerance, so direct
@@ -160,8 +170,16 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     value = transport.cost
     k = len(sources)
     beta = [-p for p in transport.potentials[k:]]
-    values = [min(b + dist[x][y] for b, (y, _) in zip(beta, sinks)) for x in range(space.n)]
-    function = LipFunction(tuple(v - values[0] for v in values))
+    ends = [y for y, _ in sinks]
+    beta_ints, beta_scale = integer_scale(beta)
+    nearest = []
+    for row in dist:
+        ints, scale = integer_scale([row[y] for y in ends])
+        sums = [b * scale + r * beta_scale for b, r in zip(beta_ints, ints)]
+        nearest.append(sums.index(min(sums)))
+    base_value = beta[nearest[0]] + dist[0][ends[nearest[0]]]
+    shifted = [b - base_value for b in beta]  # so that f(0) = 0
+    function = LipFunction(tuple(shifted[j] + row[ends[j]] for j, row in zip(nearest, dist)))
     plan = tuple((sources[i][0], sinks[j][0], m) for i, j, m in transport.plan)
 
     shipped = dict.fromkeys(masses, Fraction(0))

@@ -18,6 +18,7 @@ from lipfree import (
     ExactnessRequired,
     FiniteMetricSpace,
     FreeElement,
+    FreeNormResult,
     HorizonExhausted,
     IndexPartition,
     LinftyReport,
@@ -40,6 +41,7 @@ from lipfree.constructions import (
     _thin_decreasing,
     _thin_increasing,
 )
+from lipfree.flow import min_cost_transport
 
 
 def triangle_scan(dist) -> tuple | None:
@@ -143,6 +145,33 @@ def assert_certificate(result, element: FreeElement, space: FiniteMetricSpace) -
         moved[y] -= m
     assert moved == masses
     assert sum(m * space.dist[x][y] for x, y, m in result.plan) == result.value
+
+
+def free_norm_reference(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
+    """``free_norm`` with the c-transform on Fractions, as it was first written.
+
+    The same transport, then f(x) = min_j (beta_j + rho(x, y_j)) - f(0) with
+    every sum and comparison on Fractions; no certificate checks.
+    """
+    masses = dict(element.support)
+    balance = -sum(masses.values(), Fraction(0))
+    if balance != 0:
+        masses[0] = balance
+    sources = [(p, c) for p, c in sorted(masses.items()) if c > 0]
+    sinks = [(p, -c) for p, c in sorted(masses.items()) if c < 0]
+    if not sources:
+        return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
+    dist = space.dist
+    transport = min_cost_transport(
+        [c for _, c in sources],
+        [c for _, c in sinks],
+        lambda i, j: dist[sources[i][0]][sinks[j][0]],
+    )
+    beta = [-p for p in transport.potentials[len(sources):]]
+    values = [min(b + dist[x][y] for b, (y, _) in zip(beta, sinks)) for x in range(space.n)]
+    function = LipFunction(tuple(v - values[0] for v in values))
+    plan = tuple((sources[i][0], sinks[j][0], m) for i, j, m in transport.plan)
+    return FreeNormResult(transport.cost, function, plan)
 
 
 def free_norm_vertex_enum(element: FreeElement, space: FiniteMetricSpace) -> Fraction:

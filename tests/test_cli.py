@@ -13,6 +13,8 @@ from lipfree.cli import main
 
 # an exponent one above the integer-string digit limit
 EXPONENT = sys.get_int_max_str_digits() + 1
+# within the limit, but its square is not
+NINES = "9" * 3000
 
 # files that test_bad_input_never_leaks_a_traceback writes to {tmp}
 BAD_FILES = {
@@ -251,6 +253,11 @@ class TestErrors:
             ("verify", "--family", "uniform:1", "--N", "1", "--coeffs", '["1e-{exponent}"]'),
             ("norm", "--space", "file:{tmp}/exponent-space.json", "--element", "[]"),
             ("verify", "--plan", "{tmp}/exponent-radius.json", "--coeffs", "[1]"),
+            # answers past the digit limit from inputs within it: ResultTooLarge
+            ("two-point", "--a", "{nines}", "--b", "1", "--dx0", "{nines}", "--dy0", "1",
+             "--dxy", "{nines}"),
+            ("norm", "--space", "uniform:{nines}:3",
+             "--element", '[{{"point": 1, "coef": "{nines}"}}]'),
         ],
         ids=[
             "two-point-not-rational", "two-point-zero-denominator", "ordering-not-int",
@@ -262,7 +269,7 @@ class TestErrors:
             "convline-space-extra", "intline-space-extra", "geomline-space-extra",
             "convline-family-extra", "intline-family-extra", "geomline-family-extra",
             "exponent-two-point", "exponent-coef", "exponent-coeffs", "exponent-file-space",
-            "exponent-plan-radius",
+            "exponent-plan-radius", "oversized-two-point", "oversized-norm",
         ],
     )
     def test_bad_input_never_leaks_a_traceback(self, run, tmp_path, argv):
@@ -270,11 +277,13 @@ class TestErrors:
         for name, content in BAD_FILES.items():
             (tmp_path / name).write_text(json.dumps(content))
         code, out, err = run(
-            *(arg.format(missing=missing, tmp=tmp_path, exponent=EXPONENT) for arg in argv)
+            *(arg.format(missing=missing, tmp=tmp_path, exponent=EXPONENT, nines=NINES)
+              for arg in argv)
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("InvalidFamilyParameters:")
+        oversized = any("{nines}" in arg for arg in argv)
+        assert err.startswith("ResultTooLarge:" if oversized else "InvalidFamilyParameters:")
         assert not missing.exists()
 
     def test_horizon_variable_is_ignored(self, run, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 from math import lcm
 from fractions import Fraction as F
@@ -11,6 +12,7 @@ from lipfree import (
     Asymmetric,
     FiniteMetricSpace,
     FreeElement,
+    InvalidFamilyParameters,
     LipFunction,
     NegativeOrZeroOffDiagonal,
     TriangleViolation,
@@ -200,6 +202,68 @@ class TestExponentLimit:
         limit = sys.get_int_max_str_digits()
         assert as_fraction(f"1e-{limit}") == F(1, 10**limit)
         assert as_fraction("15e-1") == F(3, 2)
+
+
+def _count_parses(monkeypatch) -> Counter:
+    parses: Counter = Counter()
+
+    def counting(value):
+        parses[value] += 1
+        return as_fraction(value)
+
+    monkeypatch.setattr(metric_core, "as_fraction", counting)
+    return parses
+
+
+class TestParseCache:
+    """``validate_metric`` parses each distinct string entry once and takes
+    Fraction entries as they are."""
+
+    def test_a_repeated_string_is_parsed_once(self, monkeypatch):
+        parses = _count_parses(monkeypatch)
+        n = 7
+        space = validate_metric([["0" if i == j else "3/2" for j in range(n)] for i in range(n)])
+        assert parses == {"0": 1, "3/2": 1}
+        assert space == truncate(make_family("uniform", F(3, 2)), n)
+
+    def test_two_spellings_of_one_value_are_symmetric(self):
+        space = validate_metric([["0", "1/2"], ["2/4", "0"]])
+        assert space.dist == ((0, F(1, 2)), (F(1, 2), 0))
+
+    @pytest.mark.parametrize(
+        "rows, named",
+        [
+            ([["0", "1", "x"], ["y", "0", "1"], ["x", "1", "0"]], "'x'"),
+            ([["0", "1", "1"], ["1", "0", None], ["y", "y", "0"]], "None"),
+            ([["0", "1/0", "1"], ["1/0", "0", "x"], ["1", "x", "0"]], "ZeroDivisionError"),
+        ],
+        ids=["string-before-string", "other-type-before-string", "zero-denominator"],
+    )
+    def test_the_first_bad_entry_in_row_major_order_is_named(self, rows, named):
+        with pytest.raises(InvalidFamilyParameters, match=named):
+            validate_metric(rows)
+
+    def test_a_repeated_string_over_the_exponent_limit_is_refused(self, monkeypatch):
+        parses = _count_parses(monkeypatch)
+        big = f"1e{sys.get_int_max_str_digits() + 1}"
+        with pytest.raises(InvalidFamilyParameters, match="exponent"):
+            validate_metric([["0", big, big], [big, "0", big], [big, big, "0"]])
+        assert parses == {"0": 1, big: 1}
+
+    def test_mixed_entries_give_the_space_of_as_fraction(self, monkeypatch):
+        rows = [
+            [0, "3/2", 1.5, F(3, 2)],
+            ["3/2", F(0), "1.5", 2],
+            [1.5, "1.5", "0", F(1)],
+            [F(3, 2), 2, 1, "0"],
+        ]
+        expected = FiniteMetricSpace(dist=tuple(tuple(as_fraction(v) for v in row) for row in rows))
+        parses = _count_parses(monkeypatch)
+        space = validate_metric(rows)
+        assert space == expected
+        assert all(type(v) is F for row in space.dist for v in row)
+        # strings once each, ints and floats at every entry, Fractions never
+        assert parses == {"3/2": 1, "1.5": 1, "0": 1, 0: 1, 1.5: 2, 2: 2, 1: 1}
 
 
 class TestRoundedScans:

@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import random
 from fractions import Fraction as F
+from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +25,15 @@ from lipfree import (
     make_family,
     nonrotund_witness,
     pairing,
+    parse_space,
     truncate,
     two_point_norm,
     validate_metric,
 )
 from lipfree.flow import min_cost_transport
-from lipfree.metric_core import FLOAT_TOLERANCE
+from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE
 from oracles import (
+    free_norm_reference,
     free_norm_vertex_enum,
     halfplane_vertices_bruteforce,
     one_point_extension,
@@ -36,6 +41,7 @@ from oracles import (
     random_element,
     random_metric_space,
 )
+from test_constructions import SUITE_PLANS
 
 GRID = [F(v, 2) for v in range(-4, 5)]
 
@@ -370,3 +376,64 @@ class TestNonrotundWitness:
         assert free_norm_lp(u, space).value == 1
         assert free_norm_lp(v, space).value == 1
         assert free_norm_lp(u.plus(v), space).value == 2
+
+
+def _adversarial_module():
+    path = Path(__file__).resolve().parents[1] / "bench" / "adversarial.py"
+    spec = importlib.util.spec_from_file_location("adversarial", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CATALOG_SPACES = [
+    "uniform:1:12", "uniform:5/2:12", "convline:12", "intline:12", "geomline:12",
+    *(f"remark:{k}:12" for k in range(1, 7)), "dendro:1:8:12", "dendro:2:6:12",
+]
+
+
+def _elements(rng, n):
+    """Random elements of every support size, one with every point."""
+    elements = [random_element(rng, n, size) for size in range(1, n)]
+    full = FreeElement.from_pairs((p, rand_fraction(rng, signed=True)) for p in range(1, n))
+    return [*elements, full]
+
+
+class TestCTransformOnIntegers:
+    """``free_norm`` returns what the Fraction c-transform of ``oracles`` returns."""
+
+    def _agree(self, space, elements):
+        for mu in elements:
+            assert free_norm(mu, space) == free_norm_reference(mu, space), mu
+
+    @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
+    def test_suite_spaces(self, name):
+        space = SUITE_PLANS[name]().space()
+        self._agree(space, _elements(random.Random(name), space.n))
+
+    @pytest.mark.parametrize("label", CATALOG_SPACES)
+    def test_catalog_truncations(self, label):
+        self._agree(parse_space(label), _elements(random.Random(label), 12))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_rational_spaces(self, seed):
+        rng = random.Random(seed)
+        for n in range(2, 10):
+            self._agree(random_metric_space(rng, n), _elements(rng, n))
+
+    def test_prime_denominators_past_the_scan_bits(self):
+        mat = _adversarial_module().adversarial_matrix(24)
+        assert lcm(*(v.denominator for row in mat for v in row)).bit_length() > _SCAN_BITS
+        space = validate_metric(mat)
+        self._agree(space, _elements(random.Random(24), 24)[::4])
+
+    def test_edge_cases(self):
+        space = truncate(make_family("remark", 3), 6)
+        single_sink = FreeElement.from_pairs([(1, 1), (3, F(1, 2)), (2, F(-3, 2))])
+        base_sink = FreeElement.from_pairs([(1, 1), (4, F(2, 3))])
+        for mu in (single_sink, base_sink, FreeElement.from_pairs([])):
+            self._agree(space, [mu])
+        assert free_norm(base_sink, space).plan == ((1, 0, 1), (4, 0, F(2, 3)))
+        point = validate_metric([[0]])
+        self._agree(point, [FreeElement.from_pairs([]), delta(0)])
+        assert free_norm(delta(0), point).function.values == (0,)
