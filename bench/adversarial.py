@@ -18,9 +18,8 @@ element that supports every point (``free_norm(...).value`` where that
 exists, the Fraction transport of earlier versions otherwise), with a hash
 of the norm it returned.  The same matrices, read as a family, time the
 admissibility probe: the minimum-ratio cycle ``admissibility`` at every size
-in ``ADMISSIBILITY_SIZES`` (skipped where the sources lack it) and the exact
-LP ``admissibility_lp`` at ``ADMISSIBILITY_LP_SIZES``, each with a hash of
-the tau it returned.
+in ``ADMISSIBILITY_SIZES`` and the exact LP ``admissibility_lp`` at
+``ADMISSIBILITY_LP_SIZES``, each with a hash of the tau it returned.
 
 The ``ultrametric`` entry times ``is_ultrametric`` on the 512-leaf truncation
 of ``dendro:11:30:512`` and ``radii_ultrametric`` on the catalog families in
@@ -42,6 +41,10 @@ weights matrix at each size in ``LOAD_SIZES``: every entry above the
 diagonal is 1 + a/d with 1 <= d <= 8 as a 'p/q' string, so a few dozen
 distinct strings fill the matrix, and the nearest-neighbour certificate
 accepts it without the triangle scan.  Each entry has a hash of the space.
+
+The ``float_load`` entry does the same at each size in ``FLOAT_LOAD_SIZES``
+on float entries 1 + k/8 + b/10 (k in 0..7, b in {0, 1}), which make the
+space approximate.  Each entry has a hash of the space.
 
 The ``projection`` entry times the two verifiers of the exact
 ``radii_ultrametric`` plan of ``uniform:1`` at each pair count in
@@ -65,6 +68,7 @@ from lipfree import (
     FreeElement,
     IndexPartition,
     LipfreeError,
+    admissibility,
     admissibility_lp,
     free_norm_flow,
     is_ultrametric,
@@ -78,11 +82,6 @@ from lipfree import (
 )
 from lipfree.space_catalog import family_from_space
 
-try:
-    from lipfree import admissibility
-except ImportError:  # sources from before the cycle route
-    admissibility = None
-
 SIZES = (16, 24, 32, 40, 64, 96, 128, 192)
 NORM_SIZES = (24, 40, 64)
 ADMISSIBILITY_SIZES = (16, 32, 64, 128)
@@ -95,6 +94,7 @@ PRIME_LEVEL_PAIRS = (4, 20)
 TRUNCATIONS = (("convline", 180), ("convline", 256), ("dendro:11:30:512", 512),
                ("remark:3", 128), ("remark:3", 512))
 LOAD_SIZES = (24, 256)
+FLOAT_LOAD_SIZES = (64, 128, 256)
 PROJECTION_PAIRS = (15, 63, 127)
 LINFTY_COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 
@@ -197,6 +197,25 @@ def load_space_timings() -> dict:
     return out
 
 
+def float_weights_text(n: int) -> str:
+    """JSON text of an n-point matrix with float entries 1 + k/8 + b/10, seeded by n."""
+    rng = random.Random(n)
+    dist = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = 1 + rng.randrange(8) / 8 + rng.randrange(2) / 10
+    return json.dumps({"n": n, "dist": dist})
+
+
+def float_load_timings() -> dict:
+    out = {}
+    for n in FLOAT_LOAD_SIZES:
+        text = float_weights_text(n)
+        seconds, space = timed(lambda: load_space(text))
+        out[f"load_space float weights n={n}"] = {"s": seconds, "sha256": digest(space)}
+    return out
+
+
 def projection_timings() -> dict:
     out = {}
     for n_pairs in PROJECTION_PAIRS:
@@ -249,13 +268,13 @@ def main() -> None:
             ("admissibility", admissibility, ADMISSIBILITY_SIZES),
             ("admissibility_lp", admissibility_lp, ADMISSIBILITY_LP_SIZES),
         ):
-            if probe is not None and n in sizes:
+            if n in sizes:
                 seconds, result = timed(lambda: probe(family, n))
                 out[f"n={n}"][f"{name}_s"] = seconds
                 out[f"n={n}"][f"{name}_tau_sha256"] = digest(result.tau)
     print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings(),
                       "truncation": truncation_timings(), "load_space": load_space_timings(),
-                      "projection": projection_timings()}))
+                      "float_load": float_load_timings(), "projection": projection_timings()}))
 
 
 if __name__ == "__main__":

@@ -73,7 +73,7 @@ def _construct_plan(family_label: str, case: str, n_pairs: int):
             case = "accum"
         elif family.delta_unbounded:
             case = "udelta"
-        elif family.bounded is False:
+        elif not family.bounded:
             case = "unbounded"
         else:
             case = "bounded"

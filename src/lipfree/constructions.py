@@ -34,7 +34,6 @@ from .errors import (
     outside_input,
 )
 from .metric_core import (
-    FLOAT_TOLERANCE,
     MAX_POINTS,
     FiniteMetricSpace,
     FreeElement,
@@ -125,8 +124,7 @@ class EmbeddingPlan:
 
 @lru_cache(maxsize=2)  # one plan's verifiers; each entry keeps its plan alive
 def _plan_space(plan: EmbeddingPlan, n_points: int) -> FiniteMetricSpace:
-    tolerance = FLOAT_TOLERANCE if plan.family.approximate else None
-    return validate_metric([row[:n_points] for row in plan.dist[:n_points]], tolerance)
+    return validate_metric([row[:n_points] for row in plan.dist[:n_points]], plan.family.approximate)
 
 
 def make_plan(family: MetricFamily, x_idx, r, case: Optional[str] = None) -> EmbeddingPlan:
@@ -441,7 +439,7 @@ def radii_bounded_separated(family: MetricFamily, n_pairs: int) -> EmbeddingPlan
     q_n > (1 - 1/(4n) - 1/(2(2n+1))) / (1 + 1/(4n)).
     """
     L = _plan_length(n_pairs)
-    if family.bounded is False:
+    if not family.bounded:
         raise MetadataRequired(f"{family.label} is not bounded")
     d = _resolve_d_limit(family)
     limit = _scan_limit(family)

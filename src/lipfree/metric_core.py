@@ -1,8 +1,8 @@
 """Finite pointed metric spaces and countable distance-oracle families.
 
-All catalog arithmetic is exact (`fractions.Fraction`).  A float path with a
-small tolerance exists only for custom file input whose entries are not
-rational; such spaces are flagged ``approximate``.
+All arithmetic is exact (`fractions.Fraction`).  Custom file input with
+non-integral float entries is validated as ``approximate``: its comparisons
+allow ``FLOAT_TOLERANCE`` of slack, and the space carries that flag.
 
 ``validate_metric`` accepts lines, ultrametrics and matrices whose every
 distance is at most the sum of its two ends' nearest-neighbour distances,
@@ -10,7 +10,8 @@ and ``is_ultrametric`` ultrametrics, in O(n^2) by exact certificates
 (``_line_certificate``, ``_ultrametric_certificate``,
 ``_neighbour_certificate``); every other matrix takes an O(n^3) scan on
 integers over one common denominator, which stays exact (see
-``_integer_matrix``) and names the first violated triple.
+``_integer_matrix``) and names the first violated triple.  Approximate
+matrices try the same certificates: one that passes is an exact metric.
 
 Conventions:
 
@@ -129,27 +130,28 @@ class _ParseCache(dict):
         return value
 
 
-def validate_metric(dist, tolerance: Optional[Fraction] = None) -> FiniteMetricSpace:
+def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
     """Check the metric axioms and return the validated space.
 
     Raises the first violated axiom with its witness indices, scanning
     symmetry row-major, then diagonal/positivity, then triples in
     lexicographic order (i, j, k) testing dist[i][k] <= dist[i][j] + dist[j][k].
-    Without ``tolerance``, a matrix that passes ``_line_certificate`` (on the
-    integers, or on the Fractions when the integers are rounded),
-    ``_ultrametric_certificate`` or ``_neighbour_certificate`` skips the
-    triple scan: a symmetric matrix with positive entries that is a line, an
-    ultrametric, or has each distance at most the sum of its ends' least
-    distances is a metric.
+    A matrix that passes ``_line_certificate`` (on the integers, or on the
+    Fractions when the integers are rounded), ``_ultrametric_certificate``
+    or ``_neighbour_certificate`` skips the triple scan: a symmetric matrix
+    with positive entries that is a line, an ultrametric, or has each
+    distance at most the sum of its ends' least distances is a metric.
 
     Entries are read in row-major order, so the first one that is no
     rational is the one reported.  ``Fraction`` entries are taken as they
     are, and each distinct string is parsed once: a file matrix repeats a few
     strings n^2 times.
 
-    With ``tolerance`` set (custom float input), comparisons allow that much
-    slack and the result is flagged approximate; entries are still stored as
-    exact fractions of the given values, symmetrised from the upper triangle.
+    An ``approximate`` matrix (custom float input) is compared with
+    ``FLOAT_TOLERANCE`` of slack, and the result is flagged approximate;
+    entries are still stored as exact fractions of the given values,
+    symmetrised from the upper triangle.  It tries the same certificates,
+    since an exact metric is also one within the tolerance.
     """
     n = len(dist)
     if n == 0 or any(len(row) != n for row in dist):
@@ -160,7 +162,7 @@ def validate_metric(dist, tolerance: Optional[Fraction] = None) -> FiniteMetricS
             [v if type(v) is Fraction else parsed[v] if type(v) is str else as_fraction(v) for v in row]
             for row in dist
         ]
-    exact_tol = Fraction(tolerance or 0)
+    exact_tol = FLOAT_TOLERANCE if approximate else Fraction(0)
     ints, tol, slack = _integer_matrix(mat, exact_tol)
 
     for i, j in combinations(range(n), 2):
@@ -177,13 +179,13 @@ def validate_metric(dist, tolerance: Optional[Fraction] = None) -> FiniteMetricS
             if i != j and v <= tol and mat[i][j] <= exact_tol:
                 raise NegativeOrZeroOffDiagonal(i, j)
     exact_rows = mat if slack else ints  # rounded ints are not exact
-    if tolerance is not None or not (
+    if not (
         _line_certificate(exact_rows)
         or _ultrametric_certificate(ints, mat, slack)
         or _neighbour_certificate(ints, slack)
     ):
         _triangle_scan(ints, mat, tol - slack, exact_tol)
-    return FiniteMetricSpace(dist=tuple(map(tuple, mat)), approximate=tolerance is not None)
+    return FiniteMetricSpace(dist=tuple(map(tuple, mat)), approximate=approximate)
 
 
 def _triangle_scan(ints, sym, int_tol, exact_tol) -> None:
@@ -219,11 +221,11 @@ class MetricFamily:
     oracle: Callable[[int, int], Fraction]  # called with i < j only
     size: Optional[int] = None  # None means infinite
     d_limit: Optional[Fraction] = None  # lim_k lim_n rho(x_k, x_n)
-    bounded: Optional[bool] = None
+    bounded: bool = True
     converges_to_base: bool = False  # rho(x_n, x_1) -> 0
     delta_unbounded: bool = False  # pairing (2t, 2t+1) has delta_t -> infinity
     ultrametric: bool = False
-    approximate: bool = False  # from float file input: validated with FLOAT_TOLERANCE
+    approximate: bool = False  # from float file input: truncations validate as approximate
     # smallest index i > center with rho(i, center) > radius, or None
     first_index_beyond: Optional[Callable[[int, Fraction], Optional[int]]] = None
 
@@ -258,7 +260,7 @@ def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
             f"family {family.label} has only {family.size} points"
         )
     mat = distance_matrix(lambda i, j: family.distance(i + 1, j + 1), N)
-    return validate_metric(mat, FLOAT_TOLERANCE if family.approximate else None)
+    return validate_metric(mat, family.approximate)
 
 
 def _line_certificate(rows) -> bool:
@@ -443,7 +445,7 @@ def load_space(source) -> FiniteMetricSpace:
     """Load a custom space from JSON text or a dict: {"n": int, "dist": [[...]]}.
 
     Entries may be numbers or 'p/q' strings.  Non-integral float entries
-    switch validation to the tolerant path and flag the space approximate.
+    make the space approximate (see ``validate_metric``).
     The matrix must be full, not triangular.  Text that is not JSON, a
     "dist" that is not a list of rows and entries that are not rationals
     raise InvalidFamilyParameters.
@@ -455,10 +457,8 @@ def load_space(source) -> FiniteMetricSpace:
             raise ValueError('"dist" must be a list of rows')
         if obj.get("n", len(dist)) != len(dist):
             raise ValueError('"n" does not match the matrix size')
-    has_float = any(
-        isinstance(v, float) and not float(v).is_integer() for row in dist for v in row
-    )
-    return validate_metric(dist, FLOAT_TOLERANCE if has_float else None)
+    has_float = any(isinstance(v, float) and not v.is_integer() for row in dist for v in row)
+    return validate_metric(dist, has_float)
 
 
 def free_element_to_json(element: FreeElement) -> list:

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegeneratePair, InvalidTriple, PointOutsideSpace, TooFewPoints
+from .errors import DegeneratePair, ExactnessRequired, InvalidTriple, PointOutsideSpace, TooFewPoints
 from .flow import min_cost_transport
-from .geometry import canonical_ccw, intersect_halfplanes
+from .geometry import intersect_halfplanes
 from .metric_core import FiniteMetricSpace, FreeElement, LipFunction, as_fraction, integer_scale
 from .simplex import solve_lp_max
 
@@ -200,13 +200,6 @@ def free_norm_flow(element: FreeElement, space: FiniteMetricSpace) -> Fraction:
     return free_norm(element, space).value
 
 
-def _check_triple(dx0: Fraction, dy0: Fraction, dxy: Fraction) -> None:
-    if dx0 <= 0 or dy0 <= 0 or dxy <= 0:
-        raise InvalidTriple("the three distances must be positive")
-    if dxy > dx0 + dy0 or dx0 > dxy + dy0 or dy0 > dxy + dx0:
-        raise InvalidTriple("triangle inequality fails among the three distances")
-
-
 def two_point_norm(a, b, dx0, dy0, dxy) -> Fraction:
     """Closed form for the norm of a*delta_x + b*delta_y on a 3-point space.
 
@@ -215,7 +208,10 @@ def two_point_norm(a, b, dx0, dy0, dxy) -> Fraction:
     """
     a, b = as_fraction(a), as_fraction(b)
     dx0, dy0, dxy = as_fraction(dx0), as_fraction(dy0), as_fraction(dxy)
-    _check_triple(dx0, dy0, dxy)
+    if dx0 <= 0 or dy0 <= 0 or dxy <= 0:
+        raise InvalidTriple("the three distances must be positive")
+    if dxy > dx0 + dy0 or dx0 > dxy + dy0 or dy0 > dxy + dx0:
+        raise InvalidTriple("triangle inequality fails among the three distances")
     if a * b >= 0:
         return dx0 * abs(a) + dy0 * abs(b)
     if abs(b) <= abs(a):
@@ -247,26 +243,12 @@ class BallSection:
         return max(abs(a * u + b * v) for u, v in self.vertices)
 
 
-def _section_from_distances(x, y, dx0, dy0, dxy) -> BallSection:
-    _check_triple(dx0, dy0, dxy)
-    box = [(dx0, -dy0), (dx0, dy0), (-dx0, dy0), (-dx0, -dy0)]
-    one = Fraction(1)
-    vertices = intersect_halfplanes(
-        box, [(one, -one, dxy), (-one, one, dxy)]
-    )
-    # A is centrally symmetric, so the ball section is its polar polygon
-    bound = 1 / min(dx0, dy0)
-    seed = [(bound, -bound), (bound, bound), (-bound, bound), (-bound, -bound)]
-    ball = intersect_halfplanes(seed, [(u, v, one) for u, v in vertices])
-    return BallSection(
-        x=x, y=y, dx0=dx0, dy0=dy0, dxy=dxy,
-        vertices=canonical_ccw(list(vertices)),
-        ball_vertices=ball,
-    )
-
-
 def ball_section(space: FiniteMetricSpace, x: int, y: int) -> BallSection:
-    """Exact vertex description of the two-point section through x and y."""
+    """Exact vertex description of the two-point section through x and y.
+
+    The validated distances are trusted: where an approximate space breaks
+    their triangle, the section is still that of the LP on {0, x, y}.
+    """
     if x == y:
         raise DegeneratePair(f"points must differ, got x = y = {x}")
     if x == 0 or y == 0:
@@ -274,20 +256,31 @@ def ball_section(space: FiniteMetricSpace, x: int, y: int) -> BallSection:
     for p in (x, y):
         if not 0 <= p < space.n:
             raise PointOutsideSpace(p, space.n)
-    return _section_from_distances(
-        x, y, space.dist[x][0], space.dist[y][0], space.dist[x][y]
-    )
+    dx0, dy0, dxy = space.dist[x][0], space.dist[y][0], space.dist[x][y]
+    box = [(dx0, -dy0), (dx0, dy0), (-dx0, dy0), (-dx0, -dy0)]
+    one = Fraction(1)
+    vertices = intersect_halfplanes(box, [(one, -one, dxy), (-one, one, dxy)])
+    # A is centrally symmetric, so the ball section is its polar polygon
+    bound = 1 / min(dx0, dy0)
+    seed = [(bound, -bound), (bound, bound), (-bound, bound), (-bound, -bound)]
+    ball = intersect_halfplanes(seed, [(u, v, one) for u, v in vertices])
+    return BallSection(x=x, y=y, dx0=dx0, dy0=dy0, dxy=dxy, vertices=vertices, ball_vertices=ball)
 
 
 def nonrotund_witness(space: FiniteMetricSpace) -> tuple[FreeElement, FreeElement]:
     """Two distinct unit vectors u, v with ||u + v|| = 2, all exact.
 
     Takes the lexicographically smallest pair of non-base points x, y and
-    normalises their evaluation elements by the distance to the base.
+    normalises their evaluation elements by the distance to the base.  Then
+    ||u + v|| = 2 iff |rho(x, 0) - rho(y, 0)| <= rho(x, y), which every
+    metric meets; an approximate space that breaks it by its tolerance
+    raises ExactnessRequired.
     """
     if space.n < 3:
         raise TooFewPoints("a witness needs at least 3 points")
     x, y = 1, 2
+    if abs(space.dist[x][0] - space.dist[y][0]) > space.dist[x][y]:
+        raise ExactnessRequired(f"the triangle (0, {x}, {y}) fails, so ||u + v|| < 2")
     u = FreeElement.from_pairs([(x, 1 / space.dist[x][0])])
     v = FreeElement.from_pairs([(y, 1 / space.dist[y][0])])
     norm_u = free_norm(u, space).value

@@ -44,8 +44,8 @@ from lipfree.constructions import (
 from lipfree.flow import min_cost_transport
 
 
-def triangle_scan(dist) -> tuple | None:
-    """First (i, j, k) with dist[i][k] > dist[i][j] + dist[j][k], else None."""
+def triangle_scan(dist, tolerance=0) -> tuple | None:
+    """First (i, j, k) with dist[i][k] > dist[i][j] + dist[j][k] + tolerance, else None."""
     n = len(dist)
     for i in range(n):
         for j in range(n):
@@ -54,7 +54,7 @@ def triangle_scan(dist) -> tuple | None:
             for k in range(n):
                 if k in (i, j):
                     continue
-                if dist[i][k] > dist[i][j] + dist[j][k]:
+                if dist[i][k] > dist[i][j] + dist[j][k] + tolerance:
                     return (i, j, k)
     return None
 

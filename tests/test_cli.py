@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipfree import make_family, plan_from_json
+from lipfree import FreeElement, free_norm, load_space, make_family, plan_from_json
 from lipfree.cli import main
+from lipfree.metric_core import FLOAT_TOLERANCE
 
 # an exponent one above the integer-string digit limit
 EXPONENT = sys.get_int_max_str_digits() + 1
@@ -475,6 +476,24 @@ class TestBallSectionCommand:
         obj = json.loads(out)
         assert len(obj["vertices"]) == 6
         assert ["1", "1"] in obj["vertices"]
+
+    def test_float_file_section_matches_the_norm(self, run, tmp_path):
+        # rho(2, 0) > rho(1, 0) + rho(1, 2) by ~1.7e-17 in exact binary values
+        path = tmp_path / "floats.json"
+        path.write_text('{"dist": [[0, 0.1, 0.4], [0.1, 0, 0.3], [0.4, 0.3, 0]]}')
+        code, out, err = run("ball-section", "--space", f"file:{path}", "--x", "1", "--y", "2")
+        assert (code, err) == (0, "")
+        vertices = [(F(u), F(v)) for u, v in json.loads(out)["vertices"]]
+        space = load_space(path.read_text())
+        grid = [F(k, 2) for k in range(-4, 5)]
+        for a in grid:
+            for b in grid:
+                support = max(abs(a * u + b * v) for u, v in vertices)
+                norm = free_norm(FreeElement.from_pairs([(1, a), (2, b)]), space).value
+                if a * b:
+                    assert support == norm
+                else:
+                    assert abs(support - norm) <= FLOAT_TOLERANCE * abs(a + b)
 
 
 class TestElementFromFile:

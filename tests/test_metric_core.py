@@ -402,6 +402,55 @@ class TestToleranceScaling:
         assert space.dist[2][1] == space.dist[1][2] == F(0.5)
 
 
+def _float_line(rng):
+    # tenths break some triangles by ~1e-17 and take the scan; quarters are exact lines
+    q = rng.choice((10, 4))
+    xs = rng.sample([k / q for k in range(-60, 60)], rng.randint(3, 20))
+    return [[abs(a - b) for b in xs] for a in xs]
+
+
+def _float_ultrametric(rng):
+    codes = sorted({tuple(rng.randrange(3) for _ in range(3)) for _ in range(rng.randint(3, 20))})
+    rng.shuffle(codes)
+    levels = sorted(rng.sample([k / 100 for k in range(1, 900)], 4), reverse=True)
+    return [list(map(float, row)) for row in dendrogram_lca_bruteforce(codes, levels)]
+
+
+def _float_weights(rng):
+    n = rng.randint(3, 20)
+    d = [[0.0] * n for _ in range(n)]
+    for i, k in combinations(range(n), 2):
+        _set(d, i, k, 1 + rng.randrange(1000) / 1000)
+    return d
+
+
+class TestFloatCertificates:
+    """Float matrices take the certificates too; ``load_space`` returns the
+    space the tolerant scan accepts, or raises at its first witness."""
+
+    @pytest.mark.parametrize("make", [_float_line, _float_ultrametric, _float_weights])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_float_matrices_and_nudged_copies_agree_with_the_scan(self, make, seed):
+        rng = random.Random(seed)
+        d = make(rng)
+        copies = [d]
+        for nudge in (FLOAT_TOLERANCE / 2, -FLOAT_TOLERANCE / 2, 2 * FLOAT_TOLERANCE, -2 * FLOAT_TOLERANCE):
+            i, k = rng.sample(range(len(d)), 2)
+            nudged = [list(row) for row in d]
+            _set(nudged, i, k, d[i][k] + float(nudge))
+            copies.append(nudged)
+        for copy in copies:
+            exact = [list(map(F, row)) for row in copy]
+            expected = triangle_scan(exact, FLOAT_TOLERANCE)
+            if expected is None:
+                space = load_space(json.dumps({"dist": copy}))
+                assert space.approximate and space.dist == tuple(map(tuple, exact))
+            else:
+                with pytest.raises(TriangleViolation) as info:
+                    load_space(json.dumps({"dist": copy}))
+                assert (info.value.i, info.value.j, info.value.k) == expected
+
+
 class TestTruncate:
     def test_uniform(self):
         space = truncate(make_family("uniform", 1), 3)
@@ -628,12 +677,12 @@ class TestLineCertificate:
             assert validate_metric(d).dist == tuple(map(tuple, d))
         assert len(calls) == 2
 
-    def test_approximate_input_takes_the_scan(self, monkeypatch):
+    def test_approximate_input_passes_the_certificates(self, monkeypatch):
         calls = _scan_calls(monkeypatch)
-        space = load_space('{"dist": [[0, 0.5, 1.5], [0.5, 0, 1.0], [1.5, 1.0, 0]]}')
-        assert space.approximate and len(calls) == 1
-        rows, _, slack = _integer_matrix(space.dist)  # exact, it would pass two certificates
-        assert _line_certificate(rows) and _neighbour_certificate(rows, slack)
+        text = '{"dist": [[0, 0.5, 1.5], [0.5, 0, 1.0], [1.5, 1.0, 0]]}'
+        space = load_space(text)
+        assert space.approximate and not calls
+        assert space.dist == tuple(tuple(map(F, row)) for row in json.loads(text)["dist"])
 
 
 def _neighbour_matrices():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lipfree import (
     DegeneratePair,
+    ExactnessRequired,
     FreeElement,
     InvalidTriple,
     LipFunction,
@@ -363,6 +364,16 @@ class TestNonrotundWitness:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             nonrotund_witness(truncate(make_family("uniform", 1), 2))
+
+    def test_float_space_breaking_the_triangle_needs_exactness(self):
+        # |rho(1, 0) - rho(2, 0)| > rho(1, 2) holds exactly on these floats
+        space = load_space('{"dist": [[0, 0.1, 0.4], [0.1, 0, 0.3], [0.4, 0.3, 0]]}')
+        assert space.approximate
+        with pytest.raises(ExactnessRequired):
+            nonrotund_witness(space)
+        exact = validate_metric([[0, "1/10", "2/5"], ["1/10", 0, "3/10"], ["2/5", "3/10", 0]])
+        u, v = nonrotund_witness(exact)
+        assert free_norm_lp(u.plus(v), exact).value == 2
 
     @pytest.mark.parametrize(
         "label", ["uniform:1:5", "convline:6", "intline:4", "remark:3:5", "dendro:2:5:12:8"]
