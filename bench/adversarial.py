@@ -46,6 +46,11 @@ The ``float_load`` entry does the same at each size in ``FLOAT_LOAD_SIZES``
 on float entries 1 + k/8 + b/10 (k in 0..7, b in {0, 1}), which make the
 space approximate.  Each entry has a hash of the space.
 
+The ``float_norm`` entry times ``free_norm_flow`` on the same float weights
+matrices at each size in ``FLOAT_NORM_SIZES``, for a seeded element on
+5/8 of the points.  Each entry has a hash of the norm alone, which does not
+depend on the route that computed it.
+
 The ``projection`` entry times the two verifiers of the exact
 ``radii_ultrametric`` plan of ``uniform:1`` at each pair count in
 ``PROJECTION_PAIRS``: ``verify_projection`` and ``verify_linfty_isometry``
@@ -95,6 +100,7 @@ TRUNCATIONS = (("convline", 180), ("convline", 256), ("dendro:11:30:512", 512),
                ("remark:3", 128), ("remark:3", 512))
 LOAD_SIZES = (24, 256)
 FLOAT_LOAD_SIZES = (64, 128, 256)
+FLOAT_NORM_SIZES = (16, 24, 32)
 PROJECTION_PAIRS = (15, 63, 127)
 LINFTY_COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 
@@ -216,6 +222,20 @@ def float_load_timings() -> dict:
     return out
 
 
+def float_norm_timings() -> dict:
+    out = {}
+    for n in FLOAT_NORM_SIZES:
+        space = load_space(float_weights_text(n))
+        rng = random.Random(n)
+        element = FreeElement.from_pairs(
+            (p, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)))
+            for p in rng.sample(range(1, n), 5 * n // 8)
+        )
+        seconds, value = timed(lambda: free_norm_flow(element, space))
+        out[f"free_norm float weights n={n}"] = {"s": seconds, "sha256": digest(value)}
+    return out
+
+
 def projection_timings() -> dict:
     out = {}
     for n_pairs in PROJECTION_PAIRS:
@@ -274,7 +294,8 @@ def main() -> None:
                 out[f"n={n}"][f"{name}_tau_sha256"] = digest(result.tau)
     print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings(),
                       "truncation": truncation_timings(), "load_space": load_space_timings(),
-                      "float_load": float_load_timings(), "projection": projection_timings()}))
+                      "float_load": float_load_timings(), "float_norm": float_norm_timings(),
+                      "projection": projection_timings()}))
 
 
 if __name__ == "__main__":

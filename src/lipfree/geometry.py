@@ -31,10 +31,10 @@ def clip_halfplane(poly: list[Point], a: Fraction, b: Fraction, c: Fraction) -> 
                     cur[1] + t * (nxt[1] - cur[1]),
                 )
             )
-    return _dedupe(out)
+    return dedupe(out)
 
 
-def _dedupe(poly: list[Point]) -> list[Point]:
+def dedupe(poly: list[Point]) -> list[Point]:
     out: list[Point] = []
     for p in poly:
         if not out or p != out[-1]:

@@ -11,12 +11,12 @@ and one independent oracle:
   below.  The engine checks that both bounds meet the value before it
   returns, so the value does not rest on the solver being right.  The
   minimum that defines the function at each point is found on integers, so
-  the function costs one Fraction sum per point.
+  the function costs one Fraction sum per point; it serves every space.
   ``free_norm_flow`` is its value alone.
 * ``free_norm_lp`` solves the defining linear program over base-normalised
   Lipschitz functions with an exact rational simplex, and returns an
-  attaining function.  It shares no code with the transport route; the test
-  suite requires the two to agree exactly.
+  attaining function.  It shares no code with the transport route and no
+  product path calls it; the test suite requires the two to agree exactly.
 
 The restriction of the LP to the support plus the base point is justified by
 1-Lipschitz extension: any function feasible on those points extends to the
@@ -33,7 +33,7 @@ from typing import Optional
 
 from .errors import DegeneratePair, ExactnessRequired, InvalidTriple, PointOutsideSpace, TooFewPoints
 from .flow import min_cost_transport
-from .geometry import intersect_halfplanes
+from .geometry import canonical_ccw, dedupe, intersect_halfplanes
 from .metric_core import FiniteMetricSpace, FreeElement, LipFunction, as_fraction, integer_scale
 from .simplex import solve_lp_max
 
@@ -64,7 +64,8 @@ def pairing(f: LipFunction, element: FreeElement) -> Fraction:
 class FreeNormResult:
     value: Fraction
     function: LipFunction  # attaining function, Lipschitz constant <= 1
-    # (source point, sink point, mass) of an optimal transport plan; None from the LP
+    # (source point, sink point, mass) of an optimal transport plan, priced at the
+    # shortest-path distances within support + base on an approximate space; None from the LP
     plan: Optional[tuple[tuple[int, int, Fraction], ...]] = None
 
 
@@ -147,11 +148,12 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
 
     An approximate space (float entries, accepted within the validation
     tolerance) may break a triangle by up to that tolerance, so direct
-    transport can exceed the defining LP and its c-transform need not be
-    1-Lipschitz.  There the result is that of ``free_norm_lp``, with no plan.
+    transport can exceed the defining LP.  There copies of the rows of the
+    support and the base are first closed under shortest paths within those
+    points (Floyd-Warshall), which is all the LP's constraints allow, so the
+    transport, the c-transform and the checks run on those rows at the LP's
+    value.  Points outside the support keep their raw rows.
     """
-    if space.approximate:
-        return free_norm_lp(element, space)
     element.check_supported(space)
     masses = dict(element.support)
     balance = -sum(masses.values(), Fraction(0))
@@ -162,6 +164,14 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     if not sources:
         return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
     dist = space.dist
+    if space.approximate:
+        closed = {p: list(dist[p]) for p in {0, *masses}}
+        for k, row_k in closed.items():
+            for row in closed.values():
+                for j in closed:
+                    if row[k] + row_k[j] < row[j]:
+                        row[j] = row[k] + row_k[j]
+        dist = [closed.get(p, row) for p, row in enumerate(dist)]
     transport = min_cost_transport(
         [c for _, c in sources],
         [c for _, c in sinks],
@@ -260,11 +270,16 @@ def ball_section(space: FiniteMetricSpace, x: int, y: int) -> BallSection:
     box = [(dx0, -dy0), (dx0, dy0), (-dx0, dy0), (-dx0, -dy0)]
     one = Fraction(1)
     vertices = intersect_halfplanes(box, [(one, -one, dxy), (-one, one, dxy)])
-    # A is centrally symmetric, so the ball section is its polar polygon
-    bound = 1 / min(dx0, dy0)
-    seed = [(bound, -bound), (bound, bound), (-bound, bound), (-bound, -bound)]
-    ball = intersect_halfplanes(seed, [(u, v, one) for u, v in vertices])
-    return BallSection(x=x, y=y, dx0=dx0, dy0=dy0, dxy=dxy, vertices=vertices, ball_vertices=ball)
+    # A is centrally symmetric: its polar, the ball, has one vertex per edge of A
+    polar = []
+    for (u1, v1), (u2, v2) in zip(vertices, vertices[1:] + vertices[:1]):
+        det = u1 * v2 - u2 * v1
+        polar.append(((v2 - v1) / det, (u1 - u2) / det))
+    ball = canonical_ccw(dedupe(polar))
+    section = BallSection(x=x, y=y, dx0=dx0, dy0=dy0, dxy=dxy, vertices=vertices, ball_vertices=ball)
+    if any(section.support_norm(a, b) != 1 for a, b in ball):
+        raise AssertionError("a ball vertex is off the unit sphere; the polar is broken")
+    return section
 
 
 def nonrotund_witness(space: FiniteMetricSpace) -> tuple[FreeElement, FreeElement]:

@@ -125,13 +125,30 @@ def one_point_extension(rng: random.Random, space: FiniteMetricSpace) -> FiniteM
     return validate_metric(d)
 
 
-def assert_certificate(result, element: FreeElement, space: FiniteMetricSpace) -> None:
+def shortest_path_costs(space: FiniteMetricSpace, points) -> list[list[Fraction]]:
+    """``space.dist`` with each entry among ``points`` lowered to the shortest
+    path through ``points``, by relaxing every triple until none changes."""
+    costs = [list(row) for row in space.dist]
+    changed = True
+    while changed:
+        changed = False
+        for i in points:
+            for j in points:
+                for k in points:
+                    if costs[i][k] + costs[k][j] < costs[i][j]:
+                        costs[i][j] = costs[i][k] + costs[k][j]
+                        changed = True
+    return costs
+
+
+def assert_certificate(result, element: FreeElement, space: FiniteMetricSpace, costs=None) -> None:
     """The transport certificate, recomputed from scratch.
 
     The pairing of the attaining function with the element equals the value,
     and the plan moves exactly the positive part (base balance included)
-    onto the negative part at a total metric cost equal to the value.  The
-    Lipschitz bound is left to ``lip_norm``.
+    onto the negative part at a total cost equal to the value, priced at
+    ``costs`` (the metric by default).  The Lipschitz bound is left to
+    ``lip_norm``.
     """
     values = result.function.values
     assert values[0] == 0 and len(values) == space.n
@@ -144,7 +161,8 @@ def assert_certificate(result, element: FreeElement, space: FiniteMetricSpace) -
         moved[x] += m
         moved[y] -= m
     assert moved == masses
-    assert sum(m * space.dist[x][y] for x, y, m in result.plan) == result.value
+    costs = space.dist if costs is None else costs
+    assert sum(m * costs[x][y] for x, y, m in result.plan) == result.value
 
 
 def free_norm_reference(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:

@@ -26,7 +26,6 @@ from lipfree import (
     load_space,
     make_family,
     nonrotund_witness,
-    pairing,
     radii_bounded_separated,
     radii_ultrametric,
     radii_unbounded,
@@ -160,11 +159,6 @@ def test_criterion_01_certificate_edge_cases(space_label, pairs):
     result = free_norm(mu, space)
     assert result.value == free_norm_lp(mu, space).value
     assert lip_norm(result.function, space) <= 1
-    if space.approximate:
-        # the LP's value and function, whose pairing still attains the value
-        assert result.plan is None
-        assert pairing(result.function, mu) == result.value
-        return
     assert_certificate(result, mu, space)
     if not pairs:
         assert result.value == 0 and result.plan == ()

@@ -8,7 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipfree import FreeElement, free_norm, load_space, make_family, plan_from_json
+from lipfree import (
+    FreeElement,
+    constructions,
+    free_norm,
+    load_space,
+    make_family,
+    nonrotund_witness,
+    norm_engine,
+    parse_space,
+    plan_from_json,
+    two_point_norm,
+)
 from lipfree.cli import main
 from lipfree.metric_core import FLOAT_TOLERANCE
 
@@ -477,6 +488,27 @@ class TestBallSectionCommand:
         assert len(obj["vertices"]) == 6
         assert ["1", "1"] in obj["vertices"]
 
+    def test_far_base_section_prints_vertices_on_the_sphere(self, run, tmp_path):
+        # rho(1, 2) = 1 is below both distances to the base: the ball reaches (1, -1)
+        space, svg, csv = tmp_path / "far.json", tmp_path / "far.svg", tmp_path / "far.csv"
+        space.write_text('{"dist": [[0, 10, 10], [10, 0, 1], [10, 1, 0]]}')
+        code, out, _ = run(
+            "ball-section", "--space", f"file:{space}", "--x", "1", "--y", "2",
+            "--svg", str(svg), "--csv", str(csv),
+        )
+        assert code == 0
+        ball = json.loads(out)["ball_vertices"]
+        assert ["1", "-1"] in ball and ["-1", "1"] in ball
+        for a, b in ball:
+            assert two_point_norm(a, b, 10, 10, 1) == 1
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [[a, b] for name, _, a, b in rows if name == "ball"] == ball
+        # the second polygon is the ball, drawn at 113 px per unit around (384, 256)
+        polygon = svg.read_text().split('<polygon points="')[2].split('"')[0]
+        drawn = [tuple(map(float, point.split(","))) for point in polygon.split()]
+        to_screen = lambda a, b: (round(384 + 113 * float(F(a)), 3), round(256 - 113 * float(F(b)), 3))
+        assert drawn == [to_screen(a, b) for a, b in ball]
+
     def test_float_file_section_matches_the_norm(self, run, tmp_path):
         # rho(2, 0) > rho(1, 0) + rho(1, 2) by ~1.7e-17 in exact binary values
         path = tmp_path / "floats.json"
@@ -494,6 +526,36 @@ class TestBallSectionCommand:
                     assert support == norm
                 else:
                     assert abs(support - norm) <= FLOAT_TOLERANCE * abs(a + b)
+
+
+class TestNoSimplexOnTheProductPath:
+    """The exact simplex is the tests' oracle: no subcommand reaches it."""
+
+    def test_every_subcommand_answers_without_the_simplex(self, run, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the product path reached the simplex")
+
+        monkeypatch.setattr(norm_engine, "solve_lp_max", refuse)
+        monkeypatch.setattr(constructions, "solve_lp_max", refuse)
+        uniform = tmp_path / "uniform.json"
+        uniform.write_text(json.dumps({"dist": [[0 if i == j else 0.3 for j in range(9)] for i in range(9)]}))
+        xs = [0.0, 0.1, 0.3, 0.6, 1.0, 1.7]
+        line = tmp_path / "line.json"
+        line.write_text(json.dumps({"dist": [[abs(a - b) for b in xs] for a in xs]}))
+        element = '[{"point":1,"coef":"1"},{"point":2,"coef":"-1/2"},{"point":4,"coef":"2"}]'
+        for family, space in (("uniform:1", "uniform:1:9"), (f"file:{uniform}", f"file:{uniform}")):
+            for argv in (
+                ("norm", "--space", space, "--element", element, "--with-function"),
+                ("ball-section", "--space", space, "--x", "1", "--y", "2"),
+                ("construct", "--family", family, "--N", "4"),
+                ("verify", "--family", family, "--N", "4", "--coeffs", "[1,-2,3,0]"),
+                ("admissibility", "--family", family, "--N", "9"),
+            ):
+                code, _, err = run(*argv)
+                assert (code, err) == (0, ""), argv
+            nonrotund_witness(parse_space(space))
+        code, _, err = run("norm", "--space", f"file:{line}", "--element", element)
+        assert (code, err) == (0, "")
 
 
 class TestElementFromFile:

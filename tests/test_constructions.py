@@ -339,6 +339,20 @@ class TestL1Isometry:
         value = free_norm_flow(element, plan.space())
         assert value <= 3
 
+    def test_float_uniform_file(self, tmp_path):
+        # 0.3 everywhere: an approximate space, so the norm takes the closed route
+        path = tmp_path / "uniform.json"
+        path.write_text(json.dumps({"dist": [[0 if i == j else 0.3 for j in range(9)] for i in range(9)]}))
+        plan = radii_ultrametric(parse_family(f"file:{path}"), 4)
+        assert plan.case == "ultra-constant" and plan.space().approximate
+        rng = random.Random(16)
+        for _ in range(20):
+            coeffs = [rand_fraction(rng, signed=True) for _ in range(rng.randint(1, 4))]
+            value = verify_l1_isometry(plan, coeffs)
+            assert value == sum(abs(a) for a in coeffs)
+            space = plan.space(2 * len(coeffs) + 1)
+            assert value == free_norm_lp(l1_combination(plan, coeffs), space).value
+
     def test_random_rational_coefficients(self):
         rng = random.Random(31)
         plan = uniform_exact_plan(4)

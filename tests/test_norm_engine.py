@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lipfree import (
     DegeneratePair,
     ExactnessRequired,
+    FiniteMetricSpace,
     FreeElement,
     InvalidTriple,
     LipFunction,
@@ -34,6 +35,7 @@ from lipfree import (
 from lipfree.flow import min_cost_transport
 from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE
 from oracles import (
+    assert_certificate,
     free_norm_reference,
     free_norm_vertex_enum,
     halfplane_vertices_bruteforce,
@@ -41,6 +43,7 @@ from oracles import (
     rand_fraction,
     random_element,
     random_metric_space,
+    shortest_path_costs,
 )
 from test_constructions import SUITE_PLANS
 
@@ -181,7 +184,7 @@ def _direct_transport(element, space):
 
 
 class TestFreeNorm:
-    def test_approximate_space_runs_the_lp(self):
+    def test_approximate_space_transports_on_shortest_paths(self):
         # float differences break some triangles by ~1e-17, inside the tolerance;
         # the LP may relay through such a triangle, direct transport may not
         xs = [0.0, 0.1, 0.3, 0.6, 1.0, 1.7]
@@ -192,13 +195,54 @@ class TestFreeNorm:
         for _ in range(60):
             mu = random_element(rng, space.n, rng.randint(1, space.n - 1))
             result = free_norm(mu, space)
-            assert result == free_norm_lp(mu, space)
-            assert result.plan is None
-            assert pairing(result.function, mu) == result.value
+            assert result.value == free_norm_lp(mu, space).value
+            # the plan's marginals and cost, priced within support + base
+            costs = shortest_path_costs(space, {0, *(p for p, _ in mu.support)})
+            assert_certificate(result, mu, space, costs)
             direct = _direct_transport(mu, space)
             assert 0 <= direct - result.value < FLOAT_TOLERANCE
             relayed += direct != result.value
         assert relayed > 0
+
+
+def _float_line(rng, n):
+    xs = rng.sample([k / 10 for k in range(-60, 60)], n)
+    return [[abs(a - b) for b in xs] for a in xs]
+
+
+def _float_weights(rng, n):
+    d = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = 1 + rng.randrange(8) / 8 + rng.randrange(2) / 10
+    return d
+
+
+def _float_l1_plane(rng, n):
+    grid = [(x / 10, y / 10) for x in range(-8, 9) for y in range(-8, 9)]
+    pts = rng.sample(grid, n)
+    return [[abs(a - c) + abs(b - d) for c, d in pts] for a, b in pts]
+
+
+class TestClosedRoute:
+    """On approximate spaces ``free_norm`` transports on the shortest-path
+    closure of support + base and keeps the LP's value."""
+
+    @pytest.mark.parametrize("make", [_float_line, _float_weights, _float_l1_plane])
+    def test_float_spaces_agree_with_the_lp(self, make):
+        rng = random.Random(make.__name__)
+        for _ in range(100):
+            space = load_space(json.dumps({"dist": make(rng, rng.randint(3, 8))}))
+            assert space.approximate
+            for _ in range(5):
+                mu = random_element(rng, space.n, rng.randint(1, space.n - 1))
+                result = free_norm(mu, space)
+                assert result.value == free_norm_lp(mu, space).value
+                points = sorted({0, *(p for p, _ in mu.support)})
+                assert_certificate(result, mu, space, shortest_path_costs(space, points))
+                block = FiniteMetricSpace(tuple(tuple(space.dist[i][j] for j in points) for i in points))
+                restricted = LipFunction(tuple(result.function.values[p] for p in points))
+                assert lip_norm(restricted, block) <= 1
 
 
 class TestPairing:
@@ -326,6 +370,27 @@ class TestBallSection:
         verts = list(section.ball_vertices)
         for (a1, b1), (a2, b2) in zip(verts, verts[1:] + verts[:1]):
             assert two_point_norm((a1 + a2) / 2, (b1 + b2) / 2, 2, 3, 4) <= 1
+
+    def test_ball_vertices_have_norm_one_when_the_pair_is_closest(self):
+        # rho(x, y) < min(rho(x, 0), rho(y, 0)): the polar reaches (1/rho(x, y), -1/rho(x, y))
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 200:
+            dx0, dy0, dxy = (F(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(3))
+            if not abs(dx0 - dy0) <= dxy < min(dx0, dy0):
+                continue
+            checked += 1
+            section = ball_section(validate_metric([[0, dx0, dy0], [dx0, 0, dxy], [dy0, dxy, 0]]), 1, 2)
+            assert (1 / dxy, -1 / dxy) in section.ball_vertices
+            for a, b in section.ball_vertices:
+                assert two_point_norm(a, b, dx0, dy0, dxy) == 1
+
+    def test_far_base_section_reaches_the_short_edge(self):
+        section = ball_section(validate_metric([[0, 10, 10], [10, 0, 1], [10, 1, 0]]), 1, 2)
+        assert section.ball_vertices == (
+            (F(-1), F(1)), (F(-1, 10), F(0)), (F(0), F(-1, 10)),
+            (F(1), F(-1)), (F(1, 10), F(0)), (F(0), F(1, 10)),
+        )
 
     def test_ball_membership_matches_norm(self):
         # (a, b) lies in the emitted ball polygon iff the norm is <= 1;
