@@ -92,8 +92,11 @@ NORM_SIZES = (24, 40, 64)
 ADMISSIBILITY_SIZES = (16, 32, 64, 128)
 ADMISSIBILITY_LP_SIZES = (16, 32)
 REPEATS = 3
-# (family, pair count); dendro:11:30:512 runs out of every search at 8 pairs
-ULTRA_FAMILIES = (("uniform:1", 3), ("dendro:3:9:512", 4), ("dendro:11:30:512", 8))
+# (family, pair count); dendro:11:30:512 runs out of every search at 8 pairs;
+# dendro:625:7 is a 64-leaf tree shallower than its plan, which skips both
+# chain searches; on uniform:1 at 255 pairs the clique's row fetches dominate
+ULTRA_FAMILIES = (("uniform:1", 3), ("dendro:3:9:512", 4), ("dendro:11:30:512", 8),
+                  ("dendro:625:7", 6), ("uniform:1", 255))
 PRIME_LEVEL_POINTS = 256
 PRIME_LEVEL_PAIRS = (4, 20)
 TRUNCATIONS = (("convline", 180), ("convline", 256), ("dendro:11:30:512", 512),

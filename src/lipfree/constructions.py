@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     ExactnessRequired,
@@ -605,12 +605,20 @@ def _uniform_clique(table: _DistanceTable, length: int) -> Optional[list[int]]:
     """
     scan = table.scan
     probe = min(scan, 64)
-    by_value: dict[Fraction, list[tuple[int, int]]] = {}
+    # the probe's pairs by value, keyed by the id of the table's one object
+    # per value, which spares hashing a Fraction per pair
+    by_value: dict[int, list[tuple[int, int]]] = {}
+    values: list[Fraction] = []
     for i in range(1, probe + 1):
         for j in range(i + 1, probe + 1):
-            by_value.setdefault(table.distance(i, j), []).append((i, j))
-    for d in sorted(by_value, reverse=True):
-        for i, j in by_value[d][:40]:
+            d = table.distance(i, j)
+            pairs = by_value.get(id(d))
+            if pairs is None:
+                pairs = by_value[id(d)] = []
+                values.append(d)
+            pairs.append((i, j))
+    for d in sorted(values, reverse=True):
+        for i, j in by_value[id(d)][:40]:
             chosen = [i, j]
             row_i, row_j = table.values(i), table.values(j)
             pool = [c for c in range(j + 1, scan + 1) if row_i[c] is d and row_j[c] is d]
@@ -623,7 +631,12 @@ def _uniform_clique(table: _DistanceTable, length: int) -> Optional[list[int]]:
     return None
 
 
-def _monotone_chain(table: _DistanceTable, length: int, decreasing: bool) -> Optional[list[int]]:
+def _monotone_chain(
+    table: _DistanceTable,
+    length: int,
+    decreasing: bool,
+    stop: Optional[Callable[[list[int]], bool]] = None,
+) -> Optional[list[int]]:
     """Indices y_1 < y_2 < ... whose distance matrix is constant along rows.
 
     decreasing: rho(y_s, y_t) = d_s for t > s with d strictly decreasing
@@ -631,7 +644,8 @@ def _monotone_chain(table: _DistanceTable, length: int, decreasing: bool) -> Opt
     with e strictly increasing (the value belongs to the later point).
     Greedy with chronological backtracking over the scanned prefix until
     ``length`` is reached, then extended greedily as far as the scan allows
-    (the extra elements give the thinning step room to skip).
+    (the extra elements give the thinning step room to skip), or until
+    ``stop``, asked with the chain before each extension, returns True.
 
     The search stops with None after 20 * scan steps.  A step is one
     candidate examined at the current depth, or one pop once the candidates
@@ -698,7 +712,7 @@ def _monotone_chain(table: _DistanceTable, length: int, decreasing: bool) -> Opt
         cursor[depth] = cand
         cursor.append(cand + 1)
         if len(stack) == length:
-            while (extra := first_admissible(stack[-1] + 1)) is not None:
+            while not (stop and stop(stack)) and (extra := first_admissible(stack[-1] + 1)) is not None:
                 stack.append(extra)
             return stack
 
@@ -714,6 +728,10 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     r_2n = r_{2n+1} = rho/2); a set with all pairwise distances equal
     (constant case, r_n = d/2).  All three produce exact plans.  The three
     searches share one table of the family distances on the scanned prefix.
+
+    A decreasing chain of L + 1 points has L distinct values and an
+    increasing chain of L has L - 1, so a search is skipped when
+    ``family.distinct_distances`` is below that count: it could only fail.
     """
     L = _plan_length(n_pairs)
     scan = min(family.size or MAX_POINTS, MAX_POINTS)
@@ -722,31 +740,22 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     if not ok:
         raise NotUltrametric(witness)
     table = _DistanceTable(family, scan, probe)
+    bound = family.distinct_distances
 
-    chain = _monotone_chain(table, L + 1, decreasing=True)
-    if chain is not None:
-        # row values d_s = rho(y_s, y_{s+1}); the trailing point only closes the last row
-        d_vals = [table.distance(chain[s], chain[s + 1]) for s in range(len(chain) - 1)]
-        d_inf = family.d_limit if family.d_limit is not None else d_vals[-1]
-        picked = _thin_decreasing(d_vals, d_inf, L)
-        if picked is not None:
-            x_idx = [chain[s] for s in picked]
-            d_sel = [d_vals[s] for s in picked]
+    if bound is None or bound >= L:
+        found = _thinned_chain(table, L, family.d_limit, decreasing=True)
+        if found is not None:
+            x_idx, d_sel = found
             radii = [ZERO] * L
             for n in range(1, (L - 1) // 2 + 1):
                 radii[2 * n - 1] = d_sel[2 * n - 1] - d_sel[2 * n] / 2
                 radii[2 * n] = d_sel[2 * n] / 2
             return make_plan(family, x_idx, radii, case="ultra-decreasing")
 
-    chain = _monotone_chain(table, L, decreasing=False)
-    if chain is not None:
-        e_vals = [None] + [
-            table.distance(chain[0], chain[s]) for s in range(1, len(chain))
-        ]
-        d_sup = family.d_limit if family.d_limit is not None else e_vals[-1]
-        picked = _thin_increasing(e_vals, d_sup, L)
-        if picked is not None:
-            x_idx = [chain[s] for s in picked]
+    if bound is None or bound >= L - 1:
+        found = _thinned_chain(table, L, family.d_limit, decreasing=False)
+        if found is not None:
+            x_idx = found[0]
             radii = [ZERO] * L
             for n in range(1, (L - 1) // 2 + 1):
                 rho = table.distance(x_idx[2 * n - 1], x_idx[2 * n])
@@ -762,28 +771,82 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     raise HorizonExhausted("no ultrametric subsequence of the required shape found")
 
 
-def _thin_decreasing(d_vals: list[Fraction], d_inf: Fraction, needed: int) -> Optional[list[int]]:
-    picked = [0]
-    for s in range(1, len(d_vals)):
-        if len(picked) == needed:
-            break
-        if d_vals[s] <= (3 * d_inf + d_vals[picked[-1]]) / 4 and d_vals[s] >= d_inf:
-            picked.append(s)
-    return picked if len(picked) == needed else None
+def _thinned_chain(
+    table: _DistanceTable, needed: int, d_limit: Optional[Fraction], decreasing: bool
+) -> Optional[tuple[list[int], list]]:
+    """The monotone chain's indices and values at the thinning's ``needed`` picks, or None.
+
+    A decreasing chain has needed + 1 points and value d_s = rho(y_s, y_{s+1})
+    at position s (the trailing point only closes the last row); an
+    increasing chain has ``needed`` points and value e_s = rho(y_1, y_s) at
+    s >= 1.  The thinning's limit is ``d_limit``, or else the value at the
+    end of the fully extended chain.  With ``d_limit`` the picks depend only
+    on the chain's prefix, so the chain stops growing once they are complete.
+    """
+
+    def value(chain: list[int], s: int):
+        if decreasing:
+            return table.distance(chain[s], chain[s + 1])
+        return None if s == 0 else table.distance(chain[0], chain[s])
+
+    def values(chain: list[int], start: int):
+        end = len(chain) - 1 if decreasing else len(chain)
+        return (value(chain, s) for s in range(start, end))
+
+    thin = _decreasing_thinning if decreasing else _increasing_thinning
+    stop = None
+    if d_limit is not None:
+        thinning = thin(d_limit, needed)
+        stop = lambda chain: thinning.feed(values(chain, thinning.fed))
+    chain = _monotone_chain(table, needed + 1 if decreasing else needed, decreasing, stop)
+    if chain is None:
+        return None
+    if d_limit is None:
+        thinning = thin(value(chain, len(chain) - 2 if decreasing else len(chain) - 1), needed)
+    if not thinning.feed(values(chain, thinning.fed)):
+        return None
+    return [chain[s] for s in thinning.picked], [value(chain, s) for s in thinning.picked]
 
 
-def _thin_increasing(e_vals: list, d_sup: Fraction, needed: int) -> Optional[list[int]]:
-    picked = [0]
-    for s in range(1, len(e_vals)):
-        if len(picked) == needed:
-            break
-        e = e_vals[s]
-        if len(picked) == 1:
-            if 2 * e >= d_sup:
-                picked.append(s)
-        elif e >= (d_sup + e_vals[picked[-1]]) / 2 and e <= d_sup:
-            picked.append(s)
-    return picked if len(picked) == needed else None
+class _Thinning:
+    """The thinning step, fed a chain's values in order.
+
+    Position 0 is always picked; a later position is picked when
+    ``keeps(value, value at the last pick)``, until ``needed`` are picked.
+    Each value is decided when it is fed, so the picks of a prefix of the
+    chain are a prefix of the chain's picks.
+    """
+
+    def __init__(self, keeps: Callable, needed: int):
+        self.keeps = keeps
+        self.needed = needed
+        self.picked: list[int] = []
+        self.last = None
+        self.fed = 0
+
+    def feed(self, values) -> bool:
+        """Decide the next positions from ``values``; whether ``needed`` are picked."""
+        for value in values:
+            if len(self.picked) == self.needed:
+                break
+            if not self.picked or self.keeps(value, self.last):
+                self.picked.append(self.fed)
+                self.last = value
+            self.fed += 1
+        return len(self.picked) == self.needed
+
+
+def _decreasing_thinning(d_inf: Fraction, needed: int) -> _Thinning:
+    return _Thinning(lambda d, last: d_inf <= d <= (3 * d_inf + last) / 4, needed)
+
+
+def _increasing_thinning(d_sup: Fraction, needed: int) -> _Thinning:
+    # e_0 is None: position 0 is the chain's first point, whose value is
+    # carried by the later points
+    def keeps(e, last):
+        return 2 * e >= d_sup if last is None else (d_sup + last) / 2 <= e <= d_sup
+
+    return _Thinning(keeps, needed)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,9 @@ class MetricFamily:
     approximate: bool = False  # from float file input: truncations validate as approximate
     # smallest index i > center with rho(i, center) > radius, or None
     first_index_beyond: Optional[Callable[[int, Fraction], Optional[int]]] = None
+    # the oracle returns at most this many distinct values, or None if unknown;
+    # dataclasses.replace(..., oracle=...) must keep the new oracle within it
+    distinct_distances: Optional[int] = None
 
     def distance(self, i: int, j: int) -> Fraction:
         if i < 1 or j < 1:

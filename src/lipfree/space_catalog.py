@@ -63,6 +63,7 @@ def uniform(d) -> MetricFamily:
         d_limit=d,
         bounded=True,
         ultrametric=True,
+        distinct_distances=1,
     )
 
 
@@ -197,6 +198,7 @@ def ultrametric_from_codes(codes: Sequence[tuple], levels: Sequence, label: str)
         size=len(codes),
         bounded=True,
         ultrametric=True,
+        distinct_distances=len(levels),
     )
 
 

@@ -37,9 +37,9 @@ from lipfree import (
 from lipfree.constructions import (
     ONE,
     ZERO,
+    _decreasing_thinning,
+    _increasing_thinning,
     _plan_length,
-    _thin_decreasing,
-    _thin_increasing,
 )
 from lipfree.flow import min_cost_transport
 
@@ -394,6 +394,11 @@ def monotone_chain_reference(family: MetricFamily, scan: int, length: int, decre
             cursor[depth] = cand + 1
 
 
+def _picks(thinning, values) -> Optional[list[int]]:
+    """The library's thinning over every value: its picks, or None if too few."""
+    return thinning.picked if thinning.feed(values) else None
+
+
 def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     """``radii_ultrametric`` on direct ``family.distance`` calls and the two
     searches above; every other step is the library's.
@@ -420,7 +425,7 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
         # row values d_s = rho(y_s, y_{s+1}); the trailing point only closes the last row
         d_vals = [family.distance(chain[s], chain[s + 1]) for s in range(len(chain) - 1)]
         d_inf = family.d_limit if family.d_limit is not None else d_vals[-1]
-        picked = _thin_decreasing(d_vals, d_inf, L)
+        picked = _picks(_decreasing_thinning(d_inf, L), d_vals)
         if picked is not None:
             x_idx = [chain[s] for s in picked]
             d_sel = [d_vals[s] for s in picked]
@@ -436,7 +441,7 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
             family.distance(chain[0], chain[s]) for s in range(1, len(chain))
         ]
         d_sup = family.d_limit if family.d_limit is not None else e_vals[-1]
-        picked = _thin_increasing(e_vals, d_sup, L)
+        picked = _picks(_increasing_thinning(d_sup, L), e_vals)
         if picked is not None:
             x_idx = [chain[s] for s in picked]
             radii = [ZERO] * L

@@ -851,6 +851,72 @@ class TestUltrametricTable:
         assert table_calls < sum(asked.values())
 
 
+class TestDistinctDistances:
+    """``distinct_distances`` lets ``radii_ultrametric`` skip the chain
+    searches that too few distinct values cannot fill."""
+
+    @pytest.mark.parametrize(
+        "make, pair_counts",
+        [
+            *((lambda d=d: make_family("uniform", d), range(9)) for d in ("1", "3/2", "7/3")),
+            # depth 6 skips only the decreasing search at 3 pairs; depth 7
+            # skips none up to 3 pairs and both from 4 on
+            (lambda: make_family("dendro", 5, 6), range(9)),
+            (lambda: make_family("dendro", 625, 7), range(9)),
+            (lambda: make_family("dendro", 3, 9, 512), (1, 4, 5)),
+            (lambda: random_codes_family(1), range(1, 6)),
+        ],
+    )
+    def test_same_plans_and_errors_as_without_the_bound(self, make, pair_counts):
+        family = make()
+        assert family.distinct_distances is not None
+        unbounded = dataclasses.replace(family, distinct_distances=None)
+        for n_pairs in pair_counts:
+            assert _outcome(radii_ultrametric, family, n_pairs) == _outcome(
+                radii_ultrametric, unbounded, n_pairs
+            ), (family.label, n_pairs)
+
+    def test_no_chain_search_where_the_values_run_short(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("chain search not skipped")
+
+        monkeypatch.setattr(constructions, "_monotone_chain", unreachable)
+        for n_pairs in range(1, 9):
+            assert radii_ultrametric(make_family("uniform", 1), n_pairs).case == "ultra-constant"
+        plan = radii_ultrametric(parse_family("dendro:625:7"), 6)
+        assert plan.exact
+        check_plan(plan)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            *(make_family("dendro", seed, depth) for seed, depth in ((1, 3), (5, 6), (625, 7), (7, 10))),
+            make_family("dendro", 3, 9, 512),
+            *(random_codes_family(seed) for seed in range(4)),
+        ],
+        ids=lambda family: family.label,
+    )
+    def test_the_bound_holds_on_every_pair(self, family):
+        leaves = family.size
+        values = {family.distance(i, j) for i in range(1, leaves + 1) for j in range(i + 1, leaves + 1)}
+        assert len(values) <= family.distinct_distances
+
+    def test_a_known_limit_stops_the_chain_extension(self):
+        # with d_limit set the thinning's picks depend only on the chain's
+        # prefix; extending the chain to the end of the scan fetched all
+        # 130,826 pairs of inc-ultra's 512 points
+        family = increasing_ultrametric_family()
+        calls = Counter()
+
+        def counting(i, j):
+            calls[i, j] += 1
+            return family.oracle(i, j)
+
+        plan = radii_ultrametric(dataclasses.replace(family, oracle=counting), 2)
+        assert plan.case == "ultra-increasing"
+        assert sum(calls.values()) < 20000
+
+
 class TestAdmissibility:
     def test_uniform_control(self):
         result = admissibility_lp(make_family("uniform", 1), 6)
