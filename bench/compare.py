@@ -10,9 +10,11 @@ runs, median and quartiles (``statistics.quantiles(n=4)``), and how many
 pairs the change won in the direction ``BENCHMARK.json`` calls better.  One
 traced run per side adds the per-layer figures.  ``bench/adversarial.py``
 runs ``ADVERSARIAL_RUNS`` times on each side's sources, alternating in the
-same way, so that drift of the host over the run reaches both sides; its
-output keeps each side's runs, median and quartiles of the seconds per
-entry, and each hash once when every run agrees on it (else every run's).
+same way, so that drift of the host over the run reaches both sides; each of
+its timed entries keeps both sides' runs, median and quartiles of the
+seconds, and in how many of the alternating pairs the change was faster,
+as the end-to-end metrics do; each hash is kept once when every run of both
+sides agrees on it, else as each side's list of runs.
 """
 
 from __future__ import annotations
@@ -49,20 +51,31 @@ def adversarial(checkout: str) -> dict:
     return json.loads(done.stdout)
 
 
-def merge_runs(runs: list):
-    """One nested result from several: timings (floats) by their ``summary``,
-    anything else once if every run agrees, else as the list of runs."""
-    first = runs[0]
-    if isinstance(first, dict):
-        return {key: merge_runs([run[key] for run in runs]) for key in first}
-    if isinstance(first, float):
-        return summary(runs)
-    return first if all(run == first for run in runs) else runs
-
-
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"runs": values, "q1": q1, "median": statistics.median(values), "q3": q3}
+
+
+def compared(parent: list[float], change: list[float], lower: bool) -> dict:
+    """Both sides' summaries of paired runs, and how many pairs the change won."""
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    return {"parent": summary(parent), "change": summary(change),
+            "change_wins": wins, "pairs": len(parent)}
+
+
+def merge_runs(parent: list, change: list):
+    """One nested result from each side's paired runs: timings (floats) as
+    ``compared`` in seconds, anything else once if every run of both sides
+    agrees, else as each side's list of runs."""
+    first = parent[0]
+    if isinstance(first, dict):
+        return {key: merge_runs([run[key] for run in parent], [run[key] for run in change])
+                for key in first}
+    if isinstance(first, float):
+        return compared(parent, change, lower=True)
+    if all(run == first for run in parent + change):
+        return first
+    return {"parent": parent, "change": change}
 
 
 def adversarial_summaries(sides: dict) -> dict:
@@ -72,7 +85,7 @@ def adversarial_summaries(sides: dict) -> dict:
         for side in order:
             runs[side].append(adversarial(sides[side]))
             print(f"adversarial {p} {side} done", file=sys.stderr, flush=True)
-    return {side: merge_runs(results) for side, results in runs.items()}
+    return merge_runs(runs["parent"], runs["change"])
 
 
 def main() -> None:
@@ -97,12 +110,9 @@ def main() -> None:
     for name in runs["parent"][0]["metrics"]:
         if name.rsplit(".", 1)[-1] not in better:
             continue
-        lower = better[name.rsplit(".", 1)[-1]] == "lower"
-        parent = [r["metrics"][name] for r in runs["parent"]]
-        change = [r["metrics"][name] for r in runs["change"]]
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
-        metrics[name] = {"parent": summary(parent), "change": summary(change),
-                         "change_wins": wins, "pairs": PAIRS}
+        metrics[name] = compared([r["metrics"][name] for r in runs["parent"]],
+                                 [r["metrics"][name] for r in runs["change"]],
+                                 lower=better[name.rsplit(".", 1)[-1]] == "lower")
     out = {
         "seed": args.seed,
         "pairs": PAIRS,

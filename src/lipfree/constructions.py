@@ -44,10 +44,9 @@ from .metric_core import (
     fraction_str,
     integer_scale,
     is_ultrametric,
-    truncate,
     validate_metric,
 )
-from .norm_engine import free_norm_flow, lip_norm
+from .norm_engine import free_norm, lip_norm
 from .simplex import solve_lp_max
 
 HORIZON = 10000
@@ -286,7 +285,7 @@ def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence) -> Fraction:
         raise InvalidFamilyParameters(
             f"{len(coeffs)} coefficients for a plan of {plan.pair_count} pairs"
         )
-    return free_norm_flow(l1_combination(plan, coeffs), plan.space(2 * len(coeffs) + 1))
+    return free_norm(l1_combination(plan, coeffs), plan.space(2 * len(coeffs) + 1)).value
 
 
 @dataclass(frozen=True)
@@ -523,14 +522,13 @@ def radii_unbounded_delta(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
         i, j = 2 * t, 2 * t + 1
         if family.size is not None and j > family.size:
             raise HorizonExhausted(f"{family.label} exhausted before {n_pairs} pairs")
-        if i > x_idx[-1]:
-            di, dj = family.distance(1, i), family.distance(1, j)
-            delta = (di + dj - family.distance(i, j)) / 2
-            if delta >= cap:
-                x_idx += [i, j]
-                radii += [di - delta, dj - delta]
-                cap = max(cap, 2 * di, 2 * dj)
-                pairs_done += 1
+        di, dj = family.distance(1, i), family.distance(1, j)
+        delta = (di + dj - family.distance(i, j)) / 2
+        if delta >= cap:
+            x_idx += [i, j]
+            radii += [di - delta, dj - delta]
+            cap = max(cap, 2 * di, 2 * dj)
+            pairs_done += 1
         t += 1
     return make_plan(family, x_idx, radii, case="udelta")
 
@@ -543,48 +541,44 @@ class _DistanceTable:
 
     Every value is kept as one object per distinct value, so equal values
     are identical and compare by ``is``.  Row i holds rho(x_i, x_j) for
-    i < j <= scan at index j: ``values(i)`` as those objects and ``ints(i)``
-    times the lcm of their denominators, so that values of one row compare
-    in order as ints.
+    i < j <= scan at index j, None until that pair is fetched; it is only
+    as long as its last fetched index until ``values(i)`` fetches the rest,
+    so the many rows that the probes touch stay short.
+    ``values(i)`` gives the row's objects and ``ints(i)`` their multiples
+    of the lcm of their denominators, so that values of one row compare in
+    order as ints.
     """
 
-    def __init__(self, family: MetricFamily, scan: int, prefix: FiniteMetricSpace):
+    def __init__(self, family: MetricFamily, scan: int):
         self.family = family
         self.scan = scan
         self._same: dict[tuple[int, int], Fraction] = {}
-        # pairs fetched before their row, starting with the probed truncation
-        self._loose = {
-            (i + 1, j + 1): self._one(v)
-            for i, row in enumerate(prefix.dist)
-            for j, v in enumerate(row)
-            if i < j
-        }
-        self._values: dict[int, list] = {}
+        self._rows: list[list] = [[] for _ in range(scan + 1)]
+        self._full: set[int] = set()
         self._ints: dict[int, tuple[int, list]] = {}
 
     def _one(self, value: Fraction) -> Fraction:
         return self._same.setdefault((value.numerator, value.denominator), value)
 
     def distance(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return ZERO
-        i, j = min(i, j), max(i, j)
-        row = self._values.get(i)
-        if row is not None:
-            return row[j]
-        value = self._loose.get((i, j))
+        if i > j:
+            i, j = j, i
+        row = self._rows[i]
+        if len(row) <= j:
+            row += [None] * (j + 1 - len(row))
+        value = row[j]
         if value is None:
-            value = self._loose[i, j] = self._one(self.family.distance(i, j))
+            value = row[j] = self._one(self.family.distance(i, j))
         return value
 
     def values(self, i: int) -> list:
-        row = self._values.get(i)
-        if row is None:
-            row = [None] * (i + 1)
+        row = self._rows[i]
+        if i not in self._full:
+            row += [None] * (self.scan + 1 - len(row))
             for j in range(i + 1, self.scan + 1):
-                value = self._loose.pop((i, j), None)
-                row.append(self._one(self.family.distance(i, j)) if value is None else value)
-            self._values[i] = row
+                if row[j] is None:
+                    row[j] = self._one(self.family.distance(i, j))
+            self._full.add(i)
         return row
 
     def ints(self, i: int) -> tuple[int, list]:
@@ -726,8 +720,9 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     r_{2n+1} = d_{2n+1}/2); a chain with strictly increasing values
     (increasing case, thinned by e_next >= (d + e_prev) / 2, radii
     r_2n = r_{2n+1} = rho/2); a set with all pairwise distances equal
-    (constant case, r_n = d/2).  All three produce exact plans.  The three
-    searches share one table of the family distances on the scanned prefix.
+    (constant case, r_n = d/2).  All three produce exact plans.  The
+    40-point ultrametric probe and the three searches share one table of the
+    family distances on the scanned prefix.
 
     A decreasing chain of L + 1 points has L distinct values and an
     increasing chain of L has L - 1, so a search is skipped when
@@ -735,11 +730,11 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     """
     L = _plan_length(n_pairs)
     scan = min(family.size or MAX_POINTS, MAX_POINTS)
-    probe = truncate(family, min(scan, 40))
-    ok, witness = is_ultrametric(probe)
+    table = _DistanceTable(family, scan)
+    probe = distance_matrix(lambda i, j: table.distance(i + 1, j + 1), min(scan, 40))
+    ok, witness = is_ultrametric(validate_metric(probe, family.approximate))
     if not ok:
         raise NotUltrametric(witness)
-    table = _DistanceTable(family, scan, probe)
     bound = family.distinct_distances
 
     if bound is None or bound >= L:

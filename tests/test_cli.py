@@ -390,6 +390,7 @@ class TestConstructVerifyRoundTrip:
             ("convline", "accum", "16", "HorizonExhausted"),
             ("intline", "udelta", "16", "HorizonExhausted"),
             ("intline", "bounded", "2", "MetadataRequired"),
+            ("dendro:1:0", "auto", "1", "EmptyLevels"),
         ],
     )
     def test_builder_failure_is_a_named_error(self, run, family, case, n_pairs, error):

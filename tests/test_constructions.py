@@ -246,6 +246,10 @@ class TestBumpAndBlocks:
         with pytest.raises(ValueError):
             IndexPartition(blocks=((1, 2), (2, 3)))
 
+    def test_partition_blocks_must_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            IndexPartition(blocks=((2, 1),))
+
     def test_round_robin_covers_all_pairs(self):
         part = IndexPartition.round_robin(3, 10)
         seen = sorted(m for block in part.blocks for m in block)
@@ -301,6 +305,11 @@ class TestLinftyIsometry:
 
 
 class TestL1Isometry:
+    def test_basis_past_the_plan_is_refused(self):
+        plan = uniform_exact_plan(3)
+        with pytest.raises(ValueError, match="exceeds the plan"):
+            l1_basis(plan, plan.pair_count + 1)
+
     def test_basis_vectors_have_norm_one(self):
         for plan in (uniform_exact_plan(3), radii_accumulation(make_family("convline"), 3)):
             for n in range(1, plan.pair_count + 1):
@@ -765,6 +774,24 @@ _SWEEP = [
 ]
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        # no 65 leaves of a 64-leaf tree fit the shrinking windows
+        (lambda: radii_bounded_separated(parse_family("dendro:1:4"), 32), HorizonExhausted),
+        (lambda: radii_unbounded_delta(dataclasses.replace(parse_family("intline"), size=5), 3),
+         HorizonExhausted),
+        (lambda: radii_accumulation(star_family(4), 3), HorizonExhausted),
+        # the rows of 1 + 1/min(i, j) stabilise, but each at its own value
+        (lambda: radii_bounded_separated(harmonic_caterpillar_family(), 1), MetadataRequired),
+    ],
+    ids=["bounded-windows", "udelta-size", "accum-size", "bounded-no-limit"],
+)
+def test_builder_errors(build, error):
+    with pytest.raises(error):
+        build()
+
+
 class TestUltrametricTable:
     """The searches on the fetch-once table against the same searches on
     direct oracle calls (``oracles.radii_ultrametric_reference``)."""
@@ -790,7 +817,7 @@ class TestUltrametricTable:
     def test_same_chains_where_the_rows_disagree(self, family, decreasing):
         # past the probe the rows stop agreeing, so the chains end at x_45
         for length in (3, 9):
-            table = _DistanceTable(family, 64, truncate(family, 40))
+            table = _DistanceTable(family, 64)
             chain = _monotone_chain(table, length, decreasing)
             assert chain == monotone_chain_reference(family, 64, length, decreasing)
             assert chain[-1] == 45
@@ -803,7 +830,7 @@ class TestUltrametricTable:
         length = 2 * n_pairs + 2
         found = 208 - 2 * n_pairs
         for scan, ends_on_budget in ((found, False), (found + 1, True)):
-            table = _DistanceTable(family, scan, truncate(family, 40))
+            table = _DistanceTable(family, scan)
             chain = _monotone_chain(table, length, decreasing=True)
             assert chain == monotone_chain_reference(family, scan, length, decreasing=True)
             assert (chain is None) == ends_on_budget
@@ -819,6 +846,9 @@ class TestUltrametricTable:
             (lambda: make_family("dendro", 3, 9, 512), 2),
             (lambda: make_family("dendro", 7, 10), 8),
             (lambda: random_codes_family(0), 5),
+            # the decreasing search ends on its step budget, one index short
+            # of the chain (as in test_budget_cut_falls_on_the_same_step)
+            (lambda: dataclasses.replace(late_chain_family(22), size=207), 1),
         ],
     )
     def test_each_pair_is_fetched_once(self, make, n_pairs, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -449,6 +450,23 @@ class TestFloatCertificates:
                 with pytest.raises(TriangleViolation) as info:
                     load_space(json.dumps({"dist": copy}))
                 assert (info.value.i, info.value.j, info.value.k) == expected
+
+
+class TestMetricFamily:
+    def test_indices_are_one_based(self):
+        with pytest.raises(InvalidFamilyParameters, match="1-based"):
+            make_family("uniform", 1).distance(0, 1)
+
+    def test_indices_past_the_size_are_refused(self):
+        family = dataclasses.replace(make_family("uniform", 1), size=5)
+        assert family.distance(1, 5) == 1
+        with pytest.raises(InvalidFamilyParameters, match="only 5 points"):
+            family.distance(1, 6)
+
+
+def test_lip_function_needs_the_base_point():
+    with pytest.raises(ValueError, match="base point"):
+        LipFunction(())
 
 
 class TestTruncate:

@@ -114,6 +114,14 @@ class TestMakeFamily:
 
 
 class TestDendrogram:
+    def test_depth_zero_has_no_levels(self):
+        with pytest.raises(EmptyLevels):
+            parse_family("dendro:1:0")
+
+    def test_levels_must_be_positive(self):
+        with pytest.raises(InvalidFamilyParameters, match="positive"):
+            DendrogramSpec(1, 5, (1, 0))
+
     def test_two_leaves_single_merge(self):
         fam = ultrametric_from_codes([(0,), (1,)], [1], "pair")
         assert fam.distance(1, 2) == 1
