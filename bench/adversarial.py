@@ -51,11 +51,14 @@ matrices at each size in ``FLOAT_NORM_SIZES``, for a seeded element on
 5/8 of the points.  Each entry has a hash of the norm alone, which does not
 depend on the route that computed it.
 
-The ``projection`` entry times the two verifiers of the exact
-``radii_ultrametric`` plan of ``uniform:1`` at each pair count in
+The ``projection`` entry times the two verifiers of the exact plans in
+``PROJECTION_PLANS`` (``radii_ultrametric`` on ``uniform:1``,
+``radii_unbounded_delta`` on ``geomline``) at each pair count in
 ``PROJECTION_PAIRS``: ``verify_projection`` and ``verify_linfty_isometry``
-with the ``LINFTY_COEFFS`` on three round-robin blocks.  Each entry has a
-hash of the report.
+with the ``LINFTY_COEFFS`` on three round-robin blocks.  Each run gets a
+fresh plan, built and its space validated outside the timing, so that
+nothing a verifier keeps on the plan reads as free in a later run.  Each
+entry has a hash of the report.
 """
 
 from __future__ import annotations
@@ -80,6 +83,7 @@ from lipfree import (
     load_space,
     parse_family,
     radii_ultrametric,
+    radii_unbounded_delta,
     truncate,
     validate_metric,
     verify_linfty_isometry,
@@ -104,7 +108,8 @@ TRUNCATIONS = (("convline", 180), ("convline", 256), ("dendro:11:30:512", 512),
 LOAD_SIZES = (24, 256)
 FLOAT_LOAD_SIZES = (64, 128, 256)
 FLOAT_NORM_SIZES = (16, 24, 32)
-PROJECTION_PAIRS = (15, 63, 127)
+PROJECTION_PLANS = (("uniform:1", radii_ultrametric), ("geomline", radii_unbounded_delta))
+PROJECTION_PAIRS = (15, 63, 127, 255)
 LINFTY_COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 
 
@@ -241,23 +246,30 @@ def float_norm_timings() -> dict:
 
 def projection_timings() -> dict:
     out = {}
-    for n_pairs in PROJECTION_PAIRS:
-        plan = radii_ultrametric(parse_family("uniform:1"), n_pairs)
-        plan.space()  # both sides cache the validated space; time the checks alone
-        partition = IndexPartition.round_robin(len(LINFTY_COEFFS), n_pairs)
-        seconds, report = timed(lambda: verify_projection(plan))
-        out[f"verify_projection uniform:1 pairs={n_pairs}"] = {"s": seconds, "sha256": digest(report)}
-        seconds, report = timed(lambda: verify_linfty_isometry(plan, partition, LINFTY_COEFFS))
-        out[f"verify_linfty_isometry uniform:1 pairs={n_pairs}"] = {"s": seconds, "sha256": digest(report)}
+    for label, build in PROJECTION_PLANS:
+        for n_pairs in PROJECTION_PAIRS:
+            def fresh_plan():
+                plan = build(parse_family(label), n_pairs)
+                plan.space()  # both sides cache the validated space; time the checks alone
+                return (plan,)
+
+            partition = IndexPartition.round_robin(len(LINFTY_COEFFS), n_pairs)
+            seconds, report = timed(verify_projection, fresh_plan)
+            out[f"verify_projection {label} pairs={n_pairs}"] = {"s": seconds, "sha256": digest(report)}
+            seconds, report = timed(lambda plan: verify_linfty_isometry(plan, partition, LINFTY_COEFFS),
+                                    fresh_plan)
+            out[f"verify_linfty_isometry {label} pairs={n_pairs}"] = {"s": seconds, "sha256": digest(report)}
     return out
 
 
-def timed(call) -> tuple[float, object]:
-    """Median wall seconds of ``REPEATS`` calls, and the last call's result."""
+def timed(call, setup=tuple) -> tuple[float, object]:
+    """Median wall seconds of ``REPEATS`` calls ``call(*setup())``, each on
+    arguments that an untimed ``setup()`` makes afresh, and the last call's result."""
     times = []
     for _ in range(REPEATS):
+        args = setup()
         start = perf_counter()
-        result = call()
+        result = call(*args)
         times.append(perf_counter() - start)
     return statistics.median(times), result
 

@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import ceil
 from typing import Callable, Optional, Sequence
 
@@ -46,7 +47,7 @@ from .metric_core import (
     is_ultrametric,
     validate_metric,
 )
-from .norm_engine import free_norm, lip_norm
+from .norm_engine import free_norm, lip_norm  # noqa: F401 (perfbench binds constructions.lip_norm)
 from .simplex import solve_lp_max
 
 HORIZON = 10000
@@ -61,10 +62,10 @@ class EmbeddingPlan:
     """Subsequence indices and radii of one construction.
 
     A plan has 1..MAX_POINTS points and a string or no case.  Building it
-    fetches each distance between its positions once, into ``dist``, checks
-    the separation inequality on every pair, raising SeparationViolation(m, n)
-    at the first (lexicographic) violated pair, and derives the pair ratios
-    q_n and the exactness flag (every ratio equals 1).
+    fetches each distance between its positions once, into ``dist``, scales
+    it and ``r`` to ints by one exact lcm, checks separation on those ints,
+    raising SeparationViolation(m, n) at the first (lexicographic) violated
+    pair, and derives the ratios q_n, exactness (every q_n is 1) and the pair rows.
     """
 
     family: MetricFamily
@@ -75,6 +76,11 @@ class EmbeddingPlan:
     exact: bool = field(init=False, compare=False)
     # rho between positions m and n at [m - 1][n - 1]
     dist: tuple[tuple[Fraction, ...], ...] = field(init=False, compare=False, repr=False)
+    scale: int = field(init=False, compare=False, repr=False)  # lcm of the denominators of dist and r
+    int_dist: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)  # dist * scale
+    int_r: tuple[int, ...] = field(init=False, compare=False, repr=False)  # r * scale
+    # for each point label p, {n: f_n(p) * scale} over the pairs n where f_n(p) != 0
+    pair_rows: tuple[dict[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.x_idx) != len(self.r):
@@ -90,20 +96,20 @@ class EmbeddingPlan:
         if not isinstance(self.case, (str, type(None))):  # plans are hashed by _plan_space
             raise ValueError("case must be a string or None")
 
-        def separated(m: int, n: int) -> Fraction:
-            d = self.family.distance(self.x_idx[m], self.x_idx[n])
-            s = self.r[m] + self.r[n]
-            if s > d:
-                raise SeparationViolation(m + 1, n + 1, s, d)
-            return d
-
-        object.__setattr__(self, "dist", tuple(map(tuple, distance_matrix(separated, self.n_points))))
-        ratios = tuple(
-            (self.r[2 * n - 1] + self.r[2 * n]) / self.rho(2 * n, 2 * n + 1)
-            for n in range(1, self.pair_count + 1)
-        )
-        object.__setattr__(self, "ratios", ratios)
-        object.__setattr__(self, "exact", all(q == 1 for q in ratios))
+        N = self.n_points
+        dist = distance_matrix(lambda m, n: self.family.distance(self.x_idx[m], self.x_idx[n]), N)
+        ints, scale = integer_scale([*self.r, *(v for row in dist for v in row)])
+        R, D = tuple(ints[:N]), tuple(tuple(ints[N * m : N * (m + 1)]) for m in range(1, N + 1))
+        for m, n in combinations(range(N), 2):
+            if R[m] + R[n] > D[m][n]:
+                raise SeparationViolation(m + 1, n + 1, self.r[m] + self.r[n], dist[m][n])
+        # f_n(p) = g_2n(p) - g_2n+1(p) at every pair, although separation puts g_k at x_k alone
+        pairs = range(1, self.pair_count + 1)
+        rows = tuple({n: v for n, ra, rb, da, db in zip(pairs, R[1::2], R[2::2], Dp[1::2], Dp[2::2])
+                      if (v := (ra - da if ra > da else 0) - (rb - db if rb > db else 0))} for Dp in D)
+        ratios = tuple(Fraction(R[2 * n - 1] + R[2 * n], D[2 * n - 1][2 * n]) for n in pairs)
+        self.__dict__.update(dist=tuple(map(tuple, dist)), scale=scale, int_dist=D, int_r=R,
+                             pair_rows=rows, ratios=ratios, exact=all(q == 1 for q in ratios))
 
     @property
     def n_points(self) -> int:
@@ -170,10 +176,7 @@ class IndexPartition:
     @staticmethod
     def round_robin(k_blocks: int, pair_count: int) -> "IndexPartition":
         """Block k takes the pair indices congruent to k mod K."""
-        blocks = tuple(
-            tuple(m for m in range(1, pair_count + 1) if m % k_blocks == k % k_blocks)
-            for k in range(1, k_blocks + 1)
-        )
+        blocks = tuple(tuple(range(k, pair_count + 1, k_blocks)) for k in range(1, k_blocks + 1))
         return IndexPartition(blocks=blocks)
 
 
@@ -187,22 +190,15 @@ def bump_eval(plan: EmbeddingPlan, n: int, p: int) -> Fraction:
     return value if value > 0 else ZERO
 
 
-def _pair_rows(plan: EmbeddingPlan, n_points: int) -> list[dict[int, Fraction]]:
-    """For each point label p < n_points, {n: f_n(p)} over the plan's pairs n
-    where the pair function f_n = g_{2n} - g_{2n+1} is nonzero.
-
-    Separation makes the bump supports disjoint, so a row has at most one
-    key; every pair is evaluated all the same.
-    """
-    rows = []
-    for p in range(n_points):
-        row = {}
-        for n in range(1, plan.pair_count + 1):
-            value = bump_eval(plan, 2 * n, p) - bump_eval(plan, 2 * n + 1, p)
-            if value:
-                row[n] = value
-        rows.append(row)
-    return rows
+def _block_sums(plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence, n_points: int):
+    """sum_k a_k f_k at the labels p < n_points, times plan.scale * s, and the coefficients' lcm s."""
+    coeffs = [as_fraction(a) for a in coeffs]
+    if len(coeffs) != len(partition.blocks):
+        raise ValueError("one coefficient per partition block")
+    ints, scale = integer_scale(coeffs)
+    weight = {m: a for a, block in zip(ints, partition.blocks) for m in block}
+    rows = [plan.pair_rows[p] for p in range(n_points)]  # IndexError past the plan
+    return [sum(weight[n] * v for n, v in row.items() if n in weight) for row in rows], scale
 
 
 def lin_comb_function(
@@ -211,13 +207,8 @@ def lin_comb_function(
     """sum_k a_k f_k on the first ``n_points`` points, where the block function
     f_k sums the pair functions f_m of block k; with the one block (n,) and
     coefficient 1 this is f_n."""
-    coeffs = [as_fraction(a) for a in coeffs]
-    if len(coeffs) != len(partition.blocks):
-        raise ValueError("one coefficient per partition block")
-    weight = {m: a for a, block in zip(coeffs, partition.blocks) for m in block}
-    rows = _pair_rows(plan, n_points or plan.n_points)
-    values = [sum((weight[n] * v for n, v in row.items() if n in weight), ZERO) for row in rows]
-    return LipFunction(values=tuple(values))
+    values, scale = _block_sums(plan, partition, coeffs, n_points or plan.n_points)
+    return LipFunction(values=tuple(Fraction(v, scale * plan.scale) for v in values))
 
 
 @dataclass(frozen=True)
@@ -236,8 +227,13 @@ def verify_linfty_isometry(plan: EmbeddingPlan, partition: IndexPartition, coeff
     """
     coeffs = [as_fraction(a) for a in coeffs]
     n_points = 2 * plan.pair_count + 1
-    h = lin_comb_function(plan, partition, coeffs, n_points)
-    lip = lip_norm(h, plan.space(n_points))
+    h, scale = _block_sums(plan, partition, coeffs, n_points)
+    plan.space(n_points)  # the plan's metric is validated
+    num, den = 0, 1  # the largest |h(p) - h(q)| / rho(p, q) on ints, over scale
+    for p, q in combinations(range(n_points), 2):
+        if abs(h[p] - h[q]) * den > num * plan.int_dist[p][q]:
+            num, den = abs(h[p] - h[q]), plan.int_dist[p][q]
+    lip = Fraction(num, den * scale)
     lower = max(
         (abs(a) * plan.ratios[m - 1] for a, block in zip(coeffs, partition.blocks) for m in block
          if m <= plan.pair_count),
@@ -305,25 +301,28 @@ def verify_projection(plan: EmbeddingPlan) -> ProjectionReport:
     The coefficients of a point are its sparse row {n: f_n(p)}, and each
     check compares two rows over the union of their keys: r(e_n) = e_n is
     row(x_2n) - row(x_2n+1) = rho(x_2n, x_2n+1) e_n, and r has norm 1 when
-    sum_n |f_n(p) - f_n(q)| <= rho(p, q) for every pair of points.
+    sum_n |f_n(p) - f_n(q)| <= rho(p, q) for every pair of points.  Rows and
+    rho are the plan's ints, both times plan.scale, so nothing is divided.
     """
     if not plan.exact:
         raise ExactnessRequired("the projection is defined for exact plans")
     pairs = plan.pair_count
     n_points = 2 * pairs + 1
-    rows = _pair_rows(plan, n_points)
+    rows, D = plan.pair_rows, plan.int_dist
 
-    def gaps(p: int, q: int) -> list[tuple[int, Fraction]]:
+    def gaps(p: int, q: int) -> list[tuple[int, int]]:
         a, b = rows[p], rows[q]
-        return [(m, a.get(m, ZERO) - b.get(m, ZERO)) for m in a.keys() | b.keys()]
+        return [(m, a.get(m, 0) - b.get(m, 0)) for m in a.keys() | b.keys()]
 
     basis_ok = all(
-        {m: v for m, v in gaps(2 * n - 1, 2 * n) if v} == {n: plan.rho(2 * n, 2 * n + 1)}
+        {m: v for m, v in gaps(2 * n - 1, 2 * n) if v} == {n: D[2 * n - 1][2 * n]}
         for n in range(1, pairs + 1)
     )
-    dist = plan.space(n_points).dist
+    plan.space(n_points)  # the plan's metric is validated
+    # the l1 gap of two rows is at most the sum of their l1 norms: only a pair above rho needs it
+    norms = [sum(map(abs, row.values())) for row in rows]
     lip_ok = all(
-        sum((abs(v) for _, v in gaps(p, q)), ZERO) <= dist[p][q]
+        norms[p] + norms[q] <= D[p][q] or sum(abs(v) for _, v in gaps(p, q)) <= D[p][q]
         for p in range(n_points)
         for q in range(p + 1, n_points)
     )

@@ -463,7 +463,8 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
 # Block sums and the projection, point by point on dense rows
 # ---------------------------------------------------------------------------
 # Every bump value is read through ``constructions.bump_eval`` at call time,
-# so a test that patches it reaches these routes and the library's alike.
+# so a test that patches it reaches these routes; the library's verifiers
+# read the plan's integer ``pair_rows`` instead.
 
 
 def _pair_value(plan: EmbeddingPlan, n: int, p: int) -> Fraction:
@@ -483,6 +484,16 @@ def lin_comb_eval_reference(plan: EmbeddingPlan, partition: IndexPartition, coef
                        if 2 * m + 1 <= plan.n_points), ZERO)
             total += a * f_k
     return total
+
+
+def separation_reference(family: MetricFamily, x_idx, r) -> Optional[tuple]:
+    """(m, n, r_m + r_n, rho) at the first pair of positions m < n, in
+    lexicographic order, whose radii sum exceeds their distance, or None."""
+    for m, n in combinations(range(len(x_idx)), 2):
+        d = family.distance(x_idx[m], x_idx[n])
+        if r[m] + r[n] > d:
+            return m + 1, n + 1, r[m] + r[n], d
+    return None
 
 
 def prefix(plan: EmbeddingPlan, pairs: int) -> EmbeddingPlan:

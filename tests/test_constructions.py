@@ -49,7 +49,7 @@ from lipfree import (
 from lipfree import constructions
 from lipfree.constructions import _DistanceTable, _monotone_chain
 from lipfree.space_catalog import family_from_space, ultrametric_from_codes
-from lipfree.metric_core import truncate
+from lipfree.metric_core import _SCAN_BITS, truncate
 from oracles import (
     lin_comb_eval_reference,
     monotone_chain_reference,
@@ -57,6 +57,7 @@ from oracles import (
     radii_ultrametric_reference,
     rand_fraction,
     random_metric_space,
+    separation_reference,
     verify_linfty_reference,
     verify_projection_reference,
 )
@@ -140,6 +141,47 @@ def raised_beyond_the_probe(family: MetricFamily, row: int) -> MetricFamily:
         return family.oracle(i, j) + (F(1, 10**6) if i == row and j > 45 else 0)
 
     return dataclasses.replace(family, label=f"{family.label}/raised:{row}", oracle=oracle)
+
+
+def primes_above(start: int, count: int) -> list[int]:
+    found: list[int] = []
+    while len(found) < count:
+        start += 1
+        if all(start % d for d in range(2, int(start**0.5) + 1)):
+            found.append(start)
+    return found
+
+
+def prime_pairs_family(size: int) -> MetricFamily:
+    """rho(x_2t, x_2t+1) = 1 + 1/p and every other distance 2 + 1/p, with one
+    prime p > 10^4 per pair of indices.  No two short pairs share a point, so
+    a triangle has at most one side below 2 and every side below 3: a metric
+    whose common denominator is the product of all its primes."""
+    primes = iter(primes_above(10**4, size * (size - 1) // 2))
+    inverse = {pair: F(1, next(primes)) for pair in itertools.combinations(range(1, size + 1), 2)}
+    return MetricFamily(
+        label=f"prime-pairs:{size}",
+        oracle=lambda i, j: (1 if i % 2 == 0 and j == i + 1 else 2) + inverse[i, j],
+        size=size,
+    )
+
+
+def prime_pairs_plans(seed: int) -> list[EmbeddingPlan]:
+    """An exact and an inexact plan on all of a seeded prime-pairs family: the
+    base and an unpaired last point get radii up to 9/20, and pair n splits
+    rho(x_2n, x_2n+1), or a seeded share of it, at a seeded point of
+    [1/4, 3/4], so every radius stays below 4/5."""
+    rng = random.Random(seed)
+    family = prime_pairs_family(rng.randint(10, 21))
+    plans = []
+    for share in (lambda: 1, lambda: F(rng.randint(50, 99), rng.choice((101, 103, 107)))):
+        r = [F(rng.randint(0, 9), 20) for _ in range(family.size)]
+        for n in range(1, (family.size - 1) // 2 + 1):
+            rho = family.distance(2 * n, 2 * n + 1) * share()
+            t = F(rng.randint(13, 39), 52)
+            r[2 * n - 1], r[2 * n] = t * rho, (1 - t) * rho
+        plans.append(make_plan(family, range(1, family.size + 1), r))
+    return plans
 
 
 def uniform_exact_plan(n_pairs=3) -> EmbeddingPlan:
@@ -481,6 +523,8 @@ class TestSparseRowsAgainstDenseRows:
             lambda: radii_bounded_separated(make_family("remark", 5), 3),
             lambda: radii_unbounded(make_family("intline"), 4),
             lambda: radii_bounded_separated(make_family("uniform", F(2, 3)), 3),
+            lambda: radii_bounded_separated(make_family("remark", 3), 4),
+            lambda: radii_bounded_separated(parse_family("dendro:1:4"), 4),
         ],
     )
     def test_inexact_plans_in_the_dual(self, plan):
@@ -495,19 +539,24 @@ class TestSparseRowsAgainstDenseRows:
     @pytest.mark.parametrize("name", ["uniform:1 x3", "dendro:7:10", "convline accum"])
     @pytest.mark.parametrize("where", ["centre", "other centre", "base"])
     def test_a_corrupted_bump_fails_on_both_routes(self, name, where, monkeypatch):
+        # the library reads the plan's integer pair rows (times plan.scale),
+        # the references read bump_eval: both move by the same shift
         plan = SUITE_PLANS[name]()
         n = 2
         bump = constructions.bump_eval
+        seventh = -(-plan.int_dist[2 * n - 1][2 * n] // 7)  # about rho(x_2n, x_2n+1) / 7
         if where == "centre":  # g_2n at x_2n moves, so r(e_n) is no longer e_n
-            target, shift = (2 * n, 2 * n - 1), plan.rho(2 * n, 2 * n + 1) / 7
+            target, shift = (2 * n, 2 * n - 1), seventh
         elif where == "other centre":  # g_2n turns on at x_2, so r(e_1) gains an e_n term
-            target, shift = (2 * n, 1), plan.rho(2 * n, 2 * n + 1) / 7
+            target, shift = (2 * n, 1), seventh
         else:  # f_n(base) moves farther from f_n(x_2n) than rho(x_1, x_2n)
-            target, shift = (2 * n, 0), plan.r[2 * n - 1] + plan.rho(1, 2 * n) + 1
+            target, shift = (2 * n, 0), plan.int_r[2 * n - 1] + plan.int_dist[0][2 * n - 1] + plan.scale
+        row = plan.pair_rows[target[1]]
+        row[n] = row.get(n, 0) + shift  # f_n = g_2n - g_2n+1 moves with g_2n
 
         def corrupted(plan_, position, p):
             value = bump(plan_, position, p)
-            return value + shift if plan_ is plan and (position, p) == target else value
+            return value + F(shift, plan.scale) if plan_ is plan and (position, p) == target else value
 
         monkeypatch.setattr(constructions, "bump_eval", corrupted)
         report = verify_projection(plan)
@@ -537,6 +586,62 @@ class TestSparseRowsAgainstDenseRows:
         verify_projection(plan)
         verify_l1_isometry(plan, [1] * plan.pair_count)
         assert asked == Counter(itertools.combinations(plan.x_idx, 2))
+
+
+class TestIntegerPlanKernel:
+    """The plan's one exact integer scaling against the Fraction references."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_prime_denominators_are_not_rounded(self, seed):
+        rng = random.Random(seed)
+        for plan in prime_pairs_plans(seed):
+            assert plan.scale.bit_length() > _SCAN_BITS
+            if plan.exact:
+                assert verify_projection(plan) == verify_projection_reference(plan)
+                assert verify_projection(plan).ok
+            else:
+                with pytest.raises(ExactnessRequired):
+                    verify_projection(plan)
+            k_blocks = rng.randint(1, 3)
+            coeffs = [F(rng.randint(-9, 9), p) for p in primes_above(rng.randint(20, 90), k_blocks)]
+            part = IndexPartition.round_robin(k_blocks, plan.pair_count)
+            assert verify_linfty_isometry(plan, part, coeffs) == verify_linfty_reference(plan, part, coeffs)
+            for _ in range(3):
+                part, coeffs, window = random_linfty_inputs(rng, plan)
+                assert verify_linfty_isometry(window, part, coeffs) == verify_linfty_reference(
+                    window, part, coeffs
+                )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nudged_radii_fail_at_the_reference_pair(self, seed):
+        rng = random.Random(seed)
+        for plan in random_exact_plans(seed) + prime_pairs_plans(seed):
+            for _ in range(4):
+                r = list(plan.r)
+                for k in rng.sample(range(plan.n_points), min(plan.n_points, rng.randint(1, 3))):
+                    r[k] += F(1, rng.choice((3, 10**6 + 3, 2**70)))
+                expected = separation_reference(plan.family, plan.x_idx, r)
+                if expected is None:
+                    make_plan(plan.family, plan.x_idx, r)
+                    continue
+                with pytest.raises(SeparationViolation) as info:
+                    make_plan(plan.family, plan.x_idx, r)
+                found = info.value
+                assert (found.m, found.n, found.r_sum, found.rho) == expected
+                assert type(found.r_sum) is type(found.rho) is F
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lin_comb_function_follows_the_bump_definition(self, seed):
+        rng = random.Random(seed)
+        inexact = [radii_bounded_separated(make_family("remark", 5), 3),
+                   radii_unbounded(make_family("intline"), 4)]
+        for plan in random_exact_plans(seed) + prime_pairs_plans(seed) + inexact:
+            part, coeffs, _ = random_linfty_inputs(rng, plan)
+            h = lin_comb_function(plan, part, coeffs)
+            assert all(type(v) is F for v in h.values)
+            assert h.values == tuple(
+                lin_comb_eval_reference(plan, part, coeffs, p) for p in range(plan.n_points)
+            )
 
 
 class TestRadiiAccumulation:
