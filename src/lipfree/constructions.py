@@ -22,7 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import ceil
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     ExactnessRequired,
@@ -53,6 +54,9 @@ from .simplex import solve_lp_max
 HORIZON = 10000
 MAX_ADMISSIBILITY_POINTS = 128  # Bellman-Ford on 2N nodes: 0.2 s on catalog families
 MAX_ADMISSIBILITY_LP_POINTS = 64  # the exact LP has N(N-1)/2 separation rows
+# N^2 times the bits of an N-point plan's common denominator, which every scaled distance
+# carries: 1028 bits at 511 points, where radii_bounded_separated takes 743 on the catalog
+MAX_SCALED_BITS = 1 << 28
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -66,6 +70,7 @@ class EmbeddingPlan:
     it and ``r`` to ints by one exact lcm, checks separation on those ints,
     raising SeparationViolation(m, n) at the first (lexicographic) violated
     pair, and derives the ratios q_n, exactness (every q_n is 1) and the pair rows.
+    An lcm of more than MAX_SCALED_BITS / N^2 bits raises InvalidFamilyParameters.
     """
 
     family: MetricFamily
@@ -80,7 +85,7 @@ class EmbeddingPlan:
     int_dist: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)  # dist * scale
     int_r: tuple[int, ...] = field(init=False, compare=False, repr=False)  # r * scale
     # for each point label p, {n: f_n(p) * scale} over the pairs n where f_n(p) != 0
-    pair_rows: tuple[dict[int, int], ...] = field(init=False, compare=False, repr=False)
+    pair_rows: tuple[Mapping[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.x_idx) != len(self.r):
@@ -98,15 +103,18 @@ class EmbeddingPlan:
 
         N = self.n_points
         dist = distance_matrix(lambda m, n: self.family.distance(self.x_idx[m], self.x_idx[n]), N)
-        ints, scale = integer_scale([*self.r, *(v for row in dist for v in row)])
+        flat = [*self.r, *(v for row in dist for v in row)]
+        ints, scale = integer_scale(flat, MAX_SCALED_BITS // (N * N))
         R, D = tuple(ints[:N]), tuple(tuple(ints[N * m : N * (m + 1)]) for m in range(1, N + 1))
         for m, n in combinations(range(N), 2):
             if R[m] + R[n] > D[m][n]:
                 raise SeparationViolation(m + 1, n + 1, self.r[m] + self.r[n], dist[m][n])
         # f_n(p) = g_2n(p) - g_2n+1(p) at every pair, although separation puts g_k at x_k alone
         pairs = range(1, self.pair_count + 1)
-        rows = tuple({n: v for n, ra, rb, da, db in zip(pairs, R[1::2], R[2::2], Dp[1::2], Dp[2::2])
-                      if (v := (ra - da if ra > da else 0) - (rb - db if rb > db else 0))} for Dp in D)
+        rows = tuple(MappingProxyType({
+            n: v for n, ra, rb, da, db in zip(pairs, R[1::2], R[2::2], Dp[1::2], Dp[2::2])
+            if (v := (ra - da if ra > da else 0) - (rb - db if rb > db else 0))
+        }) for Dp in D)
         ratios = tuple(Fraction(R[2 * n - 1] + R[2 * n], D[2 * n - 1][2 * n]) for n in pairs)
         self.__dict__.update(dist=tuple(map(tuple, dist)), scale=scale, int_dist=D, int_r=R,
                              pair_rows=rows, ratios=ratios, exact=all(q == 1 for q in ratios))
@@ -176,7 +184,10 @@ class IndexPartition:
     @staticmethod
     def round_robin(k_blocks: int, pair_count: int) -> "IndexPartition":
         """Block k takes the pair indices congruent to k mod K."""
-        blocks = tuple(tuple(range(k, pair_count + 1, k_blocks)) for k in range(1, k_blocks + 1))
+        blocks = tuple(
+            tuple(m for m in range(1, pair_count + 1) if m % k_blocks == k % k_blocks)
+            for k in range(1, k_blocks + 1)
+        )
         return IndexPartition(blocks=blocks)
 
 

@@ -91,10 +91,22 @@ class FiniteMetricSpace:
         return len(self.dist)
 
 
-def integer_scale(values: Sequence) -> tuple[list[int], int]:
-    """``values`` (ints or Fractions) times the lcm of their denominators, and that lcm."""
+def integer_scale(values: Sequence, max_bits: Optional[int] = None) -> tuple[list[int], int]:
+    """``values`` (ints or Fractions) times the lcm of their denominators, and that lcm.
+
+    An lcm of more than ``max_bits`` bits raises InvalidFamilyParameters as
+    soon as it grows past them, before anything is scaled."""
     denominators = {v.denominator for v in values}
-    scale = lcm(*denominators)
+    if max_bits is None:
+        scale = lcm(*denominators)
+    else:
+        scale = 1
+        for d in denominators:
+            scale = lcm(scale, d)
+            if scale.bit_length() > max_bits:
+                raise InvalidFamilyParameters(f"a common denominator of more than {max_bits} bits")
+    if scale == 1:  # the numerators themselves, not copies of them
+        return [v.numerator for v in values], 1
     factor = {d: scale // d for d in denominators}
     return [v.numerator * factor[v.denominator] for v in values], scale
 

@@ -36,6 +36,15 @@ BAD_FILES = {
         "family": "uniform:1", "x_idx": [1, 2, 3], "r": [f"1e-{EXPONENT}"] * 3,
     },
     "exponent-space.json": {"dist": [[0, f"1e{EXPONENT}"], [f"1e{EXPONENT}", 0]]},
+    # radii that pass separation but whose common denominator has about
+    # 32000 and 1.2 million bits: the plan refuses to scale its distances by it
+    "lcm-20-digits.json": {
+        "family": "uniform:1", "x_idx": list(range(1, 512)), "r": [f"1/{10**19 + k}" for k in range(511)],
+    },
+    "lcm-3000-digits.json": {
+        "family": "uniform:1", "x_idx": list(range(1, 129)),
+        "r": [f"1/{10**3000 + k}" for k in range(128)],
+    },
 }
 
 
@@ -265,6 +274,9 @@ class TestErrors:
             ("verify", "--family", "uniform:1", "--N", "1", "--coeffs", '["1e-{exponent}"]'),
             ("norm", "--space", "file:{tmp}/exponent-space.json", "--element", "[]"),
             ("verify", "--plan", "{tmp}/exponent-radius.json", "--coeffs", "[1]"),
+            # a plan's common denominator past MAX_SCALED_BITS / N^2 bits
+            ("verify", "--plan", "{tmp}/lcm-20-digits.json", "--coeffs", "[1]"),
+            ("verify", "--plan", "{tmp}/lcm-3000-digits.json", "--coeffs", "[1]"),
             # answers past the digit limit from inputs within it: ResultTooLarge
             ("two-point", "--a", "{nines}", "--b", "1", "--dx0", "{nines}", "--dy0", "1",
              "--dxy", "{nines}"),
@@ -281,7 +293,7 @@ class TestErrors:
             "convline-space-extra", "intline-space-extra", "geomline-space-extra",
             "convline-family-extra", "intline-family-extra", "geomline-family-extra",
             "exponent-two-point", "exponent-coef", "exponent-coeffs", "exponent-file-space",
-            "exponent-plan-radius", "oversized-two-point", "oversized-norm",
+            "exponent-plan-radius", "plan-lcm-20-digits", "plan-lcm-3000-digits", "oversized-two-point", "oversized-norm",
         ],
     )
     def test_bad_input_never_leaks_a_traceback(self, run, tmp_path, argv):

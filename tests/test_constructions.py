@@ -15,6 +15,7 @@ from lipfree import (
     ExactnessRequired,
     HorizonExhausted,
     IndexPartition,
+    InvalidFamilyParameters,
     LipfreeError,
     MetadataRequired,
     MetricFamily,
@@ -551,8 +552,10 @@ class TestSparseRowsAgainstDenseRows:
             target, shift = (2 * n, 1), seventh
         else:  # f_n(base) moves farther from f_n(x_2n) than rho(x_1, x_2n)
             target, shift = (2 * n, 0), plan.int_r[2 * n - 1] + plan.int_dist[0][2 * n - 1] + plan.scale
-        row = plan.pair_rows[target[1]]
+        rows = list(plan.pair_rows)
+        row = rows[target[1]] = dict(rows[target[1]])
         row[n] = row.get(n, 0) + shift  # f_n = g_2n - g_2n+1 moves with g_2n
+        object.__setattr__(plan, "pair_rows", tuple(rows))
 
         def corrupted(plan_, position, p):
             value = bump(plan_, position, p)
@@ -629,6 +632,21 @@ class TestIntegerPlanKernel:
                 found = info.value
                 assert (found.m, found.n, found.r_sum, found.rho) == expected
                 assert type(found.r_sum) is type(found.rho) is F
+
+    def test_pair_rows_are_read_only(self):
+        plan = uniform_exact_plan()
+        with pytest.raises(TypeError):
+            plan.pair_rows[1][1] = 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_the_common_denominator_is_capped_before_scaling(self, seed, monkeypatch):
+        exact = prime_pairs_plans(seed)[0]
+        bits = exact.scale.bit_length()
+        monkeypatch.setattr(constructions, "MAX_SCALED_BITS", bits * exact.n_points**2)
+        assert make_plan(exact.family, exact.x_idx, exact.r).int_dist == exact.int_dist
+        monkeypatch.setattr(constructions, "MAX_SCALED_BITS", bits * exact.n_points**2 - 1)
+        with pytest.raises(InvalidFamilyParameters, match=f"more than {bits - 1} bits"):
+            make_plan(exact.family, exact.x_idx, exact.r)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lin_comb_function_follows_the_bump_definition(self, seed):
