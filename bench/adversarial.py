@@ -59,6 +59,13 @@ with the ``LINFTY_COEFFS`` on three round-robin blocks.  Each run gets a
 fresh plan, built and its space validated outside the timing, so that
 nothing a verifier keeps on the plan reads as free in a later run.  Each
 entry has a hash of the report.
+
+The ``plan_space`` entry times the first ``plan.space()`` on a fresh plan,
+built outside the timing: on the same ``PROJECTION_PLANS`` at each pair count
+in ``PROJECTION_PAIRS``, where a certificate accepts the plan's ints, and on a
+plan with zero radii over the ``SCANNED_PLAN_POINTS`` points of a family on
+``scanned_matrix``, which no certificate accepts and ``validate_metric``
+scans.  Each entry has a hash of the space.
 """
 
 from __future__ import annotations
@@ -81,6 +88,7 @@ from lipfree import (
     free_norm_flow,
     is_ultrametric,
     load_space,
+    make_plan,
     parse_family,
     radii_ultrametric,
     radii_unbounded_delta,
@@ -111,6 +119,7 @@ FLOAT_NORM_SIZES = (16, 24, 32)
 PROJECTION_PLANS = (("uniform:1", radii_ultrametric), ("geomline", radii_unbounded_delta))
 PROJECTION_PAIRS = (15, 63, 127, 255)
 LINFTY_COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))
+SCANNED_PLAN_POINTS = 64
 
 
 def primes(count: int, start: int = 1000) -> list[int]:
@@ -262,6 +271,23 @@ def projection_timings() -> dict:
     return out
 
 
+def plan_space_timings() -> dict:
+    out = {}
+    for label, build in PROJECTION_PLANS:
+        for n_pairs in PROJECTION_PAIRS:
+            seconds, space = timed(lambda plan: plan.space(), lambda: (build(parse_family(label), n_pairs),))
+            out[f"plan.space {label} pairs={n_pairs}"] = {"s": seconds, "sha256": digest(space)}
+    n = SCANNED_PLAN_POINTS
+    scanned = validate_metric(scanned_matrix(n))
+
+    def fresh_plan():  # a new family each time, so no plan equals a cached one
+        return (make_plan(family_from_space(scanned, f"scanned:{n}"), range(1, n + 1), [0] * n),)
+
+    seconds, space = timed(lambda plan: plan.space(), fresh_plan)
+    out[f"plan.space scanned_matrix n={n}"] = {"s": seconds, "sha256": digest(space)}
+    return out
+
+
 def timed(call, setup=tuple) -> tuple[float, object]:
     """Median wall seconds of ``REPEATS`` calls ``call(*setup())``, each on
     arguments that an untimed ``setup()`` makes afresh, and the last call's result."""
@@ -310,7 +336,7 @@ def main() -> None:
     print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings(),
                       "truncation": truncation_timings(), "load_space": load_space_timings(),
                       "float_load": float_load_timings(), "float_norm": float_norm_timings(),
-                      "projection": projection_timings()}))
+                      "projection": projection_timings(), "plan_space": plan_space_timings()}))
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ from .metric_core import (
     distance_matrix,
     fraction_str,
     integer_scale,
+    is_certified_metric,
     is_ultrametric,
     validate_metric,
 )
@@ -83,7 +84,6 @@ class EmbeddingPlan:
     dist: tuple[tuple[Fraction, ...], ...] = field(init=False, compare=False, repr=False)
     scale: int = field(init=False, compare=False, repr=False)  # lcm of the denominators of dist and r
     int_dist: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)  # dist * scale
-    int_r: tuple[int, ...] = field(init=False, compare=False, repr=False)  # r * scale
     # for each point label p, {n: f_n(p) * scale} over the pairs n where f_n(p) != 0
     pair_rows: tuple[Mapping[int, int], ...] = field(init=False, compare=False, repr=False)
 
@@ -116,7 +116,7 @@ class EmbeddingPlan:
             if (v := (ra - da if ra > da else 0) - (rb - db if rb > db else 0))
         }) for Dp in D)
         ratios = tuple(Fraction(R[2 * n - 1] + R[2 * n], D[2 * n - 1][2 * n]) for n in pairs)
-        self.__dict__.update(dist=tuple(map(tuple, dist)), scale=scale, int_dist=D, int_r=R,
+        self.__dict__.update(dist=tuple(map(tuple, dist)), scale=scale, int_dist=D,
                              pair_rows=rows, ratios=ratios, exact=all(q == 1 for q in ratios))
 
     @property
@@ -131,13 +131,16 @@ class EmbeddingPlan:
         """Distance between plan positions (1-based)."""
         return self.dist[m - 1][n - 1]
 
-    def space(self, n_points: Optional[int] = None) -> FiniteMetricSpace:
-        return _plan_space(self, n_points or self.n_points)
+    def space(self) -> FiniteMetricSpace:
+        return _plan_space(self)
 
 
 @lru_cache(maxsize=2)  # one plan's verifiers; each entry keeps its plan alive
-def _plan_space(plan: EmbeddingPlan, n_points: int) -> FiniteMetricSpace:
-    return validate_metric([row[:n_points] for row in plan.dist[:n_points]], plan.family.approximate)
+def _plan_space(plan: EmbeddingPlan) -> FiniteMetricSpace:
+    """``dist`` as a space if a certificate accepts ``int_dist``, else as ``validate_metric`` finds it."""
+    if is_certified_metric(plan.int_dist, plan.scale, plan.family.approximate):
+        return FiniteMetricSpace(plan.dist, plan.family.approximate)
+    return validate_metric(plan.dist, plan.family.approximate)
 
 
 def make_plan(family: MetricFamily, x_idx, r, case: Optional[str] = None) -> EmbeddingPlan:
@@ -201,24 +204,21 @@ def bump_eval(plan: EmbeddingPlan, n: int, p: int) -> Fraction:
     return value if value > 0 else ZERO
 
 
-def _block_sums(plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence, n_points: int):
-    """sum_k a_k f_k at the labels p < n_points, times plan.scale * s, and the coefficients' lcm s."""
+def _block_sums(plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence):
+    """sum_k a_k f_k at every label, times plan.scale * s, and the coefficients' lcm s."""
     coeffs = [as_fraction(a) for a in coeffs]
     if len(coeffs) != len(partition.blocks):
         raise ValueError("one coefficient per partition block")
     ints, scale = integer_scale(coeffs)
     weight = {m: a for a, block in zip(ints, partition.blocks) for m in block}
-    rows = [plan.pair_rows[p] for p in range(n_points)]  # IndexError past the plan
-    return [sum(weight[n] * v for n, v in row.items() if n in weight) for row in rows], scale
+    return [sum(weight[n] * v for n, v in row.items() if n in weight) for row in plan.pair_rows], scale
 
 
-def lin_comb_function(
-    plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence, n_points: Optional[int] = None
-) -> LipFunction:
-    """sum_k a_k f_k on the first ``n_points`` points, where the block function
-    f_k sums the pair functions f_m of block k; with the one block (n,) and
+def lin_comb_function(plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence) -> LipFunction:
+    """sum_k a_k f_k on the plan's points, where the block function f_k sums
+    the pair functions f_m of block k; with the one block (n,) and
     coefficient 1 this is f_n."""
-    values, scale = _block_sums(plan, partition, coeffs, n_points or plan.n_points)
+    values, scale = _block_sums(plan, partition, coeffs)
     return LipFunction(values=tuple(Fraction(v, scale * plan.scale) for v in values))
 
 
@@ -238,8 +238,8 @@ def verify_linfty_isometry(plan: EmbeddingPlan, partition: IndexPartition, coeff
     """
     coeffs = [as_fraction(a) for a in coeffs]
     n_points = 2 * plan.pair_count + 1
-    h, scale = _block_sums(plan, partition, coeffs, n_points)
-    plan.space(n_points)  # the plan's metric is validated
+    h, scale = _block_sums(plan, partition, coeffs)
+    plan.space()  # the plan's metric is validated
     num, den = 0, 1  # the largest |h(p) - h(q)| / rho(p, q) on ints, over scale
     for p, q in combinations(range(n_points), 2):
         if abs(h[p] - h[q]) * den > num * plan.int_dist[p][q]:
@@ -292,7 +292,7 @@ def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence) -> Fraction:
         raise InvalidFamilyParameters(
             f"{len(coeffs)} coefficients for a plan of {plan.pair_count} pairs"
         )
-    return free_norm(l1_combination(plan, coeffs), plan.space(2 * len(coeffs) + 1)).value
+    return free_norm(l1_combination(plan, coeffs), plan.space()).value
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ def verify_projection(plan: EmbeddingPlan) -> ProjectionReport:
         {m: v for m, v in gaps(2 * n - 1, 2 * n) if v} == {n: D[2 * n - 1][2 * n]}
         for n in range(1, pairs + 1)
     )
-    plan.space(n_points)  # the plan's metric is validated
+    plan.space()  # the plan's metric is validated
     # the l1 gap of two rows is at most the sum of their l1 norms: only a pair above rho needs it
     norms = [sum(map(abs, row.values())) for row in rows]
     lip_ok = all(

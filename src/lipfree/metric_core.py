@@ -190,14 +190,26 @@ def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
         for j, v in enumerate(row):
             if i != j and v <= tol and mat[i][j] <= exact_tol:
                 raise NegativeOrZeroOffDiagonal(i, j)
-    exact_rows = mat if slack else ints  # rounded ints are not exact
-    if not (
-        _line_certificate(exact_rows)
-        or _ultrametric_certificate(ints, mat, slack)
-        or _neighbour_certificate(ints, slack)
-    ):
+    if not _certified(ints, mat, slack):
         _triangle_scan(ints, mat, tol - slack, exact_tol)
     return FiniteMetricSpace(dist=tuple(map(tuple, mat)), approximate=approximate)
+
+
+def _certified(ints, mat, slack) -> bool:
+    """Whether a certificate accepts ``mat``, scaled to ``ints`` by ``_integer_matrix``."""
+    return (
+        _line_certificate(mat if slack else ints)  # rounded ints are not exact
+        or _ultrametric_certificate(ints, mat, slack)
+        or _neighbour_certificate(ints, slack)
+    )
+
+
+def is_certified_metric(ints, scale: int, approximate: bool = False) -> bool:
+    """Whether a symmetric zero-diagonal matrix, exactly ``ints`` / ``scale``, has every
+    entry off the diagonal above the scaled tolerance and passes ``_certified``; one
+    that does is what ``validate_metric`` would return it as, with no scan."""
+    tol = FLOAT_TOLERANCE * scale if approximate else 0
+    return all(min(row[i + 1 :]) > tol for i, row in enumerate(ints[:-1])) and _certified(ints, ints, 0)
 
 
 def _triangle_scan(ints, sym, int_tol, exact_tol) -> None:

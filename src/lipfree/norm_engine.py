@@ -70,10 +70,10 @@ class FreeNormResult:
 
 
 def _mcshane_extension(space: FiniteMetricSpace, anchors: dict[int, Fraction]) -> LipFunction:
-    # largest 1-Lipschitz extension of the anchor values
+    # largest 1-Lipschitz extension of the anchor values, which feasible LP anchors keep
     values = []
     for p in range(space.n):
-        values.append(min(v + space.dist[p][q] for q, v in anchors.items()))
+        values.append(anchors[p] if p in anchors else min(v + space.dist[p][q] for q, v in anchors.items()))
     return LipFunction(values=tuple(values))
 
 

@@ -224,8 +224,7 @@ def test_criterion_05_exact_l1_isometry(exact_plans):
                 coeffs = [rand_fraction(rng, signed=True) for _ in range(2)]
                 expected = sum(abs(c) for c in coeffs)
                 element = l1_combination(plan, coeffs)
-                space = plan.space(2 * len(coeffs) + 1)
-                assert free_norm_lp(element, space).value == expected, name
+                assert free_norm_lp(element, plan.space()).value == expected, name
         assert total >= 200
 
 
@@ -303,11 +302,10 @@ def test_criterion_11_disjoint_support_lipschitz_bound(exact_plans):
         for name, plan in list(exact_plans) + extra:
             k_blocks = min(3, plan.pair_count)
             partition = IndexPartition.round_robin(k_blocks, plan.pair_count)
-            n_points = plan.n_points
-            space = plan.space(n_points)
+            space = plan.space()
             choices = [F(1), F(-1), F(3, 7)]
             for c0 in choices:
                 for c1 in choices:
                     coeffs = [c0, c1, F(-3, 7)][:k_blocks]
-                    h = lin_comb_function(plan, partition, coeffs, n_points)
+                    h = lin_comb_function(plan, partition, coeffs)
                     assert lip_norm(h, space) <= 1, name

@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
 import gc
+import importlib.util
 import itertools
+import pathlib
 import json
 import random
 import weakref
@@ -19,9 +21,11 @@ from lipfree import (
     LipfreeError,
     MetadataRequired,
     MetricFamily,
+    NegativeOrZeroOffDiagonal,
     NotConvergent,
     NotUltrametric,
     SeparationViolation,
+    TriangleViolation,
     admissibility,
     admissibility_lp,
     bump_eval,
@@ -46,11 +50,12 @@ from lipfree import (
     verify_l1_isometry,
     verify_linfty_isometry,
     verify_projection,
+    validate_metric,
 )
-from lipfree import constructions
+from lipfree import constructions, metric_core
 from lipfree.constructions import _DistanceTable, _monotone_chain
 from lipfree.space_catalog import family_from_space, ultrametric_from_codes
-from lipfree.metric_core import _SCAN_BITS, truncate
+from lipfree.metric_core import _SCAN_BITS, is_certified_metric, truncate
 from oracles import (
     lin_comb_eval_reference,
     monotone_chain_reference,
@@ -402,8 +407,7 @@ class TestL1Isometry:
             coeffs = [rand_fraction(rng, signed=True) for _ in range(rng.randint(1, 4))]
             value = verify_l1_isometry(plan, coeffs)
             assert value == sum(abs(a) for a in coeffs)
-            space = plan.space(2 * len(coeffs) + 1)
-            assert value == free_norm_lp(l1_combination(plan, coeffs), space).value
+            assert value == free_norm_lp(l1_combination(plan, coeffs), plan.space()).value
 
     def test_random_rational_coefficients(self):
         rng = random.Random(31)
@@ -551,7 +555,8 @@ class TestSparseRowsAgainstDenseRows:
         elif where == "other centre":  # g_2n turns on at x_2, so r(e_1) gains an e_n term
             target, shift = (2 * n, 1), seventh
         else:  # f_n(base) moves farther from f_n(x_2n) than rho(x_1, x_2n)
-            target, shift = (2 * n, 0), plan.int_r[2 * n - 1] + plan.int_dist[0][2 * n - 1] + plan.scale
+            r_scaled = int(plan.r[2 * n - 1] * plan.scale)  # exact: scale clears r's denominators
+            target, shift = (2 * n, 0), r_scaled + plan.int_dist[0][2 * n - 1] + plan.scale
         rows = list(plan.pair_rows)
         row = rows[target[1]] = dict(rows[target[1]])
         row[n] = row.get(n, 0) + shift  # f_n = g_2n - g_2n+1 moves with g_2n
@@ -660,6 +665,110 @@ class TestIntegerPlanKernel:
             assert h.values == tuple(
                 lin_comb_eval_reference(plan, part, coeffs, p) for p in range(plan.n_points)
             )
+
+
+def _space_or_error(call):
+    """The space ``call()`` returns, or the class and witness of its error."""
+    try:
+        return call()
+    except LipfreeError as exc:
+        return type(exc), vars(exc)
+
+
+def _adversarial_module():
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "adversarial.py"
+    spec = importlib.util.spec_from_file_location("adversarial", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _file_family(tmp_path, dist) -> MetricFamily:
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"dist": dist}))
+    return parse_family(f"file:{path}")
+
+
+def _custom_family(label, oracle, approximate=False) -> MetricFamily:
+    return MetricFamily(label=label, oracle=oracle, size=5, approximate=approximate)
+
+
+class TestPlanSpace:
+    """``plan.space()`` is the space, or the error, of ``validate_metric`` on
+    the plan's Fractions, and a certified plan never rescales them."""
+
+    def _agrees(self, plan, monkeypatch) -> bool:
+        """Compare the two routes and return whether the plan's ints were certified."""
+        expected = _space_or_error(lambda: validate_metric(plan.dist, plan.family.approximate))
+        certified = is_certified_metric(plan.int_dist, plan.scale, plan.family.approximate)
+        calls = []
+        rescale = metric_core._integer_matrix
+        with monkeypatch.context() as patch:
+            patch.setattr(metric_core, "_integer_matrix", lambda *args: calls.append(args) or rescale(*args))
+            constructions._plan_space.cache_clear()
+            assert _space_or_error(plan.space) == expected
+        assert bool(calls) is not certified  # only an uncertified plan is rescaled
+        if certified:
+            assert plan.space().dist is plan.dist
+        return certified
+
+    @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
+    def test_suite_plans_are_certified(self, name, monkeypatch):
+        assert self._agrees(SUITE_PLANS[name](), monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_and_prime_plans(self, seed, monkeypatch):
+        for plan in random_exact_plans(seed):
+            assert self._agrees(plan, monkeypatch)
+        for plan in prime_pairs_plans(seed):
+            assert plan.scale.bit_length() > _SCAN_BITS  # validate_metric rounds these
+            assert self._agrees(plan, monkeypatch)
+
+    def test_float_file_plan_stays_approximate(self, tmp_path, monkeypatch):
+        rng = random.Random(15)
+        dist = [[0.0] * 12 for _ in range(12)]
+        for i, j in itertools.combinations(range(12), 2):
+            dist[i][j] = dist[j][i] = 1 + rng.randrange(8) / 8 + rng.randrange(2) / 10
+        plan = make_plan(_file_family(tmp_path, dist), range(1, 13), [0] * 12)
+        assert self._agrees(plan, monkeypatch)
+        assert plan.space().approximate
+
+    def test_even_length_plan_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"family": "convline", "x_idx": [1, 2, 3, 5], "r": ["0", "1/2", "0", "0"]}))
+        plan = plan_from_json(path.read_text())
+        assert plan.n_points == 4 and plan.pair_count == 1
+        assert self._agrees(plan, monkeypatch)
+
+    @pytest.mark.parametrize("oracle, approximate, error", [
+        (lambda i, j: F(0) if (i, j) == (2, 4) else F(1), False, NegativeOrZeroOffDiagonal),
+        (lambda i, j: F(1, 10**10) if (i, j) == (2, 4) else F(1), True, NegativeOrZeroOffDiagonal),
+        (lambda i, j: F(3) if (i, j) == (1, 3) else F(1), False, TriangleViolation),
+        (lambda i, j: F(2) + F(1, 10**10) if (i, j) == (1, 3) else F(1), True, None),
+    ], ids=["zero", "within-tolerance", "broken-triangle", "triangle-within-tolerance"])
+    def test_custom_families(self, oracle, approximate, error, monkeypatch):
+        plan = make_plan(_custom_family("custom", oracle, approximate), range(1, 6), [0] * 5)
+        assert not self._agrees(plan, monkeypatch)
+        if error is None:
+            assert plan.space().approximate
+        else:
+            with pytest.raises(error):
+                plan.space()
+
+    def test_a_metric_no_certificate_accepts_is_scanned(self, tmp_path, monkeypatch):
+        mat = _adversarial_module().scanned_matrix(32)
+        family = _file_family(tmp_path, [[str(v) for v in row] for row in mat])
+        plan = make_plan(family, range(1, 33), [0] * 32)
+        assert not self._agrees(plan, monkeypatch)
+
+    @pytest.mark.parametrize("x_idx, r", [((1, 2, 3, 5, 6), (0, F(1, 2), 0, 0, 0)),
+                                          ((1, 2, 3, 5), (0, F(1, 2), 0, 0))], ids=["odd", "even"])
+    def test_lin_comb_function_covers_the_plan(self, x_idx, r):
+        plan = make_plan(make_family("convline"), x_idx, r)
+        part, coeffs = IndexPartition.round_robin(2, plan.pair_count), [1, F(-1, 2)]
+        h = lin_comb_function(plan, part, coeffs)
+        assert len(h.values) == plan.n_points
+        assert h.values == tuple(lin_comb_eval_reference(plan, part, coeffs, p) for p in range(plan.n_points))
 
 
 class TestRadiiAccumulation:

@@ -124,6 +124,20 @@ class TestFreeNormLP:
         assert lip_norm(result.function, space) <= 1
         assert pairing(result.function, mu) == result.value
 
+    def test_anchors_keep_their_values_in_the_extension(self):
+        # the criterion-1 instances: the function equals the min over every
+        # anchor at every point, anchors included
+        rng = random.Random(20260809)
+        for i in range(1000):
+            n = rng.randint(2, 8)
+            space = random_metric_space(rng, n)
+            smax = n - 1 if i % 10 == 0 else min(n - 1, 4)
+            mu = random_element(rng, n, rng.randint(1, smax))
+            f = free_norm_lp(mu, space).function
+            anchors = {0: F(0), **{p: f(p) for p, _ in mu.support}}
+            full_min = tuple(min(v + space.dist[p][q] for q, v in anchors.items()) for p in range(n))
+            assert f.values == full_min
+
     def test_matches_vertex_enumeration_oracle(self):
         rng = random.Random(99)
         for _ in range(40):
