@@ -66,6 +66,12 @@ in ``PROJECTION_PAIRS``, where a certificate accepts the plan's ints, and on a
 plan with zero radii over the ``SCANNED_PLAN_POINTS`` points of a family on
 ``scanned_matrix``, which no certificate accepts and ``validate_metric``
 scans.  Each entry has a hash of the space.
+
+The ``verify_l1`` entry times ``verify_l1_isometry`` on the same
+``PROJECTION_PLANS`` at each pair count in ``PROJECTION_PAIRS``, with the
+``LINFTY_COEFFS`` repeated over every pair, on a fresh plan built and its
+space validated outside the timing, as the ``projection`` entry does.  Each
+entry has a hash of the norm.
 """
 
 from __future__ import annotations
@@ -94,6 +100,7 @@ from lipfree import (
     radii_unbounded_delta,
     truncate,
     validate_metric,
+    verify_l1_isometry,
     verify_linfty_isometry,
     verify_projection,
 )
@@ -271,6 +278,21 @@ def projection_timings() -> dict:
     return out
 
 
+def verify_l1_timings() -> dict:
+    out = {}
+    for label, build in PROJECTION_PLANS:
+        for n_pairs in PROJECTION_PAIRS:
+            def fresh_plan():
+                plan = build(parse_family(label), n_pairs)
+                plan.space()
+                return (plan,)
+
+            coeffs = [LINFTY_COEFFS[n % len(LINFTY_COEFFS)] for n in range(n_pairs)]
+            seconds, value = timed(lambda plan: verify_l1_isometry(plan, coeffs), fresh_plan)
+            out[f"verify_l1_isometry {label} pairs={n_pairs}"] = {"s": seconds, "sha256": digest(value)}
+    return out
+
+
 def plan_space_timings() -> dict:
     out = {}
     for label, build in PROJECTION_PLANS:
@@ -336,7 +358,8 @@ def main() -> None:
     print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings(),
                       "truncation": truncation_timings(), "load_space": load_space_timings(),
                       "float_load": float_load_timings(), "float_norm": float_norm_timings(),
-                      "projection": projection_timings(), "plan_space": plan_space_timings()}))
+                      "projection": projection_timings(), "plan_space": plan_space_timings(),
+                      "verify_l1": verify_l1_timings()}))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ from .errors import (
 from .metric_core import (
     MAX_POINTS,
     FiniteMetricSpace,
-    FreeElement,
     LipFunction,
     MetricFamily,
     as_fraction,
@@ -49,7 +48,7 @@ from .metric_core import (
     is_ultrametric,
     validate_metric,
 )
-from .norm_engine import free_norm, lip_norm  # noqa: F401 (perfbench binds constructions.lip_norm)
+from .norm_engine import lip_norm  # noqa: F401 (perfbench binds constructions.lip_norm)
 from .simplex import solve_lp_max
 
 HORIZON = 10000
@@ -164,7 +163,7 @@ def check_plan(plan: EmbeddingPlan) -> PlanReport:
 
 
 # ---------------------------------------------------------------------------
-# Bump functions, block sums, the l-infinity side
+# Block sums, the l-infinity side
 # ---------------------------------------------------------------------------
 
 
@@ -192,16 +191,6 @@ class IndexPartition:
             for k in range(1, k_blocks + 1)
         )
         return IndexPartition(blocks=blocks)
-
-
-def bump_eval(plan: EmbeddingPlan, n: int, p: int) -> Fraction:
-    """g_n at point p of the truncation: max(r_n - rho(p, x_n), 0).
-
-    ``n`` is a plan position (1-based), ``p`` a point label of the plan's
-    truncation (0-based, label p is position p+1).
-    """
-    value = plan.r[n - 1] - plan.rho(p + 1, n)
-    return value if value > 0 else ZERO
 
 
 def _block_sums(plan: EmbeddingPlan, partition: IndexPartition, coeffs: Sequence):
@@ -255,33 +244,17 @@ def verify_linfty_isometry(plan: EmbeddingPlan, partition: IndexPartition, coeff
 
 
 # ---------------------------------------------------------------------------
-# The l1 side: basis, isometry, projection
+# The l1 side: isometry, projection
 # ---------------------------------------------------------------------------
 
 
-def l1_basis(plan: EmbeddingPlan, n: int) -> FreeElement:
-    """e_n = (delta_{x_{2n}} - delta_{x_{2n+1}}) / rho(x_{2n}, x_{2n+1})."""
-    if 2 * n + 1 > plan.n_points:
-        raise ValueError(f"pair {n} exceeds the plan")
-    rho = plan.rho(2 * n, 2 * n + 1)
-    return FreeElement.from_pairs([(2 * n - 1, 1 / rho), (2 * n, -1 / rho)])
-
-
-def l1_combination(plan: EmbeddingPlan, coeffs: Sequence) -> FreeElement:
-    coeffs = [as_fraction(a) for a in coeffs]
-    pairs = []
-    for n, a in enumerate(coeffs, 1):
-        if a == 0:
-            continue
-        rho = plan.rho(2 * n, 2 * n + 1)
-        pairs += [(2 * n - 1, a / rho), (2 * n, -a / rho)]
-    return FreeElement.from_pairs(pairs)
-
-
 def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence) -> Fraction:
-    """Free norm of sum a_n e_n; equals sum |a_n| exactly on exact plans.
+    """Free norm of sum a_n e_n, with e_n = (delta_{x_2n} - delta_{x_2n+1}) / rho(x_2n, x_2n+1).
 
-    The norm comes from the certified transport engine.
+    Every e_n has norm 1, so the norm is at most sum |a_n|.  When
+    ``verify_projection`` accepts the plan's pair rows, h = sum sign(a_n) f_n
+    is 1-Lipschitz and pairs with sum a_n e_n to sum |a_n|, so the bounds
+    meet; rows it refuses raise AssertionError.
     Raises ExactnessRequired when the plan is not exact, since then only the
     upper inequality holds.
     """
@@ -292,7 +265,9 @@ def verify_l1_isometry(plan: EmbeddingPlan, coeffs: Sequence) -> Fraction:
         raise InvalidFamilyParameters(
             f"{len(coeffs)} coefficients for a plan of {plan.pair_count} pairs"
         )
-    return free_norm(l1_combination(plan, coeffs), plan.space()).value
+    if not verify_projection(plan).ok:
+        raise AssertionError("the pair rows do not make sum sign(a_n) f_n 1-Lipschitz")
+    return sum(map(abs, coeffs), ZERO)
 
 
 @dataclass(frozen=True)
@@ -883,9 +858,9 @@ class AdmissibilityResult:
 
 
 def _prefix_order(N: int, ordering: Optional[Sequence[int]], cap: int) -> tuple[int, ...]:
-    """Family indices of positions 1..N, refused above ``cap`` points."""
-    if N > cap:
-        raise InvalidFamilyParameters(f"admissibility N must be at most {cap}")
+    """Family indices of positions 1..N, refused unless N is in 0..cap."""
+    if not 0 <= N <= cap:
+        raise InvalidFamilyParameters(f"admissibility N must be in 0..{cap}, not {N}")
     order = tuple(range(1, N + 1)) if ordering is None else tuple(int(i) for i in ordering)
     if len(order) != N or len(set(order)) != N or any(i < 1 for i in order):
         raise InvalidFamilyParameters("ordering must injectively map 1..N to family indices")

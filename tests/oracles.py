@@ -27,7 +27,6 @@ from lipfree import (
     NotUltrametric,
     ProjectionReport,
     as_fraction,
-    constructions,
     is_ultrametric,
     lip_norm,
     make_plan,
@@ -460,15 +459,45 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
 
 
 # ---------------------------------------------------------------------------
-# Block sums and the projection, point by point on dense rows
+# Bump functions, the l1 basis, block sums and the projection, point by point
 # ---------------------------------------------------------------------------
-# Every bump value is read through ``constructions.bump_eval`` at call time,
+# Every bump value is read through this module's ``bump_eval`` at call time,
 # so a test that patches it reaches these routes; the library's verifiers
 # read the plan's integer ``pair_rows`` instead.
 
 
+def bump_eval(plan: EmbeddingPlan, n: int, p: int) -> Fraction:
+    """g_n at point p of the truncation: max(r_n - rho(p, x_n), 0).
+
+    ``n`` is a plan position (1-based), ``p`` a point label of the plan's
+    truncation (0-based, label p is position p+1).
+    """
+    value = plan.r[n - 1] - plan.rho(p + 1, n)
+    return value if value > 0 else ZERO
+
+
 def _pair_value(plan: EmbeddingPlan, n: int, p: int) -> Fraction:
-    return constructions.bump_eval(plan, 2 * n, p) - constructions.bump_eval(plan, 2 * n + 1, p)
+    return bump_eval(plan, 2 * n, p) - bump_eval(plan, 2 * n + 1, p)
+
+
+def l1_basis(plan: EmbeddingPlan, n: int) -> FreeElement:
+    """e_n = (delta_{x_{2n}} - delta_{x_{2n+1}}) / rho(x_{2n}, x_{2n+1})."""
+    if 2 * n + 1 > plan.n_points:
+        raise ValueError(f"pair {n} exceeds the plan")
+    rho = plan.rho(2 * n, 2 * n + 1)
+    return FreeElement.from_pairs([(2 * n - 1, 1 / rho), (2 * n, -1 / rho)])
+
+
+def l1_combination(plan: EmbeddingPlan, coeffs) -> FreeElement:
+    """sum_n a_n e_n, for ``free_norm`` to check ``verify_l1_isometry`` by transport."""
+    coeffs = [as_fraction(a) for a in coeffs]
+    pairs = []
+    for n, a in enumerate(coeffs, 1):
+        if a == 0:
+            continue
+        rho = plan.rho(2 * n, 2 * n + 1)
+        pairs += [(2 * n - 1, a / rho), (2 * n, -a / rho)]
+    return FreeElement.from_pairs(pairs)
 
 
 def lin_comb_eval_reference(plan: EmbeddingPlan, partition: IndexPartition, coeffs, p: int) -> Fraction:

@@ -20,7 +20,6 @@ from lipfree import (
     free_norm,
     free_norm_flow,
     free_norm_lp,
-    l1_combination,
     lin_comb_function,
     lip_norm,
     load_space,
@@ -39,6 +38,7 @@ from lipfree import (
 )
 from oracles import (
     assert_certificate,
+    l1_combination,
     one_point_extension,
     prefix,
     rand_fraction,
@@ -218,6 +218,7 @@ def test_criterion_05_exact_l1_isometry(exact_plans):
                 coeffs = [rand_fraction(rng, signed=True) for _ in range(length)]
                 expected = sum(abs(c) for c in coeffs)
                 assert verify_l1_isometry(plan, coeffs) == expected, name
+                assert free_norm(l1_combination(plan, coeffs), plan.space()).value == expected, name
                 total += 1
             # the defining-LP route agrees on small supports
             for _ in range(3):
@@ -267,6 +268,7 @@ def test_criterion_08_ultrametric_machinery():
                 coeffs = [rand_fraction(rng, signed=True) for _ in range(plan.pair_count)]
                 expected = sum(abs(c) for c in coeffs)
                 assert verify_l1_isometry(plan, coeffs) == expected, seed
+                assert free_norm(l1_combination(plan, coeffs), plan.space()).value == expected, seed
 
 
 def test_criterion_09_remark_admissibility_probe():

@@ -254,6 +254,7 @@ class TestErrors:
             ("construct", "--family", "intline", "--case", "unbounded", "--N", "100000"),
             ("admissibility", "--family", "uniform:1", "--N", "100000"),
             ("admissibility", "--family", "uniform:1", "--N", "129"),
+            ("admissibility", "--family", "uniform:1", "--N", "-3"),
             ("construct", "--family", "dendro:1:512", "--N", "1"),
             ("norm", "--space", "dendro:1:2:513:3", "--element", "[]"),
             ("verify", "--family", "dendro:1:1000000:3", "--N", "1", "--coeffs", "[1]"),
@@ -288,7 +289,7 @@ class TestErrors:
             "ordering-empty", "truncation-not-int", "family-zero-denominator",
             "negative-pairs", "negative-pairs-unbounded", "unwritable-emit", "unwritable-svg",
             "unwritable-csv", "truncation-too-large", "pairs-too-many", "admissibility-too-large",
-            "admissibility-cap-plus-one", "dendro-depth-cap-plus-one", "dendro-leaves-cap-plus-one",
+            "admissibility-cap-plus-one", "admissibility-negative", "dendro-depth-cap-plus-one", "dendro-leaves-cap-plus-one",
             "dendro-depth-huge", "plan-file-too-long", "plan-case-a-list",
             "convline-space-extra", "intline-space-extra", "geomline-space-extra",
             "convline-family-extra", "intline-family-extra", "geomline-family-extra",
@@ -309,6 +310,11 @@ class TestErrors:
         oversized = any("{nines}" in arg for arg in argv)
         assert err.startswith("ResultTooLarge:" if oversized else "InvalidFamilyParameters:")
         assert not missing.exists()
+
+    def test_negative_admissibility_N_is_named(self, run):
+        code, out, err = run("admissibility", "--family", "uniform:1", "--N", "-3")
+        assert (code, out) == (1, "")
+        assert err == "InvalidFamilyParameters: admissibility N must be in 0..128, not -3\n"
 
     def test_horizon_variable_is_ignored(self, run, monkeypatch):
         args = ("construct", "--family", "intline", "--case", "unbounded", "--N", "2")

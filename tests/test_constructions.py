@@ -28,12 +28,10 @@ from lipfree import (
     TriangleViolation,
     admissibility,
     admissibility_lp,
-    bump_eval,
     check_plan,
+    free_norm,
     free_norm_flow,
     free_norm_lp,
-    l1_basis,
-    l1_combination,
     lin_comb_function,
     lip_norm,
     make_family,
@@ -52,11 +50,15 @@ from lipfree import (
     verify_projection,
     validate_metric,
 )
-from lipfree import constructions, metric_core
+import oracles
+from lipfree import cli, constructions, flow, metric_core, norm_engine
 from lipfree.constructions import _DistanceTable, _monotone_chain
 from lipfree.space_catalog import family_from_space, ultrametric_from_codes
 from lipfree.metric_core import _SCAN_BITS, is_certified_metric, truncate
 from oracles import (
+    bump_eval,
+    l1_basis,
+    l1_combination,
     lin_comb_eval_reference,
     monotone_chain_reference,
     prefix,
@@ -378,11 +380,14 @@ class TestL1Isometry:
                 assert pairing(f_n, l1_basis(plan, m)) == (1 if m == n else 0)
 
     def test_single_vector(self):
-        assert verify_l1_isometry(uniform_exact_plan(2), [1]) == 1
+        plan = uniform_exact_plan(2)
+        assert verify_l1_isometry(plan, [1]) == 1
+        assert free_norm(l1_combination(plan, [1]), plan.space()).value == 1
 
     def test_uniform_mixed_signs(self):
         plan = uniform_exact_plan(3)
         assert verify_l1_isometry(plan, [1, -2, 3]) == 6
+        assert free_norm(l1_combination(plan, [1, -2, 3]), plan.space()).value == 6
 
     def test_exactness_guard(self):
         inexact = radii_bounded_separated(make_family("remark", 5), 3)
@@ -407,6 +412,7 @@ class TestL1Isometry:
             coeffs = [rand_fraction(rng, signed=True) for _ in range(rng.randint(1, 4))]
             value = verify_l1_isometry(plan, coeffs)
             assert value == sum(abs(a) for a in coeffs)
+            assert value == free_norm(l1_combination(plan, coeffs), plan.space()).value
             assert value == free_norm_lp(l1_combination(plan, coeffs), plan.space()).value
 
     def test_random_rational_coefficients(self):
@@ -416,6 +422,7 @@ class TestL1Isometry:
             coeffs = [rand_fraction(rng, signed=True) for _ in range(4)]
             expected = sum(abs(c) for c in coeffs)
             assert verify_l1_isometry(plan, coeffs) == expected
+            assert free_norm(l1_combination(plan, coeffs), plan.space()).value == expected
 
 
 class TestProjection:
@@ -545,10 +552,10 @@ class TestSparseRowsAgainstDenseRows:
     @pytest.mark.parametrize("where", ["centre", "other centre", "base"])
     def test_a_corrupted_bump_fails_on_both_routes(self, name, where, monkeypatch):
         # the library reads the plan's integer pair rows (times plan.scale),
-        # the references read bump_eval: both move by the same shift
+        # the references read the oracles' bump_eval: both move by the same shift
         plan = SUITE_PLANS[name]()
         n = 2
-        bump = constructions.bump_eval
+        bump = oracles.bump_eval
         seventh = -(-plan.int_dist[2 * n - 1][2 * n] // 7)  # about rho(x_2n, x_2n+1) / 7
         if where == "centre":  # g_2n at x_2n moves, so r(e_n) is no longer e_n
             target, shift = (2 * n, 2 * n - 1), seventh
@@ -566,9 +573,11 @@ class TestSparseRowsAgainstDenseRows:
             value = bump(plan_, position, p)
             return value + F(shift, plan.scale) if plan_ is plan and (position, p) == target else value
 
-        monkeypatch.setattr(constructions, "bump_eval", corrupted)
+        monkeypatch.setattr(oracles, "bump_eval", corrupted)
         report = verify_projection(plan)
         assert report == verify_projection_reference(plan)
+        with pytest.raises(AssertionError, match="pair rows"):  # never a value from rows that fail
+            verify_l1_isometry(plan, [1] * plan.pair_count)
         if where != "base":
             assert not report.basis_reproduced
             part = IndexPartition.round_robin(2, plan.pair_count)
@@ -594,6 +603,71 @@ class TestSparseRowsAgainstDenseRows:
         verify_projection(plan)
         verify_l1_isometry(plan, [1] * plan.pair_count)
         assert asked == Counter(itertools.combinations(plan.x_idx, 2))
+
+
+class _Reached(Exception):
+    pass
+
+
+class TestL1ByRows:
+    """``verify_l1_isometry`` reads the plan's pair rows; transport and the LP
+    are the independent routes it is held to."""
+
+    def _agrees(self, plan, rng):
+        for length in (1, plan.pair_count):
+            coeffs = [rand_fraction(rng, signed=True) for _ in range(length)]
+            expected = sum(abs(c) for c in coeffs)
+            assert verify_l1_isometry(plan, coeffs) == expected
+            assert free_norm(l1_combination(plan, coeffs), plan.space()).value == expected
+        coeffs = [rand_fraction(rng, signed=True) for _ in range(min(2, plan.pair_count))]
+        expected = sum(abs(c) for c in coeffs)
+        assert free_norm_lp(l1_combination(plan, coeffs), plan.space()).value == expected
+        assert verify_l1_isometry(plan, coeffs) == expected
+
+    @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
+    def test_suite_plans(self, name):
+        self._agrees(SUITE_PLANS[name](), random.Random(name))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_and_prime_plans(self, seed):
+        rng = random.Random(seed)
+        for plan in random_exact_plans(seed) + [p for p in prime_pairs_plans(seed) if p.exact]:
+            if plan.pair_count:
+                self._agrees(plan, rng)
+
+    def test_transport_is_never_reached(self, monkeypatch, capsys):
+        plans = {name: build() for name, build in SUITE_PLANS.items()}
+
+        def refuse(*args, **kwargs):
+            raise _Reached
+
+        assert not hasattr(constructions, "free_norm")
+        for module, name in ((flow, "min_cost_transport"), (norm_engine, "min_cost_transport"),
+                             (norm_engine, "free_norm"), (cli, "free_norm")):
+            monkeypatch.setattr(module, name, refuse)
+        for name, plan in plans.items():
+            assert verify_l1_isometry(plan, [F(-1, 3)] * plan.pair_count) == F(plan.pair_count, 3), name
+        argv = ["verify", "--family", "uniform:1", "--case", "ultra", "--N", "12", "--coeffs", "[1,-2,3]"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == '{"l1_norm": "6", "exact": true}\n'
+
+    def test_errors_keep_their_order(self):
+        inexact = radii_bounded_separated(make_family("remark", 5), 3)
+        with pytest.raises(ExactnessRequired, match=r"^the tight pair condition r_2n \+ r_2n\+1 = rho is needed$"):
+            verify_l1_isometry(inexact, [1] * (inexact.pair_count + 1))
+        plan = uniform_exact_plan(3)
+        object.__setattr__(plan, "pair_rows", tuple({} for _ in plan.pair_rows))
+        with pytest.raises(InvalidFamilyParameters, match="^4 coefficients for a plan of 3 pairs$"):
+            verify_l1_isometry(plan, [1] * 4)  # the count is checked before any row
+        with pytest.raises(AssertionError):
+            verify_l1_isometry(plan, [1] * 3)
+        # exact pairs (2, 3) and (4, 5) on a family whose rho(1, 3) breaks the triangle
+        family = _custom_family("broken", lambda i, j: F(3) if (i, j) == (1, 3) else F(1))
+        broken = make_plan(family, range(1, 6), [0] + [F(1, 2)] * 4)
+        assert broken.exact
+        expected = _space_or_error(lambda: validate_metric(broken.dist))
+        assert expected[0] is TriangleViolation
+        assert _space_or_error(lambda: verify_l1_isometry(broken, [1, -1])) == expected
 
 
 class TestIntegerPlanKernel:
@@ -926,9 +1000,9 @@ class TestRadiiUltrametric:
         check_plan(plan)
         rng = random.Random(seed)
         coeffs = [rand_fraction(rng, signed=True) for _ in range(plan.pair_count)]
-        assert verify_l1_isometry(plan, coeffs) == sum(
-            abs(c) for c in coeffs
-        )
+        expected = sum(abs(c) for c in coeffs)
+        assert verify_l1_isometry(plan, coeffs) == expected
+        assert free_norm(l1_combination(plan, coeffs), plan.space()).value == expected
 
     def test_caterpillar_classification_deterministic(self):
         a = radii_ultrametric(make_family("dendro", 3, 6, 7), 2)
@@ -1228,6 +1302,15 @@ class TestAdmissibility:
             admissibility_lp(make_family("uniform", 1), MAX_ADMISSIBILITY_LP_POINTS + 1)
         with pytest.raises(InvalidFamilyParameters, match=str(MAX_ADMISSIBILITY_POINTS)):
             admissibility(make_family("uniform", 1), MAX_ADMISSIBILITY_POINTS + 1)
+
+    @pytest.mark.parametrize("probe, cap", [(admissibility, constructions.MAX_ADMISSIBILITY_POINTS),
+                                            (admissibility_lp, constructions.MAX_ADMISSIBILITY_LP_POINTS)])
+    @pytest.mark.parametrize("N", [-1, -3, "cap + 1"])
+    def test_N_outside_the_range_is_named(self, probe, cap, N):
+        N = cap + 1 if N == "cap + 1" else N
+        with pytest.raises(InvalidFamilyParameters, match=rf"^admissibility N must be in 0\.\.{cap}, not {N}$"):
+            probe(make_family("uniform", 1), N)
+        assert probe(make_family("uniform", 1), 0).no_pair_slots
 
 
 def _assert_feasible(family, result, order):
