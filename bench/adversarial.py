@@ -72,6 +72,11 @@ The ``verify_l1`` entry times ``verify_l1_isometry`` on the same
 ``LINFTY_COEFFS`` repeated over every pair, on a fresh plan built and its
 space validated outside the timing, as the ``projection`` entry does.  Each
 entry has a hash of the norm.
+
+The ``bounded`` entry times ``radii_bounded_separated`` on the
+``BOUNDED_FAMILIES`` at each pair count in ``BOUNDED_PAIRS``, each run on a
+family parsed afresh outside the timing, plan building included.  Each entry
+has a hash of the plan's (case, x_idx, r).
 """
 
 from __future__ import annotations
@@ -96,6 +101,7 @@ from lipfree import (
     load_space,
     make_plan,
     parse_family,
+    radii_bounded_separated,
     radii_ultrametric,
     radii_unbounded_delta,
     truncate,
@@ -127,6 +133,8 @@ PROJECTION_PLANS = (("uniform:1", radii_ultrametric), ("geomline", radii_unbound
 PROJECTION_PAIRS = (15, 63, 127, 255)
 LINFTY_COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 SCANNED_PLAN_POINTS = 64
+BOUNDED_FAMILIES = ("uniform:1", "remark:3")
+BOUNDED_PAIRS = (63, 255)
 
 
 def primes(count: int, start: int = 1000) -> list[int]:
@@ -310,6 +318,17 @@ def plan_space_timings() -> dict:
     return out
 
 
+def bounded_timings() -> dict:
+    out = {}
+    for label in BOUNDED_FAMILIES:
+        for n_pairs in BOUNDED_PAIRS:
+            seconds, plan = timed(lambda family: radii_bounded_separated(family, n_pairs),
+                                  lambda: (parse_family(label),))
+            out[f"radii_bounded_separated {label} pairs={n_pairs}"] = {
+                "s": seconds, "sha256": digest((plan.case, plan.x_idx, plan.r))}
+    return out
+
+
 def timed(call, setup=tuple) -> tuple[float, object]:
     """Median wall seconds of ``REPEATS`` calls ``call(*setup())``, each on
     arguments that an untimed ``setup()`` makes afresh, and the last call's result."""
@@ -359,7 +378,7 @@ def main() -> None:
                       "truncation": truncation_timings(), "load_space": load_space_timings(),
                       "float_load": float_load_timings(), "float_norm": float_norm_timings(),
                       "projection": projection_timings(), "plan_space": plan_space_timings(),
-                      "verify_l1": verify_l1_timings()}))
+                      "verify_l1": verify_l1_timings(), "bounded": bounded_timings()}))
 
 
 if __name__ == "__main__":

@@ -157,8 +157,7 @@ def _cmd_admissibility(args) -> None:
 
 
 def _cmd_spaces(args) -> None:
-    if args.action == "list":
-        _emit([{"id": i, "params": e.params, "exercises": e.exercises} for i, e in CATALOG.items()])
+    _emit([{"id": i, "params": e.params, "exercises": e.exercises} for i, e in CATALOG.items()])
 
 
 @lru_cache(maxsize=1)

@@ -70,7 +70,8 @@ class EmbeddingPlan:
     it and ``r`` to ints by one exact lcm, checks separation on those ints,
     raising SeparationViolation(m, n) at the first (lexicographic) violated
     pair, and derives the ratios q_n, exactness (every q_n is 1) and the pair rows.
-    An lcm of more than MAX_SCALED_BITS / N^2 bits raises InvalidFamilyParameters.
+    An index past the family's size, and then an lcm of more than
+    MAX_SCALED_BITS / N^2 bits, raise InvalidFamilyParameters.
     """
 
     family: MetricFamily
@@ -99,6 +100,8 @@ class EmbeddingPlan:
             raise ValueError(f"a plan has at most {MAX_POINTS} points")
         if not isinstance(self.case, (str, type(None))):  # plans are hashed by _plan_space
             raise ValueError("case must be a string or None")
+        if self.family.size is not None and self.x_idx[-1] > self.family.size:
+            raise InvalidFamilyParameters(f"family {self.family.label} has only {self.family.size} points")
 
         N = self.n_points
         dist = distance_matrix(lambda m, n: self.family.distance(self.x_idx[m], self.x_idx[n]), N)
@@ -289,9 +292,10 @@ def verify_projection(plan: EmbeddingPlan) -> ProjectionReport:
     row(x_2n) - row(x_2n+1) = rho(x_2n, x_2n+1) e_n, and r has norm 1 when
     sum_n |f_n(p) - f_n(q)| <= rho(p, q) for every pair of points.  Rows and
     rho are the plan's ints, both times plan.scale, so nothing is divided.
+    On an inexact plan the row gap of pair n is (r_2n + r_2n+1) e_n, so the
+    basis check fails while the row check, which separation alone decides,
+    still passes.
     """
-    if not plan.exact:
-        raise ExactnessRequired("the projection is defined for exact plans")
     pairs = plan.pair_count
     n_points = 2 * pairs + 1
     rows, D = plan.pair_rows, plan.int_dist
@@ -428,21 +432,16 @@ def radii_bounded_separated(family: MetricFamily, n_pairs: int) -> EmbeddingPlan
     d = _resolve_d_limit(family)
     limit = _scan_limit(family)
 
+    # a candidate joins when its distance to the m-th chosen point lies in windows[m - 1]
+    windows = [(d * (1 - Fraction(1, 2 * m)), d * (1 + Fraction(1, 2 * m))) for m in range(1, L)]
     chosen: list[int] = []
     for start in range(1, limit + 1):
         chosen = [start]
-        cand = start + 1
-        while cand <= limit and len(chosen) < L:
-            ok = True
-            for m, idx in enumerate(chosen, 1):
-                rho = family.distance(idx, cand)
-                half = Fraction(1, 2 * m)
-                if not (d * (1 - half) < rho < d * (1 + half)):
-                    ok = False
-                    break
-            if ok:
+        for cand in range(start + 1, limit + 1):
+            if len(chosen) == L:
+                break
+            if all(lo < family.distance(idx, cand) < hi for idx, (lo, hi) in zip(chosen, windows)):
                 chosen.append(cand)
-            cand += 1
         if len(chosen) == L:
             break
     if len(chosen) < L:
@@ -899,8 +898,6 @@ def _ratio_bellman_ford(w, partner, p: int, q: int):
             if i is not None and pj + lower[j] < M[i]:
                 M[i], via_plus[i] = pj + lower[j], j
                 lowered.add(i)
-        if not lowered:
-            return (P, M), None
         active = set()
         for k in sorted(lowered):
             mk, row = M[k], upper[k]

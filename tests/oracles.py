@@ -15,7 +15,6 @@ from typing import Optional
 
 from lipfree import (
     EmbeddingPlan,
-    ExactnessRequired,
     FiniteMetricSpace,
     FreeElement,
     FreeNormResult,
@@ -23,6 +22,7 @@ from lipfree import (
     IndexPartition,
     LinftyReport,
     LipFunction,
+    MetadataRequired,
     MetricFamily,
     NotUltrametric,
     ProjectionReport,
@@ -39,6 +39,8 @@ from lipfree.constructions import (
     _decreasing_thinning,
     _increasing_thinning,
     _plan_length,
+    _resolve_d_limit,
+    _scan_limit,
 )
 from lipfree.flow import min_cost_transport
 
@@ -459,6 +461,49 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
 
 
 # ---------------------------------------------------------------------------
+# Bounded window extraction, each window built where it is tested
+# ---------------------------------------------------------------------------
+
+
+def radii_bounded_separated_reference(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
+    """``radii_bounded_separated`` with each window rebuilt at every test,
+    as the builder was first written; the limit d and the scan are the library's.
+
+    Extracts a subsequence whose pairwise distances fall in the shrinking
+    windows (d(1 - 1/(2m)), d(1 + 1/(2m))) around the limit d, then takes
+    r_n = (d/2)(1 - 1/n).
+    """
+    L = _plan_length(n_pairs)
+    if not family.bounded:
+        raise MetadataRequired(f"{family.label} is not bounded")
+    d = _resolve_d_limit(family)
+    limit = _scan_limit(family)
+
+    chosen: list[int] = []
+    for start in range(1, limit + 1):
+        chosen = [start]
+        cand = start + 1
+        while cand <= limit and len(chosen) < L:
+            ok = True
+            for m, idx in enumerate(chosen, 1):
+                rho = family.distance(idx, cand)
+                half = Fraction(1, 2 * m)
+                if not (d * (1 - half) < rho < d * (1 + half)):
+                    ok = False
+                    break
+            if ok:
+                chosen.append(cand)
+            cand += 1
+        if len(chosen) == L:
+            break
+    if len(chosen) < L:
+        raise HorizonExhausted("window extraction failed within the scan horizon")
+
+    radii = [d / 2 * (1 - Fraction(1, n)) for n in range(1, L + 1)]
+    return make_plan(family, chosen, radii, case="bounded")
+
+
+# ---------------------------------------------------------------------------
 # Bump functions, the l1 basis, block sums and the projection, point by point
 # ---------------------------------------------------------------------------
 # Every bump value is read through this module's ``bump_eval`` at call time,
@@ -557,9 +602,8 @@ def verify_linfty_reference(plan: EmbeddingPlan, partition: IndexPartition, coef
 def verify_projection_reference(plan: EmbeddingPlan) -> ProjectionReport:
     """``verify_projection`` on dense coefficient rows (f_1(p), ..., f_N(p)):
     every coefficient of r(e_n) against the unit vector, and the l1 distance
-    of the rows of every pair of points against rho."""
-    if not plan.exact:
-        raise ExactnessRequired("the projection is defined for exact plans")
+    of the rows of every pair of points against rho, on exact and inexact
+    plans alike."""
     pairs = plan.pair_count
     n_points = 2 * pairs + 1
     rows = [[_pair_value(plan, n, p) for n in range(1, pairs + 1)] for p in range(n_points)]

@@ -233,6 +233,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith(f"{error}:")
 
+    @pytest.mark.parametrize("x_idx", [[9], [9, 10]], ids=["one-point", "two-points"])
+    def test_a_plan_past_its_family_is_refused(self, run, tmp_path, x_idx):
+        # a one-point plan fetches no distance, so the plan itself compares x_idx with the size
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"family": "dendro:3:4:5", "x_idx": x_idx, "r": ["0"] * len(x_idx)}))
+        code, out, err = run("verify", "--plan", str(path), "--coeffs", "[]")
+        assert (code, out, err) == (1, "", "InvalidFamilyParameters: family dendro:3:4:5 has only 5 points\n")
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -442,7 +450,7 @@ class TestConstructVerifyRoundTrip:
             "--N", "2", "--coeffs", "[1]",
         )
         assert code == 1
-        assert err.startswith("ExactnessRequired:")
+        assert err == "ExactnessRequired: the tight pair condition r_2n + r_2n+1 = rho is needed\n"
 
 
 class TestAdmissibilityCommand:

@@ -228,6 +228,14 @@ class TestCheckPlan:
             make_plan(family, range(1, 514), [F(1, 2)] * 513)
         assert asked == []
 
+    @pytest.mark.parametrize("size, x_idx", [(0, [1]), (0, [1, 2]), (5, [9]), (5, [1, 6])])
+    def test_an_index_past_the_family_is_refused_before_any_fetch(self, size, x_idx):
+        asked = []
+        family = MetricFamily(label="sized", oracle=lambda i, j: asked.append((i, j)) or F(1), size=size)
+        with pytest.raises(InvalidFamilyParameters, match=f"^family sized has only {size} points$"):
+            make_plan(family, x_idx, [0] * len(x_idx))
+        assert asked == []
+
     @pytest.mark.parametrize("case", [["x"], {"a": 1}, 1])
     def test_case_is_a_string_or_none(self, case):
         with pytest.raises(ValueError, match="case must be"):
@@ -450,10 +458,6 @@ class TestProjection:
             report = verify_projection(plan)
             assert report.ok, plan.case
 
-    def test_requires_exactness(self):
-        with pytest.raises(ExactnessRequired):
-            verify_projection(radii_bounded_separated(make_family("uniform", 1), 2))
-
 
 # the exact plans that the tests here and in test_acceptance build, by name
 SUITE_PLANS = {
@@ -494,6 +498,29 @@ def random_exact_plans(seed: int) -> list[EmbeddingPlan]:
     return plans
 
 
+# inexact plans of the bounded and unbounded builders
+INEXACT_PLANS = [
+    lambda: radii_bounded_separated(make_family("remark", 5), 3),
+    lambda: radii_unbounded(make_family("intline"), 4),
+    lambda: radii_bounded_separated(make_family("uniform", F(2, 3)), 3),
+    lambda: radii_bounded_separated(make_family("remark", 3), 4),
+    lambda: radii_bounded_separated(parse_family("dendro:1:4"), 4),
+    lambda: radii_bounded_separated(make_family("uniform", 1), 2),
+]
+
+
+def random_inexact_plans(seed: int) -> list[EmbeddingPlan]:
+    """Seeded bounded plans on remark and uniform families and unbounded
+    plans on lines and remark:1, each with at least one pair."""
+    rng = random.Random(seed)
+    return [
+        radii_bounded_separated(make_family("remark", rng.randint(2, 6)), rng.randint(1, 8)),
+        radii_bounded_separated(make_family("uniform", rand_fraction(rng)), rng.randint(1, 8)),
+        radii_unbounded(make_family(rng.choice(("intline", "geomline"))), rng.randint(1, 6)),
+        radii_unbounded(make_family("remark", 1), rng.randint(1, 3)),
+    ]
+
+
 def random_linfty_inputs(rng: random.Random, plan: EmbeddingPlan):
     """A partition of the plan's pairs, one coefficient per block, and a
     prefix of the plan, which the partition may overrun."""
@@ -529,16 +556,23 @@ class TestSparseRowsAgainstDenseRows:
                 window, part, coeffs
             ), plan.case
 
-    @pytest.mark.parametrize(
-        "plan",
-        [
-            lambda: radii_bounded_separated(make_family("remark", 5), 3),
-            lambda: radii_unbounded(make_family("intline"), 4),
-            lambda: radii_bounded_separated(make_family("uniform", F(2, 3)), 3),
-            lambda: radii_bounded_separated(make_family("remark", 3), 4),
-            lambda: radii_bounded_separated(parse_family("dendro:1:4"), 4),
-        ],
-    )
+    @staticmethod
+    def _basis_fails_rows_hold(plan):
+        assert not plan.exact
+        report = verify_projection(plan)
+        assert report == verify_projection_reference(plan)
+        assert (report.basis_reproduced, report.lipschitz_ok) == (False, True)
+
+    @pytest.mark.parametrize("plan", INEXACT_PLANS)
+    def test_inexact_suite_plans_fail_the_basis_alone(self, plan):
+        self._basis_fails_rows_hold(plan())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_inexact_seeded_and_prime_plans_fail_the_basis_alone(self, seed):
+        for plan in random_inexact_plans(seed) + [p for p in prime_pairs_plans(seed) if not p.exact]:
+            self._basis_fails_rows_hold(plan)
+
+    @pytest.mark.parametrize("plan", INEXACT_PLANS)
     def test_inexact_plans_in_the_dual(self, plan):
         plan = plan()
         rng = random.Random(plan.family.label)
@@ -678,12 +712,9 @@ class TestIntegerPlanKernel:
         rng = random.Random(seed)
         for plan in prime_pairs_plans(seed):
             assert plan.scale.bit_length() > _SCAN_BITS
-            if plan.exact:
-                assert verify_projection(plan) == verify_projection_reference(plan)
-                assert verify_projection(plan).ok
-            else:
-                with pytest.raises(ExactnessRequired):
-                    verify_projection(plan)
+            report = verify_projection(plan)
+            assert report == verify_projection_reference(plan)
+            assert (report.basis_reproduced, report.lipschitz_ok) == (plan.exact, True)
             k_blocks = rng.randint(1, 3)
             coeffs = [F(rng.randint(-9, 9), p) for p in primes_above(rng.randint(20, 90), k_blocks)]
             part = IndexPartition.round_robin(k_blocks, plan.pair_count)
@@ -1096,6 +1127,36 @@ _SWEEP = [
 def test_builder_errors(build, error):
     with pytest.raises(error):
         build()
+
+
+def _outcome_and_fetches(build, family, n_pairs, monkeypatch):
+    """``_outcome`` of the build and every ``family.distance`` call it made, in order."""
+    calls = []
+    distance = MetricFamily.distance
+    with monkeypatch.context() as patch:
+        patch.setattr(MetricFamily, "distance", lambda self, i, j: calls.append((i, j)) or distance(self, i, j))
+        outcome = _outcome(build, family, n_pairs)
+    return outcome, calls
+
+
+class TestBoundedWindows:
+    """``radii_bounded_separated`` against the window-by-window loop of
+    ``oracles.radii_bounded_separated_reference``: the same plans or errors
+    from the same sequence of distance fetches."""
+
+    @pytest.mark.parametrize("label, pair_counts", [
+        *((label, range(14)) for label in (
+            "remark:2", "remark:3", "remark:4", "remark:5", "remark:6", "uniform:1", "uniform:3/2",
+            "uniform:7/3", "dendro:1:4", "dendro:5:3", "convline", "intline")),
+        ("uniform:1", (63,)),
+    ], ids=lambda value: value if isinstance(value, str) else f"pairs-{value[0]}-{value[-1]}")
+    def test_same_plans_errors_and_fetches_as_the_reference(self, label, pair_counts, monkeypatch):
+        for n_pairs in pair_counts:
+            family = parse_family(label)
+            found = _outcome_and_fetches(radii_bounded_separated, family, n_pairs, monkeypatch)
+            expected = _outcome_and_fetches(oracles.radii_bounded_separated_reference, family, n_pairs,
+                                            monkeypatch)
+            assert found == expected, (label, n_pairs)
 
 
 class TestUltrametricTable:

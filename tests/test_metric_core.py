@@ -185,6 +185,17 @@ class TestIntegerScale:
         assert all(type(i) is int for i in ints)
         assert ints == [v * scale for v in values]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_bit_cap_refuses_only_past_it(self, seed):
+        rng = random.Random(seed)
+        values = [F(rng.randint(-50, 50), rng.choice((1, rng.randint(1, 10**6))))
+                  for _ in range(rng.randint(1, 30))]
+        scale = lcm(*(v.denominator for v in values))
+        bits = scale.bit_length()
+        assert integer_scale(values, bits) == integer_scale(values) == ([v * scale for v in values], scale)
+        with pytest.raises(InvalidFamilyParameters, match=f"^a common denominator of more than {bits - 1} bits$"):
+            integer_scale(values, bits - 1)
+
     def test_ints_and_empty_input(self):
         assert integer_scale([3, -4, 0]) == ([3, -4, 0], 1)
         assert integer_scale([]) == ([], 1)
