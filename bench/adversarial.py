@@ -32,7 +32,8 @@ hash of the verdict, or of the plan's (case, x_idx, r) or error.
 The ``truncation`` entry times the label-to-space path on lines,
 ultrametrics and bounded separated sequences: ``truncate`` on the
 ``TRUNCATIONS`` (``convline`` from 180 points on, and ``remark:3`` at 512,
-have a common denominator past 256 bits), and ``validate_metric``
+have a common denominator past 256 bits; the 40-point ones are the sizes
+of perfbench's norm-sparse workload), and ``validate_metric``
 and ``is_ultrametric`` on the shallow-first prime-level caterpillar of
 ``PRIME_LEVEL_POINTS`` points.  Each entry has a hash of the space or verdict.
 
@@ -125,7 +126,9 @@ ULTRA_FAMILIES = (("uniform:1", 3), ("dendro:3:9:512", 4), ("dendro:11:30:512", 
 PRIME_LEVEL_POINTS = 256
 PRIME_LEVEL_PAIRS = (4, 20)
 TRUNCATIONS = (("convline", 180), ("convline", 256), ("dendro:11:30:512", 512),
-               ("remark:3", 128), ("remark:3", 512))
+               ("remark:3", 128), ("remark:3", 512),
+               # norm-sparse's largest size, on a bounded sequence, a line, an ultrametric
+               ("remark:3", 40), ("convline", 40), ("uniform:1", 40), ("dendro:5:5", 40))
 LOAD_SIZES = (24, 256)
 FLOAT_LOAD_SIZES = (64, 128, 256)
 FLOAT_NORM_SIZES = (16, 24, 32)

@@ -42,10 +42,12 @@ from .metric_core import (
     MetricFamily,
     as_fraction,
     distance_matrix,
+    exact_space,
     fraction_str,
     integer_scale,
-    is_certified_metric,
+    is_certified_ultrametric,
     is_ultrametric,
+    scaled_distances,
     validate_metric,
 )
 from .norm_engine import lip_norm  # noqa: F401 (perfbench binds constructions.lip_norm)
@@ -104,10 +106,10 @@ class EmbeddingPlan:
             raise InvalidFamilyParameters(f"family {self.family.label} has only {self.family.size} points")
 
         N = self.n_points
-        dist = distance_matrix(lambda m, n: self.family.distance(self.x_idx[m], self.x_idx[n]), N)
-        flat = [*self.r, *(v for row in dist for v in row)]
-        ints, scale = integer_scale(flat, MAX_SCALED_BITS // (N * N))
-        R, D = tuple(ints[:N]), tuple(tuple(ints[N * m : N * (m + 1)]) for m in range(1, N + 1))
+        upper = [self.family.distance(self.x_idx[m], self.x_idx[n]) for m, n in combinations(range(N), 2)]
+        dist = distance_matrix(upper, N)
+        ints, scale = integer_scale([*self.r, *upper], MAX_SCALED_BITS // (N * N))
+        R, D = tuple(ints[:N]), distance_matrix(ints[N:], N, 0)
         for m, n in combinations(range(N), 2):
             if R[m] + R[n] > D[m][n]:
                 raise SeparationViolation(m + 1, n + 1, self.r[m] + self.r[n], dist[m][n])
@@ -118,7 +120,7 @@ class EmbeddingPlan:
             if (v := (ra - da if ra > da else 0) - (rb - db if rb > db else 0))
         }) for Dp in D)
         ratios = tuple(Fraction(R[2 * n - 1] + R[2 * n], D[2 * n - 1][2 * n]) for n in pairs)
-        self.__dict__.update(dist=tuple(map(tuple, dist)), scale=scale, int_dist=D,
+        self.__dict__.update(dist=dist, scale=scale, int_dist=D,
                              pair_rows=rows, ratios=ratios, exact=all(q == 1 for q in ratios))
 
     @property
@@ -139,10 +141,8 @@ class EmbeddingPlan:
 
 @lru_cache(maxsize=2)  # one plan's verifiers; each entry keeps its plan alive
 def _plan_space(plan: EmbeddingPlan) -> FiniteMetricSpace:
-    """``dist`` as a space if a certificate accepts ``int_dist``, else as ``validate_metric`` finds it."""
-    if is_certified_metric(plan.int_dist, plan.scale, plan.family.approximate):
-        return FiniteMetricSpace(plan.dist, plan.family.approximate)
-    return validate_metric(plan.dist, plan.family.approximate)
+    """``dist`` as a space, validated on ``int_dist`` by ``exact_space``."""
+    return exact_space(plan.dist, plan.int_dist, plan.scale, plan.family.approximate)
 
 
 def make_plan(family: MetricFamily, x_idx, r, case: Optional[str] = None) -> EmbeddingPlan:
@@ -715,10 +715,13 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     L = _plan_length(n_pairs)
     scan = min(family.size or MAX_POINTS, MAX_POINTS)
     table = _DistanceTable(family, scan)
-    probe = distance_matrix(lambda i, j: table.distance(i + 1, j + 1), min(scan, 40))
-    ok, witness = is_ultrametric(validate_metric(probe, family.approximate))
-    if not ok:
-        raise NotUltrametric(witness)
+    n = min(scan, 40)
+    upper = [table.distance(i + 1, j + 1) for i, j in combinations(range(n), 2)]
+    probe, ints, scale = scaled_distances(upper, n)
+    if ints is None or not is_certified_ultrametric(ints, scale, family.approximate):
+        ok, witness = is_ultrametric(validate_metric(probe, family.approximate))
+        if not ok:
+            raise NotUltrametric(witness)
     bound = family.distinct_distances
 
     if bound is None or bound >= L:
@@ -1006,9 +1009,9 @@ def admissibility(
     order = _prefix_order(N, ordering, MAX_ADMISSIBILITY_POINTS)
     if N < 3:
         return AdmissibilityResult(tau=None, radii=None, no_pair_slots=True)
-    rho = distance_matrix(lambda i, j: family.distance(order[i], order[j]), N)
-    flat, scale = integer_scale([v for row in rho for v in row])
-    w = [flat[i : i + N] for i in range(0, N * N, N)]
+    upper = [family.distance(order[i], order[j]) for i, j in combinations(range(N), 2)]
+    ints, scale = integer_scale(upper)
+    rho, w = distance_matrix(upper, N), distance_matrix(ints, N, 0)
     partner = [None] * N  # 0-based positions 2n - 1 and 2n form slot n
     for n in range(1, (N - 1) // 2 + 1):
         partner[2 * n - 1], partner[2 * n] = 2 * n, 2 * n - 1

@@ -7,11 +7,18 @@ allow ``FLOAT_TOLERANCE`` of slack, and the space carries that flag.
 ``validate_metric`` accepts lines, ultrametrics and matrices whose every
 distance is at most the sum of its two ends' nearest-neighbour distances,
 and ``is_ultrametric`` ultrametrics, in O(n^2) by exact certificates
-(``_line_certificate``, ``_ultrametric_certificate``,
-``_neighbour_certificate``); every other matrix takes an O(n^3) scan on
+(``_line_certificate``, ``_neighbour_certificate``,
+``_ultrametric_certificate``); every other matrix takes an O(n^3) scan on
 integers over one common denominator, which stays exact (see
 ``_integer_matrix``) and names the first violated triple.  Approximate
 matrices try the same certificates: one that passes is an exact metric.
+
+``truncate`` certifies a truncation on its own ints: it fetches each
+distance above the diagonal once, scales them once (``scaled_distances``)
+and lets ``exact_space`` run the certificates, or the scan, on those ints.
+Only a matrix with an entry at or below the tolerance, or a common
+denominator past ``_SCAN_BITS``, goes to ``validate_metric``, so errors and
+witnesses are its own.
 
 Conventions:
 
@@ -28,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, compress
-from math import lcm
+from math import floor, lcm
 from operator import sub
 from typing import Callable, Optional, Sequence
 
@@ -96,16 +103,17 @@ def integer_scale(values: Sequence, max_bits: Optional[int] = None) -> tuple[lis
 
     An lcm of more than ``max_bits`` bits raises InvalidFamilyParameters as
     soon as it grows past them, before anything is scaled."""
-    denominators = {v.denominator for v in values}
+    ratios = [v.as_integer_ratio() for v in values]  # one call, not two property reads
+    denominators = {d for _, d in ratios}
     scale = 1
     for d in denominators:
         scale = lcm(scale, d)
         if max_bits is not None and scale.bit_length() > max_bits:
             raise InvalidFamilyParameters(f"a common denominator of more than {max_bits} bits")
     if scale == 1:  # the numerators themselves, not copies of them
-        return [v.numerator for v in values], 1
+        return [p for p, _ in ratios], 1
     factor = {d: scale // d for d in denominators}
-    return [v.numerator * factor[v.denominator] for v in values], scale
+    return [p * factor[d] for p, d in ratios], scale
 
 
 _SCAN_BITS = 256
@@ -194,19 +202,46 @@ def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
 
 def _certified(ints, mat, slack) -> bool:
     """Whether a certificate accepts ``mat``, scaled to ``ints`` by ``_integer_matrix``."""
-    return (
+    return (  # cheapest first: Prim's loop is in Python, the neighbour bound in builtins
         _line_certificate(mat if slack else ints)  # rounded ints are not exact
-        or _ultrametric_certificate(ints, mat, slack)
         or _neighbour_certificate(ints, slack)
+        or _ultrametric_certificate(ints, mat, slack)
     )
 
 
-def is_certified_metric(ints, scale: int, approximate: bool = False) -> bool:
-    """Whether a symmetric zero-diagonal matrix, exactly ``ints`` / ``scale``, has every
-    entry off the diagonal above the scaled tolerance and passes ``_certified``; one
-    that does is what ``validate_metric`` would return it as, with no scan."""
+def _above_tolerance(ints, scale: int, approximate: bool) -> bool:
+    """Whether every entry above the diagonal of ``ints``, a matrix scaled by ``scale``,
+    exceeds the scaled tolerance."""
     tol = FLOAT_TOLERANCE * scale if approximate else 0
-    return all(min(row[i + 1 :]) > tol for i, row in enumerate(ints[:-1])) and _certified(ints, ints, 0)
+    return all(min(row[i + 1 :]) > tol for i, row in enumerate(ints[:-1]))
+
+
+def is_certified_ultrametric(ints, scale: int, approximate: bool = False) -> bool:
+    """Whether a symmetric zero-diagonal matrix, exactly ``ints`` / ``scale``, has
+    every entry off the diagonal above the scaled tolerance and passes
+    ``_prim_certificate``: it is then a metric that ``is_ultrametric`` accepts."""
+    return _above_tolerance(ints, scale, approximate) and _prim_certificate(ints)
+
+
+def exact_space(dist, ints, scale: int, approximate: bool = False) -> FiniteMetricSpace:
+    """``validate_metric(dist, approximate)``, space or error, for a symmetric
+    zero-diagonal matrix ``dist`` that is exactly ``ints`` / ``scale``.
+
+    When every entry off the diagonal is above the tolerance, a certificate
+    on ``ints`` accepts ``dist`` as it is, and if none does while ``scale``
+    has at most ``_SCAN_BITS`` bits, the scan runs on ``ints`` and names the
+    same first violated triple.  Any other matrix, and ``ints`` of None, go
+    to ``validate_metric``.
+    """
+    if ints is not None and _above_tolerance(ints, scale, approximate):
+        if _certified(ints, ints, 0):
+            return FiniteMetricSpace(dist, approximate)
+        if scale.bit_length() <= _SCAN_BITS:
+            # an int difference exceeds a bound iff it exceeds the bound's floor
+            int_tol = floor(FLOAT_TOLERANCE * scale) if approximate else 0
+            _triangle_scan(ints, ints, int_tol, int_tol)
+            return FiniteMetricSpace(dist, approximate)
+    return validate_metric(dist, approximate)
 
 
 def _triangle_scan(ints, sym, int_tol, exact_tol) -> None:
@@ -267,24 +302,45 @@ class MetricFamily:
         return self.oracle(i, j)
 
 
-def distance_matrix(distance: Callable[[int, int], Fraction], n: int) -> list[list[Fraction]]:
-    """Symmetric n x n matrix, zero diagonal, one ``distance(i, j)`` call per i < j."""
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in combinations(range(n), 2):
-        mat[i][j] = mat[j][i] = distance(i, j)
-    return mat
+def distance_matrix(upper: Sequence, n: int, zero=Fraction(0)) -> tuple[tuple, ...]:
+    """Symmetric n x n matrix with ``zero`` on the diagonal, from its n(n-1)/2
+    entries above the diagonal in ``combinations(range(n), 2)`` order."""
+    mat = [[zero] * n for _ in range(n)]
+    for (i, j), v in zip(combinations(range(n), 2), upper):
+        mat[i][j] = mat[j][i] = v
+    return tuple(map(tuple, mat))
+
+
+def scaled_distances(upper: Sequence, n: int):
+    """``distance_matrix`` of ``upper`` coerced as ``validate_metric`` coerces entries,
+    that matrix times the lcm of its denominators, and the lcm.
+
+    The scaled matrix is None, and nothing is scaled, when the lcm has more than
+    ``_SCAN_BITS`` bits: ``validate_metric`` would round it.
+    """
+    with outside_input("distance entries"):
+        upper = [v if type(v) is Fraction else as_fraction(v) for v in upper]
+    dist = distance_matrix(upper, n)
+    try:
+        ints, scale = integer_scale(upper, _SCAN_BITS)
+    except InvalidFamilyParameters:
+        return dist, None, 0
+    return dist, distance_matrix(ints, n, 0), scale
 
 
 def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
-    """Finite space on the family points x_1..x_N, base point x_1 relabelled 0."""
+    """Finite space on the family points x_1..x_N, base point x_1 relabelled 0.
+
+    Each distance is fetched once and the matrix scaled once, and a
+    certificate or the scan accepts it on those ints (``exact_space``)."""
     if not 1 <= N <= MAX_POINTS:
         raise InvalidFamilyParameters(f"truncation size must be in 1..{MAX_POINTS}")
     if family.size is not None and N > family.size:
         raise InvalidFamilyParameters(
             f"family {family.label} has only {family.size} points"
         )
-    mat = distance_matrix(lambda i, j: family.distance(i + 1, j + 1), N)
-    return validate_metric(mat, family.approximate)
+    upper = [family.distance(i + 1, j + 1) for i, j in combinations(range(N), 2)]
+    return exact_space(*scaled_distances(upper, N), family.approximate)
 
 
 def _line_certificate(rows) -> bool:

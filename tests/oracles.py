@@ -30,7 +30,6 @@ from lipfree import (
     is_ultrametric,
     lip_norm,
     make_plan,
-    truncate,
     validate_metric,
 )
 from lipfree.constructions import (
@@ -58,6 +57,16 @@ def triangle_scan(dist, tolerance=0) -> tuple | None:
                 if dist[i][k] > dist[i][j] + dist[j][k] + tolerance:
                     return (i, j, k)
     return None
+
+
+def truncate_reference(family: MetricFamily, N: int) -> FiniteMetricSpace:
+    """``truncate`` before it scaled its own distances: the full matrix, one
+    ``family.distance`` call per pair i < j in ``combinations`` order, then
+    ``validate_metric`` on it."""
+    mat = [[Fraction(0)] * N for _ in range(N)]
+    for i, j in combinations(range(N), 2):
+        mat[i][j] = mat[j][i] = family.distance(i + 1, j + 1)
+    return validate_metric(mat, family.approximate)
 
 
 def ultrametric_scan(dist) -> tuple | None:
@@ -417,7 +426,7 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
     L = _plan_length(n_pairs)
     scan = min(family.size or 512, 512)
     probe = min(scan, 40)
-    ok, witness = is_ultrametric(truncate(family, probe))
+    ok, witness = is_ultrametric(truncate_reference(family, probe))
     if not ok:
         raise NotUltrametric(witness)
 

@@ -54,7 +54,7 @@ import oracles
 from lipfree import cli, constructions, flow, metric_core, norm_engine
 from lipfree.constructions import _DistanceTable, _monotone_chain
 from lipfree.space_catalog import family_from_space, ultrametric_from_codes
-from lipfree.metric_core import _SCAN_BITS, is_certified_metric, truncate
+from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE, truncate
 from oracles import (
     bump_eval,
     l1_basis,
@@ -459,6 +459,19 @@ class TestProjection:
             assert report.ok, plan.case
 
 
+# the ultrametric families of SUITE_PLANS, by name: (family builder, pair count)
+ULTRA_SUITE = {
+    "dendro:7:10": (lambda: make_family("dendro", 7, 10), 4),
+    "inc-ultra": (increasing_ultrametric_family, 2),
+    "late-cluster": (late_cluster_family, 3),
+    "late-chain:6": (lambda: late_chain_family(6), 3),
+    "harmonic-caterpillar": (harmonic_caterpillar_family, 3),
+    **{
+        f"dendro:{seed}:10": (lambda seed=seed: make_family("dendro", seed, 10), 4)
+        for seed in (*range(1, 11), *range(101, 106))
+    },
+}
+
 # the exact plans that the tests here and in test_acceptance build, by name
 SUITE_PLANS = {
     "uniform:1 x2": lambda: uniform_exact_plan(2),
@@ -471,15 +484,10 @@ SUITE_PLANS = {
     "intline udelta x5": lambda: radii_unbounded_delta(make_family("intline"), 5),
     "geomline udelta": lambda: radii_unbounded_delta(make_family("geomline"), 5),
     "geo-ultra udelta": lambda: radii_unbounded_delta(unbounded_ultrametric_family(), 3),
-    "dendro:7:10": lambda: radii_ultrametric(make_family("dendro", 7, 10), 4),
-    "inc-ultra": lambda: radii_ultrametric(increasing_ultrametric_family(), 2),
-    "late-cluster": lambda: radii_ultrametric(late_cluster_family(), 3),
-    "late-chain:6": lambda: radii_ultrametric(late_chain_family(6), 3),
-    "harmonic-caterpillar": lambda: radii_ultrametric(harmonic_caterpillar_family(), 3),
     "uniform halves": lambda: make_plan(make_family("uniform", 1), range(1, 8), [F(1, 2)] * 7),
     **{
-        f"dendro:{seed}:10": lambda seed=seed: radii_ultrametric(make_family("dendro", seed, 10), 4)
-        for seed in (*range(1, 11), *range(101, 106))
+        name: lambda make=make, n_pairs=n_pairs: radii_ultrametric(make(), n_pairs)
+        for name, (make, n_pairs) in ULTRA_SUITE.items()
     },
 }
 
@@ -803,16 +811,26 @@ class TestPlanSpace:
     the plan's Fractions, and a certified plan never rescales them."""
 
     def _agrees(self, plan, monkeypatch) -> bool:
-        """Compare the two routes and return whether the plan's ints were certified."""
+        """Compare the two routes and return whether the plan's ints were certified.
+
+        An uncertified plan whose ints are exact within ``_SCAN_BITS`` and
+        above the tolerance is scanned on those ints, so the certificates run
+        once; only the other uncertified plans are rescaled."""
         expected = _space_or_error(lambda: validate_metric(plan.dist, plan.family.approximate))
-        certified = is_certified_metric(plan.int_dist, plan.scale, plan.family.approximate)
-        calls = []
-        rescale = metric_core._integer_matrix
+        tol = FLOAT_TOLERANCE * plan.scale if plan.family.approximate else 0
+        positive = all(v > tol for i, row in enumerate(plan.int_dist) for v in row[i + 1 :])
+        certified = positive and metric_core._certified(plan.int_dist, plan.int_dist, 0)
+        on_ints = positive and plan.scale.bit_length() <= _SCAN_BITS
+        rescales, certificates = [], []
         with monkeypatch.context() as patch:
-            patch.setattr(metric_core, "_integer_matrix", lambda *args: calls.append(args) or rescale(*args))
+            for name, calls in (("_integer_matrix", rescales), ("_certified", certificates)):
+                original = getattr(metric_core, name)
+                patch.setattr(metric_core, name, lambda *args, calls=calls, f=original: calls.append(args) or f(*args))
             constructions._plan_space.cache_clear()
             assert _space_or_error(plan.space) == expected
-        assert bool(calls) is not certified  # only an uncertified plan is rescaled
+        assert bool(rescales) is not (certified or on_ints)
+        if certified or on_ints:
+            assert len(certificates) == 1
         if certified:
             assert plan.space().dist is plan.dist
         return certified
@@ -1246,6 +1264,50 @@ class TestUltrametricTable:
         with contextlib.suppress(HorizonExhausted):
             radii_ultrametric_reference(counted, n_pairs)
         assert table_calls < sum(asked.values())
+
+
+class TestUltrametricProbe:
+    """The 40-point probe accepts on its own ints what the old pair of calls,
+    ``is_ultrametric(validate_metric(probe))``, accepts; every other probe
+    takes that pair, so its errors and witnesses are the pair's."""
+
+    def _outcome(self, family, n_pairs, monkeypatch, old: bool):
+        """``_outcome`` of ``radii_ultrametric``, with the old pair of calls if
+        ``old``, and whether it called ``validate_metric``."""
+        validated = []
+        validate = constructions.validate_metric
+        with monkeypatch.context() as patch:
+            if old:
+                patch.setattr(constructions, "is_certified_ultrametric", lambda *args: False)
+            patch.setattr(constructions, "validate_metric", lambda *args: validated.append(args) or validate(*args))
+            return _outcome(radii_ultrametric, family, n_pairs), bool(validated)
+
+    @pytest.mark.parametrize("name", sorted(ULTRA_SUITE))
+    def test_suite_families_are_accepted_on_the_ints(self, name, monkeypatch):
+        make, n_pairs = ULTRA_SUITE[name]
+        found, validated = self._outcome(make(), n_pairs, monkeypatch, old=False)
+        assert (found, validated) == (self._outcome(make(), n_pairs, monkeypatch, old=True)[0], False)
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: make_family("convline"), NotUltrametric),
+        (lambda: make_family("remark", 3), NotUltrametric),
+        # rho(x_1, x_40) raised above the 2 that every other x_j keeps from x_1
+        (lambda: dataclasses.replace(harmonic_caterpillar_family(), label="broken-at-40",
+                                     oracle=lambda i, j: 1 + F(1, i) + F(int((i, j) == (1, 40)), 10**6)),
+         NotUltrametric),
+        (lambda: MetricFamily(label="zero", oracle=lambda i, j: F(0) if (i, j) == (3, 7) else F(1), size=50),
+         NegativeOrZeroOffDiagonal),
+        (lambda: MetricFamily(label="tiny", oracle=lambda i, j: F(1, 10**10) if (i, j) == (3, 7) else F(1),
+                              size=50, approximate=True), NegativeOrZeroOffDiagonal),
+    ], ids=["convline", "remark:3", "broken-at-40", "zero", "within-tolerance"])
+    def test_failing_probes_keep_the_old_witness(self, make, error, monkeypatch):
+        found, validated = self._outcome(make(), 3, monkeypatch, old=False)
+        assert found == self._outcome(make(), 3, monkeypatch, old=True)[0]
+        assert validated and found[0] is error
+        if error is NotUltrametric:
+            family = make()
+            witness = metric_core.is_ultrametric(oracles.truncate_reference(family, min(family.size or 40, 40)))[1]
+            assert found[1] == str(NotUltrametric(witness))
 
 
 class TestDistinctDistances:

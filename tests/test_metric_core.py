@@ -15,6 +15,8 @@ from lipfree import (
     FreeElement,
     InvalidFamilyParameters,
     LipFunction,
+    LipfreeError,
+    MetricFamily,
     NegativeOrZeroOffDiagonal,
     TriangleViolation,
     free_element_from_json,
@@ -22,6 +24,7 @@ from lipfree import (
     is_ultrametric,
     load_space,
     make_family,
+    parse_family,
     truncate,
     validate_metric,
 )
@@ -36,7 +39,7 @@ from lipfree.metric_core import (
     as_fraction,
     integer_scale,
 )
-from oracles import dendrogram_lca_bruteforce, triangle_scan, ultrametric_scan
+from oracles import dendrogram_lca_bruteforce, triangle_scan, truncate_reference, ultrametric_scan
 
 
 class TestValidateMetric:
@@ -520,6 +523,117 @@ class TestTruncate:
             for i in range(6):
                 for j in range(6):
                     assert small.dist[i][j] == big.dist[i][j]
+
+
+CATALOG_LABELS = (
+    "uniform:1", "uniform:3/2", "uniform:7/3", "convline", "intline", "geomline",
+    *(f"remark:{k}" for k in range(1, 7)), "dendro:5:5", "dendro:7:7", "dendro:3:9:128",
+)
+
+
+def _fetches_and_outcome(route, family, n, monkeypatch):
+    """The ``MetricFamily.distance`` calls of ``route(family, n)``, and its space's
+    ``dist`` and ``approximate`` or its error's class, witness and message."""
+    fetched = []
+    distance = metric_core.MetricFamily.distance
+    with monkeypatch.context() as patch:
+        patch.setattr(metric_core.MetricFamily, "distance",
+                      lambda self, i, j: fetched.append((i, j)) or distance(self, i, j))
+        try:
+            space = route(family, n)
+        except LipfreeError as exc:
+            return fetched, (type(exc), vars(exc), str(exc))
+    return fetched, (space.dist, space.approximate)
+
+
+class TestTruncateRoute:
+    """``truncate`` scales the distances it fetches once and certifies or scans
+    them on those ints; it returns the space, or raises the error, that the
+    full matrix through ``validate_metric`` gives (``truncate_reference``),
+    after the same fetches."""
+
+    def _route(self, family, n, monkeypatch) -> tuple[int, int, int]:
+        """Compare the two routes; return how often ``truncate`` rescaled a
+        matrix, ran the certificates and ran the triangle scan."""
+        expected = _fetches_and_outcome(truncate_reference, family, n, monkeypatch)
+        counts = {name: [] for name in ("_integer_matrix", "_certified", "_triangle_scan")}
+        with monkeypatch.context() as patch:
+            for name, calls in counts.items():
+                f = getattr(metric_core, name)
+                patch.setattr(metric_core, name, lambda *args, calls=calls, f=f: calls.append(args) or f(*args))
+            assert _fetches_and_outcome(truncate, family, n, monkeypatch) == expected
+        return tuple(len(calls) for calls in counts.values())
+
+    @pytest.mark.parametrize("label", CATALOG_LABELS)
+    def test_catalog_truncations_are_certified_on_their_ints(self, label):
+        family = parse_family(label)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for n in (1, 2, 3, 24, 40, 128):
+                if family.size is None or n <= family.size:
+                    assert self._route(family, n, monkeypatch) == (0, 1, 0), (label, n)
+
+    @pytest.mark.parametrize("n", [180, 200])
+    def test_convline_past_the_scan_bits_is_rescaled(self, n, monkeypatch):
+        family = make_family("convline")
+        upper = [family.distance(i + 1, j + 1) for i, j in combinations(range(n), 2)]
+        assert integer_scale(upper)[1].bit_length() > _SCAN_BITS
+        assert self._route(family, n, monkeypatch) == (1, 1, 0)
+
+    def test_float_file_family_stays_approximate(self, tmp_path, monkeypatch):
+        rng = random.Random(15)
+        dist = [[0.0] * 12 for _ in range(12)]
+        for i, j in combinations(range(12), 2):
+            dist[i][j] = dist[j][i] = 1 + rng.randrange(8) / 8 + rng.randrange(2) / 10
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"dist": dist}))
+        family = parse_family(f"file:{path}")
+        assert self._route(family, 12, monkeypatch) == (0, 1, 0)
+        assert truncate(family, 12).approximate
+
+    @pytest.mark.parametrize("oracle, approximate, error, counts", [
+        (lambda i, j: F(0) if (i, j) == (2, 4) else F(1), False, NegativeOrZeroOffDiagonal, (1, 0, 0)),
+        (lambda i, j: F(-1) if (i, j) == (3, 5) else F(1), False, NegativeOrZeroOffDiagonal, (1, 0, 0)),
+        (lambda i, j: F(1, 10**10) if (i, j) == (2, 4) else F(1), True, NegativeOrZeroOffDiagonal, (1, 0, 0)),
+        (lambda i, j: F(3) if (i, j) == (1, 3) else F(1), False, TriangleViolation, (0, 1, 1)),
+        (lambda i, j: F(2) + F(2, 10**9) if (i, j) == (2, 5) else F(1), True, TriangleViolation, (0, 1, 1)),
+        (lambda i, j: F(2) + F(1, 10**10) if (i, j) == (1, 3) else F(1), True, None, (0, 1, 1)),
+        (lambda i, j: "x" if (i, j) == (2, 3) else F(1), False, InvalidFamilyParameters, (0, 0, 0)),
+        (lambda i, j: True if (i, j) == (2, 3) else F(1), False, InvalidFamilyParameters, (0, 0, 0)),
+    ], ids=["zero", "negative", "within-tolerance", "broken-triangle", "broken-beyond-tolerance",
+            "triangle-within-tolerance", "not-a-number", "boolean"])
+    def test_custom_families(self, oracle, approximate, error, counts, monkeypatch):
+        # an uncertified positive matrix is scanned on the ints the certificates saw
+        family = MetricFamily(label="custom", oracle=oracle, size=5, approximate=approximate)
+        assert self._route(family, 5, monkeypatch) == counts
+        if error is None:
+            assert truncate(family, 5).approximate
+        else:
+            with pytest.raises(error):
+                truncate(family, 5)
+
+    def test_int_oracle_values_become_fractions(self, monkeypatch):
+        family = MetricFamily(label="ints", oracle=lambda i, j: j - i, size=6)
+        assert self._route(family, 6, monkeypatch) == (0, 1, 0)
+        assert all(type(v) is F for row in truncate(family, 6).dist for v in row)
+
+    def test_a_metric_no_certificate_accepts_is_scanned_on_its_ints(self, monkeypatch):
+        # (i mod 4) on a line, plus 1 off the diagonal: no line, no ultrametric,
+        # and points 0 and 3 lie farther apart than twice the least distance
+        family = MetricFamily(label="mod4", oracle=lambda i, j: F(abs(i % 4 - j % 4) + 1, 3), size=12)
+        assert self._route(family, 12, monkeypatch) == (0, 1, 1)
+
+    def test_prime_denominators_stop_before_scaling(self, monkeypatch):
+        # the lcm of the first pairs' primes passes the cap, so nothing is scaled
+        # and validate_metric rounds the matrix as before
+        primes = _distinct_primes(40 * 39 // 2, 10**4)
+        pairs = dict(zip(combinations(range(1, 41), 2), primes))
+        family = MetricFamily(label="primes", oracle=lambda i, j: 1 + F(1, pairs[i, j]), size=40)
+        scaled = []
+        scale = metric_core.integer_scale
+        monkeypatch.setattr(metric_core, "integer_scale",
+                            lambda values, bits=None: scaled.append(bits) or scale(values, bits))
+        assert self._route(family, 40, monkeypatch) == (1, 1, 0)
+        assert scaled == [_SCAN_BITS]
 
 
 class TestIsUltrametric:
