@@ -47,6 +47,7 @@ from .metric_core import (
     integer_scale,
     is_certified_ultrametric,
     is_ultrametric,
+    rational_distances,
     scaled_distances,
     validate_metric,
 )
@@ -106,7 +107,9 @@ class EmbeddingPlan:
             raise InvalidFamilyParameters(f"family {self.family.label} has only {self.family.size} points")
 
         N = self.n_points
-        upper = [self.family.distance(self.x_idx[m], self.x_idx[n]) for m, n in combinations(range(N), 2)]
+        upper = rational_distances(
+            self.family.distance(self.x_idx[m], self.x_idx[n]) for m, n in combinations(range(N), 2)
+        )
         dist = distance_matrix(upper, N)
         ints, scale = integer_scale([*self.r, *upper], MAX_SCALED_BITS // (N * N))
         R, D = tuple(ints[:N]), distance_matrix(ints[N:], N, 0)
@@ -1009,7 +1012,7 @@ def admissibility(
     order = _prefix_order(N, ordering, MAX_ADMISSIBILITY_POINTS)
     if N < 3:
         return AdmissibilityResult(tau=None, radii=None, no_pair_slots=True)
-    upper = [family.distance(order[i], order[j]) for i, j in combinations(range(N), 2)]
+    upper = rational_distances(family.distance(order[i], order[j]) for i, j in combinations(range(N), 2))
     ints, scale = integer_scale(upper)
     rho, w = distance_matrix(upper, N), distance_matrix(ints, N, 0)
     partner = [None] * N  # 0-based positions 2n - 1 and 2n form slot n

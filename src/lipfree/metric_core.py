@@ -7,8 +7,8 @@ allow ``FLOAT_TOLERANCE`` of slack, and the space carries that flag.
 ``validate_metric`` accepts lines, ultrametrics and matrices whose every
 distance is at most the sum of its two ends' nearest-neighbour distances,
 and ``is_ultrametric`` ultrametrics, in O(n^2) by exact certificates
-(``_line_certificate``, ``_neighbour_certificate``,
-``_ultrametric_certificate``); every other matrix takes an O(n^3) scan on
+(``_line_certificate``, ``_ultrametric_certificate``,
+``_neighbour_certificate``); every other matrix takes an O(n^3) scan on
 integers over one common denominator, which stays exact (see
 ``_integer_matrix``) and names the first violated triple.  Approximate
 matrices try the same certificates: one that passes is an exact metric.
@@ -37,7 +37,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, compress
 from math import floor, lcm
 from operator import sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     Asymmetric,
@@ -103,17 +103,16 @@ def integer_scale(values: Sequence, max_bits: Optional[int] = None) -> tuple[lis
 
     An lcm of more than ``max_bits`` bits raises InvalidFamilyParameters as
     soon as it grows past them, before anything is scaled."""
-    ratios = [v.as_integer_ratio() for v in values]  # one call, not two property reads
-    denominators = {d for _, d in ratios}
+    denominators = {v.denominator for v in values}
     scale = 1
     for d in denominators:
         scale = lcm(scale, d)
         if max_bits is not None and scale.bit_length() > max_bits:
             raise InvalidFamilyParameters(f"a common denominator of more than {max_bits} bits")
     if scale == 1:  # the numerators themselves, not copies of them
-        return [p for p, _ in ratios], 1
+        return [v.numerator for v in values], 1
     factor = {d: scale // d for d in denominators}
-    return [p * factor[d] for p, d in ratios], scale
+    return [v.numerator * factor[v.denominator] for v in values], scale
 
 
 _SCAN_BITS = 256
@@ -202,10 +201,10 @@ def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
 
 def _certified(ints, mat, slack) -> bool:
     """Whether a certificate accepts ``mat``, scaled to ``ints`` by ``_integer_matrix``."""
-    return (  # cheapest first: Prim's loop is in Python, the neighbour bound in builtins
+    return (
         _line_certificate(mat if slack else ints)  # rounded ints are not exact
-        or _neighbour_certificate(ints, slack)
         or _ultrametric_certificate(ints, mat, slack)
+        or _neighbour_certificate(ints, slack)
     )
 
 
@@ -311,15 +310,22 @@ def distance_matrix(upper: Sequence, n: int, zero=Fraction(0)) -> tuple[tuple, .
     return tuple(map(tuple, mat))
 
 
+def rational_distances(values: Iterable) -> list[Fraction]:
+    """``values`` as ``validate_metric`` reads its entries: a ``Fraction`` as it is,
+    anything else through ``as_fraction``, and InvalidFamilyParameters for the
+    first that is no rational."""
+    with outside_input("distance entries"):
+        return [v if type(v) is Fraction else as_fraction(v) for v in values]
+
+
 def scaled_distances(upper: Sequence, n: int):
-    """``distance_matrix`` of ``upper`` coerced as ``validate_metric`` coerces entries,
-    that matrix times the lcm of its denominators, and the lcm.
+    """``distance_matrix`` of ``rational_distances(upper)``, that matrix times the
+    lcm of its denominators, and the lcm.
 
     The scaled matrix is None, and nothing is scaled, when the lcm has more than
     ``_SCAN_BITS`` bits: ``validate_metric`` would round it.
     """
-    with outside_input("distance entries"):
-        upper = [v if type(v) is Fraction else as_fraction(v) for v in upper]
+    upper = rational_distances(upper)
     dist = distance_matrix(upper, n)
     try:
         ints, scale = integer_scale(upper, _SCAN_BITS)

@@ -878,6 +878,21 @@ class TestPlanSpace:
             with pytest.raises(error):
                 plan.space()
 
+    @pytest.mark.parametrize("convert", [int, float, str], ids=["int", "float", "str"])
+    def test_oracle_values_are_read_as_truncate_reads_them(self, convert, monkeypatch):
+        # an int, float or string oracle gives the plan, and its space, the
+        # Fractions that truncate gives the same family
+        family = _custom_family("converted", lambda i, j: convert(2 * (j - i)))
+        plan = make_plan(family, range(1, 6), [0] * 5)
+        assert self._agrees(plan, monkeypatch)
+        assert plan.dist == plan.space().dist == truncate(family, 5).dist
+        assert all(type(v) is F for row in plan.space().dist for v in row)
+
+    def test_a_non_rational_oracle_value_is_refused(self):
+        family = _custom_family("bad", lambda i, j: "x" if (i, j) == (2, 4) else F(1))
+        with pytest.raises(InvalidFamilyParameters, match="distance entries"):
+            make_plan(family, range(1, 6), [0] * 5)
+
     def test_a_metric_no_certificate_accepts_is_scanned(self, tmp_path, monkeypatch):
         mat = _adversarial_module().scanned_matrix(32)
         family = _file_family(tmp_path, [[str(v) for v in row] for row in mat])
@@ -1408,6 +1423,15 @@ class TestAdmissibility:
     def test_custom_ordering(self):
         result = admissibility_lp(make_family("uniform", 1), 5, ordering=[5, 4, 3, 2, 1])
         assert result.tau == 1
+
+    @pytest.mark.parametrize("convert", [int, float], ids=["int", "float"])
+    def test_oracle_values_are_read_as_fractions(self, convert):
+        def family(value):
+            return MetricFamily(label="steps", size=9, oracle=lambda i, j: value((i * j) % 3 + 2))
+
+        result = admissibility(family(convert), 9)
+        assert result == admissibility(family(F), 9)
+        assert all(type(r) is F for r in result.radii)
 
     def test_bad_ordering(self):
         from lipfree import InvalidFamilyParameters
