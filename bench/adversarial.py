@@ -78,6 +78,13 @@ The ``bounded`` entry times ``radii_bounded_separated`` on the
 ``BOUNDED_FAMILIES`` at each pair count in ``BOUNDED_PAIRS``, each run on a
 family parsed afresh outside the timing, plan building included.  Each entry
 has a hash of the plan's (case, x_idx, r).
+
+The ``catalog_norm`` entry times ``free_norm``, with its function, on the
+truncations of the ``CATALOG_NORMS`` at each size in ``CATALOG_NORM_SIZES``,
+for the seeded element that supports every point (as in ``NORM_SIZES``).
+These common denominators stay within 256 bits, so the space keeps its ints
+and the transport and the c-transform run on them.  Each entry has a hash of
+the value and the function.
 """
 
 from __future__ import annotations
@@ -97,6 +104,7 @@ from lipfree import (
     LipfreeError,
     admissibility,
     admissibility_lp,
+    free_norm,
     free_norm_flow,
     is_ultrametric,
     load_space,
@@ -138,6 +146,8 @@ LINFTY_COEFFS = (Fraction(1), Fraction(-1, 2), Fraction(1, 3))
 SCANNED_PLAN_POINTS = 64
 BOUNDED_FAMILIES = ("uniform:1", "remark:3")
 BOUNDED_PAIRS = (63, 255)
+CATALOG_NORMS = ("uniform:1", "convline", "dendro:3:9:128", "remark:3")
+CATALOG_NORM_SIZES = (40, 128)
 
 
 def primes(count: int, start: int = 1000) -> list[int]:
@@ -175,6 +185,14 @@ def prime_level_caterpillar(n: int, reverse: bool) -> list[list[str]]:
     levels = [f"{p + 1}/{p}" for p in primes(n)]
     level = (lambda i, j: levels[n - 1 - max(i, j)]) if reverse else (lambda i, j: levels[min(i, j)])
     return [["0" if i == j else level(i, j) for j in range(n)] for i in range(n)]
+
+
+def full_element(n: int) -> FreeElement:
+    """A seeded element with a coefficient at every point but the base."""
+    rng = random.Random(n)
+    return FreeElement.from_pairs(
+        (p, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))) for p in range(1, n)
+    )
 
 
 def plan_outcome(family, n_pairs) -> tuple:
@@ -332,6 +350,16 @@ def bounded_timings() -> dict:
     return out
 
 
+def catalog_norm_timings() -> dict:
+    out = {}
+    for label in CATALOG_NORMS:
+        for n in CATALOG_NORM_SIZES:
+            space, element = truncate(parse_family(label), n), full_element(n)
+            seconds, result = timed(lambda: free_norm(element, space))
+            out[f"free_norm {label} n={n}"] = {"s": seconds, "sha256": digest((result.value, result.function))}
+    return out
+
+
 def timed(call, setup=tuple) -> tuple[float, object]:
     """Median wall seconds of ``REPEATS`` calls ``call(*setup())``, each on
     arguments that an untimed ``setup()`` makes afresh, and the last call's result."""
@@ -358,11 +386,7 @@ def main() -> None:
             "is_ultrametric_s": timed(lambda: is_ultrametric(space))[0],
         }
         if n in NORM_SIZES:
-            rng = random.Random(n)
-            element = FreeElement.from_pairs(
-                (p, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)))
-                for p in range(1, n)
-            )
+            element = full_element(n)
             seconds, value = timed(lambda: free_norm_flow(element, space))
             out[f"n={n}"]["free_norm_s"] = seconds
             out[f"n={n}"]["free_norm_sha256"] = digest(value)
@@ -381,7 +405,8 @@ def main() -> None:
                       "truncation": truncation_timings(), "load_space": load_space_timings(),
                       "float_load": float_load_timings(), "float_norm": float_norm_timings(),
                       "projection": projection_timings(), "plan_space": plan_space_timings(),
-                      "verify_l1": verify_l1_timings(), "bounded": bounded_timings()}))
+                      "verify_l1": verify_l1_timings(), "bounded": bounded_timings(),
+                      "catalog_norm": catalog_norm_timings()}))
 
 
 if __name__ == "__main__":

@@ -533,7 +533,11 @@ class _DistanceTable:
     so the many rows that the probes touch stay short.
     ``values(i)`` gives the row's objects and ``ints(i)`` their multiples
     of the lcm of their denominators, so that values of one row compare in
-    order as ints.
+    order as ints.  A value the table does not hold yet is read as
+    ``truncate`` reads it (``rational_distances``), so a custom oracle's
+    int, float or string becomes a ``Fraction`` and a value that is no
+    rational raises InvalidFamilyParameters; a value equal to one it holds
+    is that one.
     """
 
     def __init__(self, family: MetricFamily, scan: int):
@@ -544,8 +548,12 @@ class _DistanceTable:
         self._full: set[int] = set()
         self._ints: dict[int, tuple[int, list]] = {}
 
-    def _one(self, value: Fraction) -> Fraction:
-        return self._same.setdefault((value.numerator, value.denominator), value)
+    def _one(self, value) -> Fraction:
+        try:
+            return self._same[value.numerator, value.denominator]
+        except (AttributeError, KeyError):  # a new value, or a custom oracle's float or string
+            (value,) = rational_distances((value,))
+            return self._same.setdefault((value.numerator, value.denominator), value)
 
     def distance(self, i: int, j: int) -> Fraction:
         if i > j:

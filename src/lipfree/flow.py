@@ -6,11 +6,13 @@ answer with the returned duals.  The linear program of ``simplex`` stays the
 independent oracle that the tests compare against.
 
 Small complete bipartite instances with rational supplies, demands and
-nonnegative rational costs.  The masses are scaled by the lcm of their
-denominators and the costs by the lcm of theirs, so the search adds and
-compares plain integers; Dijkstra with node potentials keeps reduced costs
-nonnegative.  The final potentials are optimal duals (Ahuja, Magnanti and
-Orlin, *Network Flows*, 1993, ch. 9), returned exactly with the plan.
+nonnegative rational costs, each an int or a ``Fraction``.  The masses are
+scaled by the lcm of their denominators and the costs by the lcm of theirs,
+so the search adds and compares plain integers; Dijkstra with node
+potentials keeps reduced costs nonnegative.  Int costs (a space's ``ints``)
+have denominator 1 and are searched as they are.  The final potentials are
+optimal duals (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9),
+returned exactly with the plan.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Sequence
 
 from .metric_core import integer_scale
@@ -41,17 +44,18 @@ class Transport:
 
 
 def min_cost_transport(
-    supplies: Sequence[Fraction],
-    demands: Sequence[Fraction],
-    cost: Callable[[int, int], Fraction],
+    supplies: Sequence[Rational],
+    demands: Sequence[Rational],
+    cost: Callable[[int, int], Rational],
 ) -> Transport:
     """Cheapest way to move the supply masses onto the demand masses.
 
-    ``cost(i, j)`` prices one unit from supply i to demand j.  Total supply
-    must equal total demand; both must be positive entrywise.
+    ``cost(i, j)`` prices one unit from supply i to demand j.  Masses and
+    costs are ints or Fractions.  Total supply must equal total demand; both
+    must be positive entrywise.
     """
     k, l = len(supplies), len(demands)
-    masses, mass_scale = integer_scale([Fraction(v) for v in (*supplies, *demands)])
+    masses, mass_scale = integer_scale([*supplies, *demands])
     total = sum(masses[:k])
     if total != sum(masses[k:]):
         raise ValueError("supplies and demands must balance")
@@ -59,7 +63,7 @@ def min_cost_transport(
         return Transport(Fraction(0), (), (Fraction(0),) * (k + l))
     if any(m <= 0 for m in masses):
         raise ValueError("masses must be positive")
-    costs = [Fraction(cost(i, j)) for i in range(k) for j in range(l)]
+    costs = [cost(i, j) for i in range(k) for j in range(l)]
     if any(c < 0 for c in costs):
         raise ValueError("costs must be nonnegative")
     costs, cost_scale = integer_scale(costs)

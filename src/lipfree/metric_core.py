@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations, compress
 from math import floor, lcm
@@ -88,10 +88,19 @@ def fraction_str(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Validated pointed metric on n points; base point is index 0."""
+    """Validated pointed metric on n points; base point is index 0.
+
+    ``ints`` is ``dist`` times ``scale``, exact integers, when the space was
+    built from them: by ``exact_space`` (truncations and plan spaces) or by
+    ``validate_metric`` (file input) when the common denominator has at most
+    ``_SCAN_BITS`` bits.  It is None past that, and on a space built by hand.
+    Neither takes part in equality, so a space equals itself however built.
+    """
 
     dist: tuple[tuple[Fraction, ...], ...]
     approximate: bool = False
+    ints: Optional[tuple[tuple[int, ...], ...]] = field(default=None, compare=False, repr=False)
+    scale: Optional[int] = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -119,7 +128,7 @@ _SCAN_BITS = 256
 
 
 def _integer_matrix(mat, tol: Fraction = Fraction(0)):
-    """Rows of ``mat`` and ``tol`` as floor(v * scale), and the slack of those floors.
+    """Rows of ``mat`` and ``tol`` as floor(v * scale), the slack of those floors, and the scale.
 
     The scale is the lcm of the denominators, so the ints are exact (slack 0),
     unless that lcm has more than ``_SCAN_BITS`` bits: it is then 2**_SCAN_BITS
@@ -135,7 +144,7 @@ def _integer_matrix(mat, tol: Fraction = Fraction(0)):
             scale, slack = 1 << _SCAN_BITS, 1
             break
     flat = [v.numerator * scale // v.denominator for v in flat]
-    return [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0], slack
+    return [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0], slack, scale
 
 
 class _ParseCache(dict):
@@ -179,7 +188,7 @@ def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
             for row in dist
         ]
     exact_tol = FLOAT_TOLERANCE if approximate else Fraction(0)
-    ints, tol, slack = _integer_matrix(mat, exact_tol)
+    ints, tol, slack, scale = _integer_matrix(mat, exact_tol)
 
     for i, j in combinations(range(n), 2):
         if abs(ints[i][j] - ints[j][i]) > tol - slack and abs(mat[i][j] - mat[j][i]) > exact_tol:
@@ -196,7 +205,9 @@ def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
                 raise NegativeOrZeroOffDiagonal(i, j)
     if not _certified(ints, mat, slack):
         _triangle_scan(ints, mat, tol - slack, exact_tol)
-    return FiniteMetricSpace(dist=tuple(map(tuple, mat)), approximate=approximate)
+    if slack:  # rounded ints are not the space's
+        return FiniteMetricSpace(tuple(map(tuple, mat)), approximate)
+    return FiniteMetricSpace(tuple(map(tuple, mat)), approximate, tuple(map(tuple, ints)), scale)
 
 
 def _certified(ints, mat, slack) -> bool:
@@ -230,16 +241,18 @@ def exact_space(dist, ints, scale: int, approximate: bool = False) -> FiniteMetr
     on ``ints`` accepts ``dist`` as it is, and if none does while ``scale``
     has at most ``_SCAN_BITS`` bits, the scan runs on ``ints`` and names the
     same first violated triple.  Any other matrix, and ``ints`` of None, go
-    to ``validate_metric``.
+    to ``validate_metric``.  The space keeps ``ints`` and ``scale`` when
+    ``scale`` has at most ``_SCAN_BITS`` bits.
     """
     if ints is not None and _above_tolerance(ints, scale, approximate):
+        kept = (ints, scale) if scale.bit_length() <= _SCAN_BITS else ()
         if _certified(ints, ints, 0):
-            return FiniteMetricSpace(dist, approximate)
-        if scale.bit_length() <= _SCAN_BITS:
+            return FiniteMetricSpace(dist, approximate, *kept)
+        if kept:
             # an int difference exceeds a bound iff it exceeds the bound's floor
             int_tol = floor(FLOAT_TOLERANCE * scale) if approximate else 0
             _triangle_scan(ints, ints, int_tol, int_tol)
-            return FiniteMetricSpace(dist, approximate)
+            return FiniteMetricSpace(dist, approximate, *kept)
     return validate_metric(dist, approximate)
 
 
@@ -420,10 +433,14 @@ def is_ultrametric(space: FiniteMetricSpace):
     Returns ``(True, None)`` or ``(False, (x, y, z))`` for the first triple in
     lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).  A matrix
     that passes ``_ultrametric_certificate`` is accepted in O(n^2); every
-    other matrix takes the O(n^3) scan, which finds the witness.
+    other matrix takes the O(n^3) scan, which finds the witness.  Both read
+    the space's ``ints`` when it has them, and ``_integer_matrix`` otherwise.
     """
     d = space.dist
-    rows, _, slack = _integer_matrix(d)
+    if space.ints is None:
+        rows, _, slack, _ = _integer_matrix(d)
+    else:
+        rows, slack = space.ints, 0
     if _ultrametric_certificate(rows, d, slack):
         return True, None
     return _ultrametric_scan(rows, d, slack)
@@ -434,6 +451,7 @@ def _ultrametric_scan(rows, d, slack):
     by ``_integer_matrix``, below it by less than ``slack``."""
     # a diagonal above every entry keeps z = x and z = y out of the filters below
     top = max(map(max, rows), default=0) + 1
+    rows = [list(row) for row in rows]  # a space's ints are read-only
     for x, row in enumerate(rows):
         row[x] = top
     columns = list(zip(*rows))

@@ -9,9 +9,11 @@ and one independent oracle:
   whose cost bounds the norm from above, and an attaining 1-Lipschitz
   function built from the transport duals, whose pairing bounds it from
   below.  The engine checks that both bounds meet the value before it
-  returns, so the value does not rest on the solver being right.  The
-  minimum that defines the function at each point is found on integers, so
-  the function costs one Fraction sum per point; it serves every space.
+  returns, so the value does not rest on the solver being right.  A space
+  that keeps its exact ``ints`` is transported on them, and the minimum
+  that defines the function at each point is found on integers (the
+  space's, or its row's scaled once), so the function costs one Fraction
+  per point; it serves every space.
   ``free_norm_flow`` is its value alone.
 * ``free_norm_lp`` solves the defining linear program over base-normalised
   Lipschitz functions with an exact rational simplex, and returns an
@@ -128,6 +130,18 @@ def free_norm_lp(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResu
     return FreeNormResult(value=solution.value, function=_mcshane_extension(space, anchors))
 
 
+def _shortest_paths(rows, points) -> list:
+    """``rows`` with copies of the rows of ``points`` closed under shortest paths
+    within ``points`` (Floyd-Warshall); the other rows as they are."""
+    closed = {p: list(rows[p]) for p in points}
+    for k, row_k in closed.items():
+        for row in closed.values():
+            for j in closed:
+                if row[k] + row_k[j] < row[j]:
+                    row[j] = row[k] + row_k[j]
+    return [closed.get(p, row) for p, row in enumerate(rows)]
+
+
 def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     """Free-space norm as an exact optimal transport, with its certificate.
 
@@ -135,24 +149,32 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     and the positive part ships onto the negative part at metric cost.  The
     attaining function is the c-transform of the sink duals beta_j,
     f(x) = min_j (beta_j + rho(x, y_j)) - f(0), which is 1-Lipschitz on the
-    whole space.  The duals are scaled to integers once, and each point's
-    distances to the sinks once, both by ``integer_scale``; the argmin sink
-    j* of each point is found on those ints over the product of the two
-    scales, and f(x) is the one exact sum (beta_j* - f(0)) + rho(x, y_j*).
-    A scale per point, not one for the whole n x l block: with a distinct
-    prime denominator in every entry, the block's lcm is the product of all
-    n * l primes (20,177 bits on the 64-point matrix of
-    ``bench/adversarial.py``, where the duals' lcm has 662).  Before
-    returning, the plan's marginals, the plan's cost and the pairing of f
-    with the element are each checked to equal the value.
+    whole space.  Before returning, the plan's marginals, the plan's cost on
+    ``space.dist`` and the pairing of f with the element are each checked to
+    equal the value.
+
+    A space with ``ints`` is transported on them, and the c-transform runs
+    on them too: the duals come back as ints in the same units, each point's
+    least b + row[y] is one int minimum, and f(x) is one Fraction: its
+    difference from the base point's minimum over ``space.scale``.  Costs
+    scaled by one factor leave every choice of the search unchanged, so the
+    plan and the duals are those of the Fractions.  A space without them
+    (its common denominator passes ``_SCAN_BITS``, or it was built by hand)
+    is transported on its Fractions, and each point's distances to the sinks
+    are scaled by ``integer_scale`` a row at a time: a scale per point, not
+    one for the whole n x l block, since with a distinct prime denominator
+    in every entry the block's lcm is the product of all n * l primes
+    (20,177 bits on the 64-point matrix of ``bench/adversarial.py``, where
+    the duals' lcm has 662).  The one loop of the c-transform serves both.
 
     An approximate space (float entries, accepted within the validation
     tolerance) may break a triangle by up to that tolerance, so direct
     transport can exceed the defining LP.  There copies of the rows of the
     support and the base are first closed under shortest paths within those
-    points (Floyd-Warshall), which is all the LP's constraints allow, so the
-    transport, the c-transform and the checks run on those rows at the LP's
-    value.  Points outside the support keep their raw rows.
+    points (Floyd-Warshall), which is all the LP's constraints allow, on the
+    rows the transport reads and on the Fractions the plan's cost is checked
+    on, so both run at the LP's value.  Points outside the support keep
+    their raw rows.
     """
     element.check_supported(space)
     masses = dict(element.support)
@@ -163,33 +185,28 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     sinks = [(p, -c) for p, c in sorted(masses.items()) if c < 0]
     if not sources:
         return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
-    dist = space.dist
+    dist, ints = space.dist, space.ints
     if space.approximate:
-        closed = {p: list(dist[p]) for p in {0, *masses}}
-        for k, row_k in closed.items():
-            for row in closed.values():
-                for j in closed:
-                    if row[k] + row_k[j] < row[j]:
-                        row[j] = row[k] + row_k[j]
-        dist = [closed.get(p, row) for p, row in enumerate(dist)]
+        dist = _shortest_paths(dist, {0, *masses})
+        if ints is not None:
+            ints = _shortest_paths(ints, {0, *masses})
+    rows, scale = (dist, 1) if ints is None else (ints, space.scale)
     transport = min_cost_transport(
         [c for _, c in sources],
         [c for _, c in sinks],
-        lambda i, j: dist[sources[i][0]][sinks[j][0]],
+        lambda i, j: rows[sources[i][0]][sinks[j][0]],
     )
-    value = transport.cost
-    k = len(sources)
-    beta = [-p for p in transport.potentials[k:]]
+    value = transport.cost / scale
     ends = [y for y, _ in sinks]
-    beta_ints, beta_scale = integer_scale(beta)
-    nearest = []
-    for row in dist:
-        ints, scale = integer_scale([row[y] for y in ends])
-        sums = [b * scale + r * beta_scale for b, r in zip(beta_ints, ints)]
-        nearest.append(sums.index(min(sums)))
-    base_value = beta[nearest[0]] + dist[0][ends[nearest[0]]]
-    shifted = [b - base_value for b in beta]  # so that f(0) = 0
-    function = LipFunction(tuple(shifted[j] + row[ends[j]] for j, row in zip(nearest, dist)))
+    beta, beta_scale = integer_scale([-p for p in transport.potentials[len(sources):]])
+    least = []  # (v, s) per point x: min_j (beta_j + rho(x, y_j)) = v / (s * beta_scale * scale)
+    for row in rows:
+        at_sinks = [row[y] for y in ends]
+        # the space's ints share one scale; Fractions are scaled a row at a time
+        row_ints, s = (at_sinks, 1) if ints is not None else integer_scale(at_sinks)
+        least.append((min([b * s + r * beta_scale for b, r in zip(beta, row_ints)]), s))
+    base, s0 = least[0]  # so that f(0) = 0
+    function = LipFunction(tuple(Fraction(v * s0 - base * s, s * s0 * beta_scale * scale) for v, s in least))
     plan = tuple((sources[i][0], sinks[j][0], m) for i, j, m in transport.plan)
 
     shipped = dict.fromkeys(masses, Fraction(0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from typing import Optional
 
@@ -42,6 +43,7 @@ from lipfree.constructions import (
     _scan_limit,
 )
 from lipfree.flow import min_cost_transport
+from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE
 
 
 def triangle_scan(dist, tolerance=0) -> tuple | None:
@@ -133,6 +135,25 @@ def one_point_extension(rng: random.Random, space: FiniteMetricSpace) -> FiniteM
     d = [list(row) + [f[i]] for i, row in enumerate(space.dist)]
     d.append(f + [Fraction(0)])
     return validate_metric(d)
+
+
+def assert_scaled_ints(space: FiniteMetricSpace, scale: Optional[int] = None) -> None:
+    """``space.ints`` is ``space.dist`` times ``scale`` exactly, in ints, or None
+    exactly when ``scale`` passes ``_SCAN_BITS``.
+
+    ``scale`` defaults to the lcm of the entries' denominators, and of the
+    tolerance's on an approximate space: the scale of ``validate_metric``.
+    """
+    if scale is None:
+        tol = [FLOAT_TOLERANCE.denominator] if space.approximate else []
+        scale = lcm(*(v.denominator for row in space.dist for v in row), *tol)
+    if scale.bit_length() > _SCAN_BITS:
+        assert space.ints is None and space.scale is None
+        return
+    assert space.scale == scale
+    assert type(space.ints) is tuple and all(type(row) is tuple for row in space.ints)
+    assert all(type(v) is int for row in space.ints for v in row)
+    assert space.ints == tuple(tuple(v * scale for v in row) for row in space.dist)
 
 
 def shortest_path_costs(space: FiniteMetricSpace, points) -> list[list[Fraction]]:

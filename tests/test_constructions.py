@@ -56,6 +56,7 @@ from lipfree.constructions import _DistanceTable, _monotone_chain
 from lipfree.space_catalog import family_from_space, ultrametric_from_codes
 from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE, truncate
 from oracles import (
+    assert_scaled_ints,
     bump_eval,
     l1_basis,
     l1_combination,
@@ -839,6 +840,19 @@ class TestPlanSpace:
     def test_suite_plans_are_certified(self, name, monkeypatch):
         assert self._agrees(SUITE_PLANS[name](), monkeypatch)
 
+    @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
+    def test_suite_plan_spaces_keep_the_plan_ints(self, name):
+        plan = SUITE_PLANS[name]()
+        space = plan.space()
+        assert_scaled_ints(space, plan.scale)
+        assert space.ints is plan.int_dist  # shared, not copied
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prime_plan_spaces_keep_no_ints(self, seed):
+        for plan in prime_pairs_plans(seed):
+            assert plan.space().ints is None
+            assert_scaled_ints(plan.space(), plan.scale)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_random_and_prime_plans(self, seed, monkeypatch):
         for plan in random_exact_plans(seed):
@@ -1323,6 +1337,41 @@ class TestUltrametricProbe:
             family = make()
             witness = metric_core.is_ultrametric(oracles.truncate_reference(family, min(family.size or 40, 40)))[1]
             assert found[1] == str(NotUltrametric(witness))
+
+
+class TestTableValues:
+    """The table reads a custom oracle's values as ``truncate`` reads them: an
+    int, float or string oracle builds the plan of its ``Fraction`` twin."""
+
+    ORACLES = {
+        "constant": lambda i, j: 1.0,
+        "decreasing": lambda i, j: 1 + 0.5 ** min(i, j),  # a caterpillar
+        "increasing": lambda i, j: 2 - 0.5 ** max(i, j),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("convert", [float, str, F], ids=["float", "str", "fraction"])
+    def test_same_plan_as_the_fraction_twin(self, name, convert):
+        oracle = self.ORACLES[name]
+        plans = [
+            radii_ultrametric(MetricFamily(label=name, oracle=values, size=30, ultrametric=True), 2)
+            for values in (lambda i, j: convert(oracle(i, j)), lambda i, j: F(oracle(i, j)))
+        ]
+        assert [(p.case, p.x_idx, p.r, p.dist) for p in plans[:1]] == [(p.case, p.x_idx, p.r, p.dist) for p in plans[1:]]
+        assert plans[0].space() == plans[1].space()
+        table = _DistanceTable(plans[0].family, 30)
+        assert all(type(v) is F for v in table.values(1)[2:])
+
+    def test_int_oracle(self):
+        family = MetricFamily(label="ints", oracle=lambda i, j: 2, size=12, ultrametric=True)
+        assert radii_ultrametric(family, 2).case == "ultra-constant"
+        assert type(_DistanceTable(family, 12).distance(1, 2)) is F
+
+    @pytest.mark.parametrize("value", ["x", None, True], ids=["string", "none", "boolean"])
+    def test_a_non_rational_value_is_refused(self, value):
+        family = MetricFamily(label="bad", oracle=lambda i, j: value, size=12, ultrametric=True)
+        with pytest.raises(InvalidFamilyParameters, match="distance entries"):
+            radii_ultrametric(family, 2)
 
 
 class TestDistinctDistances:

@@ -39,7 +39,14 @@ from lipfree.metric_core import (
     as_fraction,
     integer_scale,
 )
-from oracles import dendrogram_lca_bruteforce, triangle_scan, truncate_reference, ultrametric_scan
+from oracles import (
+    assert_scaled_ints,
+    dendrogram_lca_bruteforce,
+    random_metric_space,
+    triangle_scan,
+    truncate_reference,
+    ultrametric_scan,
+)
 
 
 class TestValidateMetric:
@@ -355,7 +362,7 @@ class TestRoundedScans:
         rng = random.Random(seed)
         n = 20
         d = _plane_matrix(rng, n)
-        rows, _, slack = _integer_matrix(d)
+        rows, _, slack, _ = _integer_matrix(d)
         assert slack == 1 and not _line_certificate(d) and not _prim_certificate(d)
         assert not _neighbour_certificate(rows, slack)
         tight = [
@@ -636,6 +643,81 @@ class TestTruncateRoute:
         assert scaled == [_SCAN_BITS]
 
 
+def _lcm_of_distances(space) -> int:
+    return lcm(*(v.denominator for row in space.dist for v in row))
+
+
+def _weights_matrix(rng, n, entry):
+    d = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = entry(rng)
+    return d
+
+
+# entries of seeded file matrices: 'p/q' strings, ints, floats (approximate),
+# and 1 + 1/p strings for distinct primes p, whose lcm passes _SCAN_BITS at 24 points
+FILE_ENTRIES = {
+    "strings": lambda rng: str(1 + F(rng.randint(0, 8), 8) / rng.randint(1, 8)),
+    "ints": lambda rng: rng.randint(3, 5),
+    "floats": lambda rng: 1 + rng.randrange(8) / 8 + rng.randrange(2) / 10,
+}
+
+
+class TestSpaceInts:
+    """A space built from exact ints keeps them: ``ints`` is ``dist`` times
+    ``scale``, or None exactly when that scale passes ``_SCAN_BITS``."""
+
+    @pytest.mark.parametrize("label", CATALOG_LABELS)
+    def test_catalog_truncations(self, label):
+        family = parse_family(label)
+        for n in (1, 2, 3, 24, 40, 128):
+            if family.size is None or n <= family.size:
+                space = truncate(family, n)
+                assert space.ints is not None, (label, n)
+                assert_scaled_ints(space, _lcm_of_distances(space))
+
+    @pytest.mark.parametrize("n", [180, 200])
+    def test_convline_past_the_scan_bits(self, n):
+        space = truncate(make_family("convline"), n)
+        assert space.ints is None
+        assert_scaled_ints(space, _lcm_of_distances(space))
+
+    def test_float_file_truncation_is_scaled_by_its_distances(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"dist": _weights_matrix(random.Random(3), 12, FILE_ENTRIES["floats"])}))
+        space = truncate(parse_family(f"file:{path}"), 12)
+        assert space.approximate and space.ints is not None
+        assert_scaled_ints(space, _lcm_of_distances(space))
+
+    @pytest.mark.parametrize("kind", sorted(FILE_ENTRIES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loaded_files(self, kind, seed):
+        rng = random.Random(seed)
+        for n in (1, 2, 5, 16, 40):
+            d = _weights_matrix(rng, n, FILE_ENTRIES[kind])
+            space = load_space(json.dumps({"dist": d}))
+            assert space.approximate == any(type(v) is float and not v.is_integer() for row in d for v in row)
+            assert space.ints is not None
+            assert_scaled_ints(space)
+
+    def test_a_loaded_file_past_the_scan_bits_keeps_no_ints(self):
+        primes = iter(_distinct_primes(24 * 23 // 2, 10**4))
+        space = load_space(json.dumps({"dist": _weights_matrix(None, 24, lambda _: str(1 + F(1, next(primes))))}))
+        assert space.ints is None
+        assert_scaled_ints(space)
+
+    def test_random_rational_spaces(self):
+        rng = random.Random(11)
+        for n in range(1, 12):
+            assert_scaled_ints(random_metric_space(rng, n))
+
+    def test_a_hand_built_space_has_no_ints_and_equals_a_validated_one(self):
+        space = truncate(make_family("remark", 3), 12)
+        bare = FiniteMetricSpace(space.dist, space.approximate)
+        assert bare.ints is None and bare.scale is None
+        assert bare == space and hash(bare) == hash(space) and repr(bare) == repr(space)
+
+
 class TestIsUltrametric:
     def test_uniform_true(self):
         ok, witness = is_ultrametric(truncate(make_family("uniform", 1), 5))
@@ -684,7 +766,7 @@ class TestUltrametricCertificate:
     @pytest.mark.parametrize("d", _ultrametric_matrices())
     def test_ultrametrics_pass_and_nudged_copies_agree_with_the_scan(self, d):
         space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
-        rows, _, slack = _integer_matrix(space.dist)
+        rows, _, slack, _ = _integer_matrix(space.dist)
         assert slack == 0 and _prim_certificate(rows)
         assert is_ultrametric(space) == (True, None) and ultrametric_scan(d) is None
         rng = random.Random(len(d))
@@ -741,7 +823,7 @@ class TestUltrametricCertificate:
         eps = F(1, 2 ** (2 * _SCAN_BITS) + 1)
         d = [[F(0), 1 + eps, F(1)], [1 + eps, F(0), F(1)], [F(1), F(1), F(0)]]
         space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
-        rows, _, slack = _integer_matrix(space.dist)
+        rows, _, slack, _ = _integer_matrix(space.dist)
         assert slack == 1 and _prim_certificate(rows)
         assert is_ultrametric(space) == (False, ultrametric_scan(d))
         tiny = F(1, 2 ** (_SCAN_BITS + 8))
@@ -749,6 +831,44 @@ class TestUltrametricCertificate:
         with pytest.raises(TriangleViolation) as info:
             validate_metric(d)
         assert (info.value.i, info.value.j, info.value.k) == triangle_scan(d)
+
+
+class TestIsUltrametricOnInts:
+    """``is_ultrametric`` reads a space's ints, with no ``_integer_matrix``,
+    and gives the verdict and witness it gives on the bare Fractions."""
+
+    @staticmethod
+    def _spaces():
+        for d in _ultrametric_matrices():
+            yield validate_metric(d)
+            if len(d) > 2:  # a nudged copy takes the scan
+                nudged = [list(row) for row in d]
+                _set(nudged, 0, len(d) - 1, d[0][-1] + F(1, BIG_PRIME))
+                yield validate_metric(nudged)
+        for label in ("convline", "intline", "remark:2", "geomline"):
+            yield truncate(make_family(*label.split(":")), 12)
+        rng = random.Random(7)
+        for n in (3, 6, 12):
+            yield load_space(json.dumps({"dist": _weights_matrix(rng, n, FILE_ENTRIES["floats"])}))
+            yield random_metric_space(rng, n)
+
+    def test_same_verdict_and_witness_with_and_without_ints(self, monkeypatch):
+        spaces = list(self._spaces())
+        rescales = []
+        matrix = metric_core._integer_matrix
+        monkeypatch.setattr(metric_core, "_integer_matrix", lambda *args: rescales.append(args) or matrix(*args))
+        verdicts = Counter()
+        for space in spaces:
+            assert space.ints is not None
+            ints = space.ints
+            found = is_ultrametric(space)
+            assert not rescales
+            assert found == is_ultrametric(FiniteMetricSpace(space.dist, space.approximate))
+            assert found == ((w := ultrametric_scan(space.dist)) is None, w)
+            assert space.ints == ints  # the scan writes to copies
+            rescales.clear()
+            verdicts[found[0]] += 1
+        assert verdicts[True] > 10 and verdicts[False] > 10
 
 
 def _scan_calls(monkeypatch):
@@ -786,7 +906,7 @@ class TestLineCertificate:
 
     @pytest.mark.parametrize("d", _line_matrices())
     def test_lines_pass_and_nudged_copies_agree_with_the_scan(self, d, monkeypatch):
-        rows, _, slack = _integer_matrix(d)
+        rows, _, slack, _ = _integer_matrix(d)
         assert slack == 0 and _line_certificate(rows)
         calls = _scan_calls(monkeypatch)
         assert validate_metric(d).dist == tuple(map(tuple, d)) and triangle_scan(d) is None
@@ -815,7 +935,7 @@ class TestLineCertificate:
         calls = _scan_calls(monkeypatch)
         for seed in range(2):
             d = _plane_matrix(random.Random(seed), 12)
-            rows, _, slack = _integer_matrix(d)
+            rows, _, slack, _ = _integer_matrix(d)
             assert not (_line_certificate(d) or _prim_certificate(rows) or _neighbour_certificate(rows, slack))
             assert validate_metric(d).dist == tuple(map(tuple, d))
         assert len(calls) == 2
@@ -886,7 +1006,7 @@ class TestNeighbourCertificate:
     def test_bounded_matrices_pass_without_the_scan(self, d, monkeypatch):
         calls = _scan_calls(monkeypatch)
         assert validate_metric(d).dist == tuple(map(tuple, d)) and not calls
-        rows, _, slack = _integer_matrix(d)
+        rows, _, slack, _ = _integer_matrix(d)
         assert slack == (len(d) == 200)  # 200 remark points round
         assert _neighbour_certificate(rows, slack)
         assert not _line_certificate(d) and not _prim_certificate(d)
@@ -894,13 +1014,13 @@ class TestNeighbourCertificate:
     @pytest.mark.parametrize("d", [d for d in _neighbour_matrices() if len(d) <= 40])
     def test_nudged_copies_agree_with_the_scan(self, d):
         for nudged in _neighbour_nudges(d, F(1, BIG_PRIME)):
-            rows, _, slack = _integer_matrix(nudged)
+            rows, _, slack, _ = _integer_matrix(nudged)
             assert not _neighbour_certificate(rows, slack)
             _agrees_with_the_scan(nudged)
 
     def test_rounded_remark_passes_on_the_ints(self, monkeypatch):
         space = truncate(make_family("remark", 3), 200)
-        rows, _, slack = _integer_matrix(space.dist)
+        rows, _, slack, _ = _integer_matrix(space.dist)
         seen = []
         certificate = metric_core._neighbour_certificate
 
@@ -921,7 +1041,7 @@ class TestNeighbourCertificate:
         near, far = 1 + eta, F(3, 2)
         d = [[F(0), near, near, far], [near, F(0), 2 * near + sign * margin, far],
              [near, 2 * near + sign * margin, F(0), far], [far, far, far, F(0)]]
-        rows, _, slack = _integer_matrix(d)
+        rows, _, slack, _ = _integer_matrix(d)
         assert slack == 1 and _neighbour_certificate(rows, 0) and not _neighbour_certificate(rows, 1)
         return d
 

@@ -45,7 +45,7 @@ from oracles import (
     random_metric_space,
     shortest_path_costs,
 )
-from test_constructions import SUITE_PLANS
+from test_constructions import SUITE_PLANS, prime_pairs_plans
 
 GRID = [F(v, 2) for v in range(-4, 5)]
 
@@ -527,3 +527,52 @@ class TestCTransformOnIntegers:
         point = validate_metric([[0]])
         self._agree(point, [FreeElement.from_pairs([]), delta(0)])
         assert free_norm(delta(0), point).function.values == (0,)
+
+
+class TestFreeNormOnSpaceInts:
+    """``free_norm`` on a space's ints returns the value, function and plan
+    that it returns on the same Fractions without them."""
+
+    def _agree(self, space, elements):
+        bare = FiniteMetricSpace(space.dist, space.approximate)
+        assert bare.ints is None
+        for mu in elements:
+            assert free_norm(mu, space) == free_norm(mu, bare), mu
+
+    @pytest.mark.parametrize("label", [*CATALOG_SPACES, "dendro:3:9:128:40", "remark:3:40", "convline:40"])
+    def test_catalog_truncations(self, label):
+        space = parse_space(label)
+        assert space.ints is not None
+        self._agree(space, _elements(random.Random(label), space.n))
+
+    @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
+    def test_suite_plan_spaces(self, name):
+        space = SUITE_PLANS[name]().space()
+        assert space.ints is not None
+        self._agree(space, _elements(random.Random(name), space.n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_files(self, seed):
+        rng = random.Random(seed)
+        for n in (2, 5, 9, 16):
+            d = [[str(v) for v in row] for row in random_metric_space(rng, n).dist]
+            space = load_space(json.dumps({"dist": d}))
+            assert space.ints is not None and not space.approximate
+            self._agree(space, _elements(rng, n))
+
+    @pytest.mark.parametrize("make", [_float_line, _float_weights, _float_l1_plane])
+    def test_approximate_files(self, make):
+        rng = random.Random(make.__name__)
+        for n in (3, 6, 9, 14):
+            space = load_space(json.dumps({"dist": make(rng, n)}))
+            assert space.ints is not None and space.approximate
+            self._agree(space, _elements(rng, n))
+
+    def test_past_the_scan_bits(self):
+        space = validate_metric(_adversarial_module().adversarial_matrix(24))
+        assert space.ints is None
+        self._agree(space, _elements(random.Random(24), 24)[::4])
+        for plan in prime_pairs_plans(1):
+            space = plan.space()
+            assert space.ints is None
+            self._agree(space, _elements(random.Random(plan.n_points), space.n)[::3])
