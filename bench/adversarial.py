@@ -43,6 +43,12 @@ diagonal is 1 + a/d with 1 <= d <= 8 as a 'p/q' string, so a few dozen
 distinct strings fill the matrix, and the nearest-neighbour certificate
 accepts it without the triangle scan.  Each entry has a hash of the space.
 
+The ``family_from_space`` entry times ``load_space`` and then
+``family_from_space`` on the JSON texts of the shallow-first prime-level
+caterpillar and of the weights matrix, both of ``PRIME_LEVEL_POINTS`` points:
+the check that validated each space decides whether it is an ultrametric.
+Each entry has a hash of the family's ultrametric flag and size.
+
 The ``float_load`` entry does the same at each size in ``FLOAT_LOAD_SIZES``
 on float entries 1 + k/8 + b/10 (k in 0..7, b in {0, 1}), which make the
 space approximate.  Each entry has a hash of the space.
@@ -256,6 +262,17 @@ def load_space_timings() -> dict:
     return out
 
 
+def family_from_space_timings() -> dict:
+    out = {}
+    n = PRIME_LEVEL_POINTS
+    texts = (("prime-level caterpillar", json.dumps({"dist": prime_level_caterpillar(n, False)})),
+             ("weights", weights_text(n)))
+    for name, text in texts:
+        seconds, family = timed(lambda: family_from_space(load_space(text), name))
+        out[f"family_from_space {name} n={n}"] = {"s": seconds, "sha256": digest((family.ultrametric, family.size))}
+    return out
+
+
 def float_weights_text(n: int) -> str:
     """JSON text of an n-point matrix with float entries 1 + k/8 + b/10, seeded by n."""
     rng = random.Random(n)
@@ -403,6 +420,7 @@ def main() -> None:
                 out[f"n={n}"][f"{name}_tau_sha256"] = digest(result.tau)
     print(json.dumps({"repeats": REPEATS, "sizes": out, "ultrametric": ultrametric_timings(),
                       "truncation": truncation_timings(), "load_space": load_space_timings(),
+                      "family_from_space": family_from_space_timings(),
                       "float_load": float_load_timings(), "float_norm": float_norm_timings(),
                       "projection": projection_timings(), "plan_space": plan_space_timings(),
                       "verify_l1": verify_l1_timings(), "bounded": bounded_timings(),

@@ -45,11 +45,10 @@ from .metric_core import (
     exact_space,
     fraction_str,
     integer_scale,
-    is_certified_ultrametric,
     is_ultrametric,
     rational_distances,
-    scaled_distances,
-    validate_metric,
+    scaled_space,
+    validate_metric,  # noqa: F401 (perfbench binds constructions.validate_metric)
 )
 from .norm_engine import lip_norm  # noqa: F401 (perfbench binds constructions.lip_norm)
 from .simplex import solve_lp_max
@@ -144,7 +143,8 @@ class EmbeddingPlan:
 
 @lru_cache(maxsize=2)  # one plan's verifiers; each entry keeps its plan alive
 def _plan_space(plan: EmbeddingPlan) -> FiniteMetricSpace:
-    """``dist`` as a space, validated on ``int_dist`` by ``exact_space``."""
+    """``dist`` as a space, checked once by ``exact_space``: on ``int_dist``, or
+    on one rounding of ``dist`` when the plan's scale passes ``_SCAN_BITS``."""
     return exact_space(plan.dist, plan.int_dist, plan.scale, plan.family.approximate)
 
 
@@ -728,11 +728,9 @@ def radii_ultrametric(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
     table = _DistanceTable(family, scan)
     n = min(scan, 40)
     upper = [table.distance(i + 1, j + 1) for i, j in combinations(range(n), 2)]
-    probe, ints, scale = scaled_distances(upper, n)
-    if ints is None or not is_certified_ultrametric(ints, scale, family.approximate):
-        ok, witness = is_ultrametric(validate_metric(probe, family.approximate))
-        if not ok:
-            raise NotUltrametric(witness)
+    ok, witness = is_ultrametric(scaled_space(upper, n, family.approximate))
+    if not ok:
+        raise NotUltrametric(witness)
     bound = family.distinct_distances
 
     if bound is None or bound >= L:

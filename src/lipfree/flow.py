@@ -12,7 +12,7 @@ so the search adds and compares plain integers; Dijkstra with node
 potentials keeps reduced costs nonnegative.  Int costs (a space's ``ints``)
 have denominator 1 and are searched as they are.  The final potentials are
 optimal duals (Ahuja, Magnanti and Orlin, *Network Flows*, 1993, ch. 9),
-returned exactly with the plan.
+returned as the search's ints with the costs' scale, beside the plan.
 """
 
 from __future__ import annotations
@@ -34,13 +34,16 @@ class Transport:
 
     ``plan`` holds (i, j, mass) for every supply i that ships mass > 0 to
     demand j.  ``potentials`` holds one price per supply (0..k-1), then one
-    per demand (k..k+l-1): ``cost(i, j) + potentials[i] - potentials[k + j]``
-    is >= 0 for every pair and 0 on every pair of the plan.
+    per demand (k..k+l-1), as ints in units of 1 / ``cost_scale``, the lcm
+    of the costs' denominators: with u = potentials / cost_scale,
+    ``cost(i, j) + u[i] - u[k + j]`` is >= 0 for every pair and 0 on every
+    pair of the plan.
     """
 
     cost: Fraction
     plan: tuple[tuple[int, int, Fraction], ...]
-    potentials: tuple[Fraction, ...]
+    potentials: tuple[int, ...]
+    cost_scale: int
 
 
 def min_cost_transport(
@@ -60,7 +63,7 @@ def min_cost_transport(
     if total != sum(masses[k:]):
         raise ValueError("supplies and demands must balance")
     if total == 0:
-        return Transport(Fraction(0), (), (Fraction(0),) * (k + l))
+        return Transport(Fraction(0), (), (0,) * (k + l), 1)
     if any(m <= 0 for m in masses):
         raise ValueError("masses must be positive")
     costs = [cost(i, j) for i in range(k) for j in range(l)]
@@ -158,5 +161,6 @@ def min_cost_transport(
     return Transport(
         cost=Fraction(total_cost, mass_scale * cost_scale),
         plan=tuple(plan),
-        potentials=tuple(Fraction(p, cost_scale) for p in potential[:k + l]),
+        potentials=tuple(potential[:k + l]),
+        cost_scale=cost_scale,
     )

@@ -4,21 +4,19 @@ All arithmetic is exact (`fractions.Fraction`).  Custom file input with
 non-integral float entries is validated as ``approximate``: its comparisons
 allow ``FLOAT_TOLERANCE`` of slack, and the space carries that flag.
 
-``validate_metric`` accepts lines, ultrametrics and matrices whose every
-distance is at most the sum of its two ends' nearest-neighbour distances,
-and ``is_ultrametric`` ultrametrics, in O(n^2) by exact certificates
+Every validated space takes one route.  Its distances above the diagonal
+are scaled once (``_scan_ints``): exact ints over their common denominator
+while that has at most ``_SCAN_BITS`` bits, floors at 2**_SCAN_BITS past
+it.  ``_checked_space`` then checks the diagonal and positivity, and accepts
+lines, ultrametrics and matrices whose every distance is at most the sum of
+its two ends' nearest-neighbour distances in O(n^2) by exact certificates
 (``_line_certificate``, ``_ultrametric_certificate``,
-``_neighbour_certificate``); every other matrix takes an O(n^3) scan on
-integers over one common denominator, which stays exact (see
-``_integer_matrix``) and names the first violated triple.  Approximate
-matrices try the same certificates: one that passes is an exact metric.
-
-``truncate`` certifies a truncation on its own ints: it fetches each
-distance above the diagonal once, scales them once (``scaled_distances``)
-and lets ``exact_space`` run the certificates, or the scan, on those ints.
-Only a matrix with an entry at or below the tolerance, or a common
-denominator past ``_SCAN_BITS``, goes to ``validate_metric``, so errors and
-witnesses are its own.
+``_neighbour_certificate``); every other matrix takes an O(n^3) scan on the
+ints, which names the first violated triple.  ``validate_metric`` (file
+input) checks symmetry first; ``truncate`` and plans hand over their own
+distances.  The space keeps exact ints and the name of the check that
+accepted it, which ``is_ultrametric`` reads.  Approximate matrices try the
+same certificates: one that passes is an exact metric.
 
 Conventions:
 
@@ -90,17 +88,21 @@ def fraction_str(value: Fraction) -> str:
 class FiniteMetricSpace:
     """Validated pointed metric on n points; base point is index 0.
 
-    ``ints`` is ``dist`` times ``scale``, exact integers, when the space was
-    built from them: by ``exact_space`` (truncations and plan spaces) or by
-    ``validate_metric`` (file input) when the common denominator has at most
-    ``_SCAN_BITS`` bits.  It is None past that, and on a space built by hand.
-    Neither takes part in equality, so a space equals itself however built.
+    A space built by ``validate_metric``, ``truncate`` or a plan keeps what
+    its one check found (``_checked_space``).  ``ints`` is ``dist`` times
+    ``scale``, exact integers, when that scale has at most ``_SCAN_BITS``
+    bits; both are None past that.  ``certificate`` names what accepted the
+    matrix: "line", "ultrametric" or "neighbour", or "scan" when no
+    certificate did and the triangle scan found no violated triple.  All three
+    are None on a space built by hand, and none takes part in equality or
+    repr, so a space equals itself however built.
     """
 
     dist: tuple[tuple[Fraction, ...], ...]
     approximate: bool = False
     ints: Optional[tuple[tuple[int, ...], ...]] = field(default=None, compare=False, repr=False)
     scale: Optional[int] = field(default=None, compare=False, repr=False)
+    certificate: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -127,24 +129,20 @@ def integer_scale(values: Sequence, max_bits: Optional[int] = None) -> tuple[lis
 _SCAN_BITS = 256
 
 
-def _integer_matrix(mat, tol: Fraction = Fraction(0)):
-    """Rows of ``mat`` and ``tol`` as floor(v * scale), the slack of those floors, and the scale.
+def _scan_ints(values: Sequence) -> tuple[list[int], int, int]:
+    """``values`` (ints or Fractions) as the scans read them: ints, their scale and their slack.
 
-    The scale is the lcm of the denominators, so the ints are exact (slack 0),
-    unless that lcm has more than ``_SCAN_BITS`` bits: it is then 2**_SCAN_BITS
-    and a sum of floors may be off by less than the slack of 1.  The scans flag
-    what fails against bounds loosened by the slack and settle it on Fractions.
+    While the lcm of the denominators has at most ``_SCAN_BITS`` bits, it is
+    the scale and the ints are exact (slack 0).  Past that the scale is
+    2**_SCAN_BITS and each int the floor of its value times it, so a sum of
+    floors may be off by less than the slack of 1: the scans flag what fails
+    against bounds loosened by the slack and settle it on the Fractions.
     """
-    n = len(mat)
-    flat = [tol, *(v for row in mat for v in row)]
-    scale, slack = 1, 0
-    for d in {v.denominator for v in flat}:
-        scale = lcm(scale, d)
-        if scale.bit_length() > _SCAN_BITS:
-            scale, slack = 1 << _SCAN_BITS, 1
-            break
-    flat = [v.numerator * scale // v.denominator for v in flat]
-    return [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0], slack, scale
+    try:
+        return (*integer_scale(values, _SCAN_BITS), 0)
+    except InvalidFamilyParameters:
+        scale = 1 << _SCAN_BITS
+        return [v.numerator * scale // v.denominator for v in values], scale, 1
 
 
 class _ParseCache(dict):
@@ -160,12 +158,9 @@ def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
 
     Raises the first violated axiom with its witness indices, scanning
     symmetry row-major, then diagonal/positivity, then triples in
-    lexicographic order (i, j, k) testing dist[i][k] <= dist[i][j] + dist[j][k].
-    A matrix that passes ``_line_certificate`` (on the integers, or on the
-    Fractions when the integers are rounded), ``_ultrametric_certificate``
-    or ``_neighbour_certificate`` skips the triple scan: a symmetric matrix
-    with positive entries that is a line, an ultrametric, or has each
-    distance at most the sum of its ends' least distances is a metric.
+    lexicographic order (i, j, k) testing dist[i][k] <= dist[i][j] + dist[j][k]:
+    after the symmetry check the upper triangle is scaled once
+    (``_scan_ints``) and ``_checked_space`` does the rest.
 
     Entries are read in row-major order, so the first one that is no
     rational is the one reported.  ``Fraction`` entries are taken as they
@@ -175,8 +170,7 @@ def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
     An ``approximate`` matrix (custom float input) is compared with
     ``FLOAT_TOLERANCE`` of slack, and the result is flagged approximate;
     entries are still stored as exact fractions of the given values,
-    symmetrised from the upper triangle.  It tries the same certificates,
-    since an exact metric is also one within the tolerance.
+    symmetrised from the upper triangle.
     """
     n = len(dist)
     if n == 0 or any(len(row) != n for row in dist):
@@ -187,73 +181,74 @@ def validate_metric(dist, approximate: bool = False) -> FiniteMetricSpace:
             [v if type(v) is Fraction else parsed[v] if type(v) is str else as_fraction(v) for v in row]
             for row in dist
         ]
-    exact_tol = FLOAT_TOLERANCE if approximate else Fraction(0)
-    ints, tol, slack, scale = _integer_matrix(mat, exact_tol)
-
+    tol = FLOAT_TOLERANCE if approximate else 0
+    upper = []
     for i, j in combinations(range(n), 2):
-        if abs(ints[i][j] - ints[j][i]) > tol - slack and abs(mat[i][j] - mat[j][i]) > exact_tol:
+        v, w = mat[i][j], mat[j][i]
+        if v is not w and v != w and abs(v - w) > tol:
             raise Asymmetric(i, j)
-        ints[j][i] = ints[i][j]
-        mat[j][i] = mat[i][j]
+        mat[j][i] = v
+        upper.append(v)
+    ints, scale, slack = _scan_ints(upper)
+    return _checked_space(mat, distance_matrix(ints, n, slack), scale, slack, approximate)
+
+
+def _checked_space(dist, ints, scale: int, slack: int, approximate: bool) -> FiniteMetricSpace:
+    """The one check every validated space takes.
+
+    ``dist`` is a symmetric matrix and ``ints`` its rows scaled by
+    ``_scan_ints`` (or exactly, slack 0), with the slack on the diagonal: 1
+    when rounded, which keeps k = i, k = j and j = i under the scan's bound.
+    Row by row, a diagonal entry above the tolerance, then an entry right of
+    the diagonal at or below it, raises NegativeOrZeroOffDiagonal; each entry
+    left of the diagonal was read in an earlier row, so this is the order of
+    a full row-major scan.  A diagonal entry within the tolerance is set to 0
+    in place.  Then ``_certified`` runs once, and only if no certificate
+    accepts the matrix does ``_triangle_scan`` look for the first violated
+    triple.  The space keeps ``ints`` and ``scale`` when the ints are exact,
+    and which check accepted it.
+    """
+    exact_tol = FLOAT_TOLERANCE if approximate else 0
+    tol = floor(exact_tol * scale)  # an int exceeds a bound iff it exceeds the bound's floor
     for i, row in enumerate(ints):
-        if abs(row[i]) > tol - slack and abs(mat[i][i]) > exact_tol:
-            raise NegativeOrZeroOffDiagonal(i, i)
-        row[i] = slack  # 1 when rounded: keeps k = i, k = j and j = i under the bound
-        mat[i][i] = Fraction(0)
-        for j, v in enumerate(row):
-            if i != j and v <= tol and mat[i][j] <= exact_tol:
-                raise NegativeOrZeroOffDiagonal(i, j)
-    if not _certified(ints, mat, slack):
-        _triangle_scan(ints, mat, tol - slack, exact_tol)
-    if slack:  # rounded ints are not the space's
-        return FiniteMetricSpace(tuple(map(tuple, mat)), approximate)
-    return FiniteMetricSpace(tuple(map(tuple, mat)), approximate, tuple(map(tuple, ints)), scale)
+        if dist[i][i]:
+            if abs(dist[i][i]) > exact_tol:
+                raise NegativeOrZeroOffDiagonal(i, i)
+            dist[i][i] = Fraction(0)
+        if min(row[i + 1 :], default=tol + 1) <= tol:
+            for j in range(i + 1, len(row)):
+                if row[j] <= tol and dist[i][j] <= exact_tol:
+                    raise NegativeOrZeroOffDiagonal(i, j)
+    certificate = _certified(ints, dist, slack)
+    if certificate is None:
+        _triangle_scan(ints, dist, tol - slack, exact_tol)
+        certificate = "scan"
+    if isinstance(dist, list):  # validate_metric's rows
+        dist = tuple(map(tuple, dist))
+    kept = (None, None) if slack else (ints, scale)
+    return FiniteMetricSpace(dist, approximate, *kept, certificate)
 
 
-def _certified(ints, mat, slack) -> bool:
-    """Whether a certificate accepts ``mat``, scaled to ``ints`` by ``_integer_matrix``."""
-    return (
-        _line_certificate(mat if slack else ints)  # rounded ints are not exact
-        or _ultrametric_certificate(ints, mat, slack)
-        or _neighbour_certificate(ints, slack)
-    )
-
-
-def _above_tolerance(ints, scale: int, approximate: bool) -> bool:
-    """Whether every entry above the diagonal of ``ints``, a matrix scaled by ``scale``,
-    exceeds the scaled tolerance."""
-    tol = FLOAT_TOLERANCE * scale if approximate else 0
-    return all(min(row[i + 1 :]) > tol for i, row in enumerate(ints[:-1]))
-
-
-def is_certified_ultrametric(ints, scale: int, approximate: bool = False) -> bool:
-    """Whether a symmetric zero-diagonal matrix, exactly ``ints`` / ``scale``, has
-    every entry off the diagonal above the scaled tolerance and passes
-    ``_prim_certificate``: it is then a metric that ``is_ultrametric`` accepts."""
-    return _above_tolerance(ints, scale, approximate) and _prim_certificate(ints)
+def _certified(ints, mat, slack) -> Optional[str]:
+    """The first certificate that accepts ``mat``, scaled to ``ints`` by
+    ``_scan_ints``: "line", "ultrametric", "neighbour", or None."""
+    if _line_certificate(mat if slack else ints):  # rounded ints are not exact
+        return "line"
+    if _ultrametric_certificate(ints, mat, slack):
+        return "ultrametric"
+    if _neighbour_certificate(ints, slack):
+        return "neighbour"
+    return None
 
 
 def exact_space(dist, ints, scale: int, approximate: bool = False) -> FiniteMetricSpace:
-    """``validate_metric(dist, approximate)``, space or error, for a symmetric
-    zero-diagonal matrix ``dist`` that is exactly ``ints`` / ``scale``.
-
-    When every entry off the diagonal is above the tolerance, a certificate
-    on ``ints`` accepts ``dist`` as it is, and if none does while ``scale``
-    has at most ``_SCAN_BITS`` bits, the scan runs on ``ints`` and names the
-    same first violated triple.  Any other matrix, and ``ints`` of None, go
-    to ``validate_metric``.  The space keeps ``ints`` and ``scale`` when
-    ``scale`` has at most ``_SCAN_BITS`` bits.
-    """
-    if ints is not None and _above_tolerance(ints, scale, approximate):
-        kept = (ints, scale) if scale.bit_length() <= _SCAN_BITS else ()
-        if _certified(ints, ints, 0):
-            return FiniteMetricSpace(dist, approximate, *kept)
-        if kept:
-            # an int difference exceeds a bound iff it exceeds the bound's floor
-            int_tol = floor(FLOAT_TOLERANCE * scale) if approximate else 0
-            _triangle_scan(ints, ints, int_tol, int_tol)
-            return FiniteMetricSpace(dist, approximate, *kept)
-    return validate_metric(dist, approximate)
+    """The checked space of a symmetric zero-diagonal matrix ``dist`` that is
+    exactly ``ints`` / ``scale``: on those ints when ``scale`` has at most
+    ``_SCAN_BITS`` bits, else on one ``_scan_ints`` of its upper triangle."""
+    if scale.bit_length() <= _SCAN_BITS:
+        return _checked_space(dist, ints, scale, 0, approximate)
+    n = len(dist)
+    return scaled_space([dist[i][j] for i, j in combinations(range(n), 2)], n, approximate)
 
 
 def _triangle_scan(ints, sym, int_tol, exact_tol) -> None:
@@ -261,9 +256,9 @@ def _triangle_scan(ints, sym, int_tol, exact_tol) -> None:
     the first triple in lexicographic order with sym[i][k] > sym[i][j] +
     sym[j][k] + exact_tol.
 
-    ``ints`` are the rows of ``sym`` scaled as by ``_integer_matrix``, with
-    the slack on the diagonal, and ``int_tol`` the scaled tolerance less the
-    slack; every triple they flag is settled on ``sym``.
+    ``ints`` are the rows of ``sym`` scaled by ``_scan_ints``, with the slack
+    on the diagonal, and ``int_tol`` the scaled tolerance less the slack;
+    every triple they flag is settled on ``sym``.
     """
     # a triangle fails iff dist[i][k] - dist[j][k] > dist[i][j] + tol, which no
     # k = i, k = j or j = i can meet, so one max() tests a whole row pair
@@ -331,35 +326,25 @@ def rational_distances(values: Iterable) -> list[Fraction]:
         return [v if type(v) is Fraction else as_fraction(v) for v in values]
 
 
-def scaled_distances(upper: Sequence, n: int):
-    """``distance_matrix`` of ``rational_distances(upper)``, that matrix times the
-    lcm of its denominators, and the lcm.
-
-    The scaled matrix is None, and nothing is scaled, when the lcm has more than
-    ``_SCAN_BITS`` bits: ``validate_metric`` would round it.
-    """
-    upper = rational_distances(upper)
-    dist = distance_matrix(upper, n)
-    try:
-        ints, scale = integer_scale(upper, _SCAN_BITS)
-    except InvalidFamilyParameters:
-        return dist, None, 0
-    return dist, distance_matrix(ints, n, 0), scale
+def scaled_space(upper: Sequence[Fraction], n: int, approximate: bool = False) -> FiniteMetricSpace:
+    """The checked space of ``distance_matrix(upper, n)``, scaled once by ``_scan_ints``."""
+    ints, scale, slack = _scan_ints(upper)
+    return _checked_space(distance_matrix(upper, n), distance_matrix(ints, n, slack), scale, slack, approximate)
 
 
 def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
     """Finite space on the family points x_1..x_N, base point x_1 relabelled 0.
 
-    Each distance is fetched once and the matrix scaled once, and a
-    certificate or the scan accepts it on those ints (``exact_space``)."""
+    Each distance is fetched once and read as ``validate_metric`` reads its
+    entries, and the matrix is scaled and checked once (``scaled_space``)."""
     if not 1 <= N <= MAX_POINTS:
         raise InvalidFamilyParameters(f"truncation size must be in 1..{MAX_POINTS}")
     if family.size is not None and N > family.size:
         raise InvalidFamilyParameters(
             f"family {family.label} has only {family.size} points"
         )
-    upper = [family.distance(i + 1, j + 1) for i, j in combinations(range(N), 2)]
-    return exact_space(*scaled_distances(upper, N), family.approximate)
+    upper = rational_distances([family.distance(i + 1, j + 1) for i, j in combinations(range(N), 2)])
+    return scaled_space(upper, N, family.approximate)
 
 
 def _line_certificate(rows) -> bool:
@@ -402,7 +387,7 @@ def _prim_certificate(rows) -> bool:
 
 
 def _ultrametric_certificate(ints, mat, slack) -> bool:
-    """``_prim_certificate`` on ``mat``, scaled to ``ints`` by ``_integer_matrix``.
+    """``_prim_certificate`` on ``mat``, scaled to ``ints`` by ``_scan_ints``.
 
     Exact ints (slack 0) decide alone.  Rounded ints are tested first all the
     same: rounding down is monotone, so it keeps an ultrametric one, and a
@@ -415,7 +400,7 @@ def _neighbour_certificate(ints, slack) -> bool:
     """Whether ints[i][k] + slack <= m_i + m_k for every i, k, where m_i is the
     least entry of row i off the diagonal.
 
-    ``ints`` are a matrix scaled by ``_integer_matrix``, with the slack on the
+    ``ints`` are a matrix scaled by ``_scan_ints``, with the slack on the
     diagonal.  A symmetric matrix with positive entries that passes is a
     metric: for any j, d(i, j) + d(j, k) >= m_i + m_k.  Rounded ints (slack
     1) decide alone: each scaled entry is below its floor plus 1, and the
@@ -431,24 +416,31 @@ def is_ultrametric(space: FiniteMetricSpace):
     """Strong triangle inequality check, exact on integers.
 
     Returns ``(True, None)`` or ``(False, (x, y, z))`` for the first triple in
-    lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).  A matrix
-    that passes ``_ultrametric_certificate`` is accepted in O(n^2); every
-    other matrix takes the O(n^3) scan, which finds the witness.  Both read
-    the space's ``ints`` when it has them, and ``_integer_matrix`` otherwise.
+    lexicographic order with rho(x, y) > max(rho(x, z), rho(z, y)).  The
+    check that validated the space decides where it can: Prim's certificate
+    accepted an ultrametric, and a later certificate or the triangle scan ran
+    only after it failed.  Any other space tries ``_ultrametric_certificate``,
+    in O(n^2), and every space it does not accept takes the O(n^3) scan, which
+    finds the witness.  Both read the space's ``ints`` when it has them, and
+    ``_scan_ints`` of its entries otherwise.
     """
+    if space.certificate == "ultrametric":
+        return True, None
     d = space.dist
     if space.ints is None:
-        rows, _, slack, _ = _integer_matrix(d)
+        n = len(d)
+        flat, _, slack = _scan_ints([v for row in d for v in row])
+        rows = [flat[i * n : (i + 1) * n] for i in range(n)]
     else:
         rows, slack = space.ints, 0
-    if _ultrametric_certificate(rows, d, slack):
+    if space.certificate in (None, "line") and _ultrametric_certificate(rows, d, slack):
         return True, None
     return _ultrametric_scan(rows, d, slack)
 
 
 def _ultrametric_scan(rows, d, slack):
     """``is_ultrametric``'s O(n^3) scan of ``d``; ``rows`` are ``d`` scaled
-    by ``_integer_matrix``, below it by less than ``slack``."""
+    by ``_scan_ints``, below it by less than ``slack``."""
     # a diagonal above every entry keeps z = x and z = y out of the filters below
     top = max(map(max, rows), default=0) + 1
     rows = [list(row) for row in rows]  # a space's ints are read-only

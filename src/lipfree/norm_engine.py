@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import DegeneratePair, ExactnessRequired, InvalidTriple, PointOutsideSpace, TooFewPoints
@@ -165,7 +166,9 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     one for the whole n x l block, since with a distinct prime denominator
     in every entry the block's lcm is the product of all n * l primes
     (20,177 bits on the 64-point matrix of ``bench/adversarial.py``, where
-    the duals' lcm has 662).  The one loop of the c-transform serves both.
+    the duals' lcm has 662).  The duals come back as ints over the transport's
+    cost scale, and one gcd brings them to that lcm.  The one loop of the
+    c-transform serves both.
 
     An approximate space (float entries, accepted within the validation
     tolerance) may break a triangle by up to that tolerance, so direct
@@ -198,7 +201,9 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     )
     value = transport.cost / scale
     ends = [y for y, _ in sinks]
-    beta, beta_scale = integer_scale([-p for p in transport.potentials[len(sources):]])
+    beta = [-p for p in transport.potentials[len(sources):]]
+    g = gcd(transport.cost_scale, *beta)  # beta / cost_scale in lowest terms shares no factor g
+    beta, beta_scale = [b // g for b in beta], transport.cost_scale // g
     least = []  # (v, s) per point x: min_j (beta_j + rho(x, y_j)) = v / (s * beta_scale * scale)
     for row in rows:
         at_sinks = [row[y] for y in ends]

@@ -15,16 +15,19 @@ from math import lcm
 from typing import Optional
 
 from lipfree import (
+    Asymmetric,
     EmbeddingPlan,
     FiniteMetricSpace,
     FreeElement,
     FreeNormResult,
     HorizonExhausted,
     IndexPartition,
+    InvalidFamilyParameters,
     LinftyReport,
     LipFunction,
     MetadataRequired,
     MetricFamily,
+    NegativeOrZeroOffDiagonal,
     NotUltrametric,
     ProjectionReport,
     as_fraction,
@@ -43,7 +46,15 @@ from lipfree.constructions import (
     _scan_limit,
 )
 from lipfree.flow import min_cost_transport
-from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE
+from lipfree.errors import outside_input
+from lipfree.metric_core import (
+    _SCAN_BITS,
+    FLOAT_TOLERANCE,
+    _line_certificate,
+    _neighbour_certificate,
+    _triangle_scan,
+    _ultrametric_certificate,
+)
 
 
 def triangle_scan(dist, tolerance=0) -> tuple | None:
@@ -64,11 +75,55 @@ def triangle_scan(dist, tolerance=0) -> tuple | None:
 def truncate_reference(family: MetricFamily, N: int) -> FiniteMetricSpace:
     """``truncate`` before it scaled its own distances: the full matrix, one
     ``family.distance`` call per pair i < j in ``combinations`` order, then
-    ``validate_metric`` on it."""
+    ``validate_metric_reference`` on it."""
     mat = [[Fraction(0)] * N for _ in range(N)]
     for i, j in combinations(range(N), 2):
         mat[i][j] = mat[j][i] = family.distance(i + 1, j + 1)
-    return validate_metric(mat, family.approximate)
+    return validate_metric_reference(mat, family.approximate)
+
+
+def validate_metric_reference(dist, approximate: bool = False) -> FiniteMetricSpace:
+    """``validate_metric`` as it was before every space took one route.
+
+    The whole matrix and the tolerance are scaled together (floors at
+    2**_SCAN_BITS past that many bits, slack 1); symmetry and the diagonal are
+    checked on those ints and settled on Fractions, positivity over every
+    entry of each row, then the certificates, then the triangle scan.  The
+    space keeps no ints and no certificate.
+    """
+    n = len(dist)
+    if n == 0 or any(len(row) != n for row in dist):
+        raise InvalidFamilyParameters("distance matrix must be square and nonempty")
+    with outside_input("distance entries"):
+        mat = [[as_fraction(v) for v in row] for row in dist]
+    exact_tol = FLOAT_TOLERANCE if approximate else Fraction(0)
+    flat = [exact_tol, *(v for row in mat for v in row)]
+    scale, slack = lcm(*(v.denominator for v in flat)), 0
+    if scale.bit_length() > _SCAN_BITS:
+        scale, slack = 1 << _SCAN_BITS, 1
+    flat = [v.numerator * scale // v.denominator for v in flat]
+    ints, tol = [flat[1 + i * n : 1 + (i + 1) * n] for i in range(n)], flat[0]
+    for i, j in combinations(range(n), 2):
+        if abs(ints[i][j] - ints[j][i]) > tol - slack and abs(mat[i][j] - mat[j][i]) > exact_tol:
+            raise Asymmetric(i, j)
+        ints[j][i] = ints[i][j]
+        mat[j][i] = mat[i][j]
+    for i, row in enumerate(ints):
+        if abs(row[i]) > tol - slack and abs(mat[i][i]) > exact_tol:
+            raise NegativeOrZeroOffDiagonal(i, i)
+        row[i] = slack
+        mat[i][i] = Fraction(0)
+        for j, v in enumerate(row):
+            if i != j and v <= tol and mat[i][j] <= exact_tol:
+                raise NegativeOrZeroOffDiagonal(i, j)
+    certified = (
+        _line_certificate(mat if slack else ints)
+        or _ultrametric_certificate(ints, mat, slack)
+        or _neighbour_certificate(ints, slack)
+    )
+    if not certified:
+        _triangle_scan(ints, mat, tol - slack, exact_tol)
+    return FiniteMetricSpace(tuple(map(tuple, mat)), approximate)
 
 
 def ultrametric_scan(dist) -> tuple | None:
@@ -141,12 +196,11 @@ def assert_scaled_ints(space: FiniteMetricSpace, scale: Optional[int] = None) ->
     """``space.ints`` is ``space.dist`` times ``scale`` exactly, in ints, or None
     exactly when ``scale`` passes ``_SCAN_BITS``.
 
-    ``scale`` defaults to the lcm of the entries' denominators, and of the
-    tolerance's on an approximate space: the scale of ``validate_metric``.
+    ``scale`` defaults to the lcm of the entries' denominators: the scale of
+    ``validate_metric`` and ``truncate``.
     """
     if scale is None:
-        tol = [FLOAT_TOLERANCE.denominator] if space.approximate else []
-        scale = lcm(*(v.denominator for row in space.dist for v in row), *tol)
+        scale = lcm(*(v.denominator for row in space.dist for v in row))
     if scale.bit_length() > _SCAN_BITS:
         assert space.ints is None and space.scale is None
         return
@@ -216,7 +270,7 @@ def free_norm_reference(element: FreeElement, space: FiniteMetricSpace) -> FreeN
         [c for _, c in sinks],
         lambda i, j: dist[sources[i][0]][sinks[j][0]],
     )
-    beta = [-p for p in transport.potentials[len(sources):]]
+    beta = [-Fraction(p, transport.cost_scale) for p in transport.potentials[len(sources):]]
     values = [min(b + dist[x][y] for b, (y, _) in zip(beta, sinks)) for x in range(space.n)]
     function = LipFunction(tuple(v - values[0] for v in values))
     plan = tuple((sources[i][0], sinks[j][0], m) for i, j, m in transport.plan)

@@ -15,6 +15,7 @@ import pytest
 from lipfree import (
     EmbeddingPlan,
     ExactnessRequired,
+    FiniteMetricSpace,
     HorizonExhausted,
     IndexPartition,
     InvalidFamilyParameters,
@@ -808,33 +809,32 @@ def _custom_family(label, oracle, approximate=False) -> MetricFamily:
 
 
 class TestPlanSpace:
-    """``plan.space()`` is the space, or the error, of ``validate_metric`` on
-    the plan's Fractions, and a certified plan never rescales them."""
+    """``plan.space()`` is the space, or the error, of the old route
+    (``validate_metric_reference``) on the plan's Fractions, checked once."""
 
     def _agrees(self, plan, monkeypatch) -> bool:
-        """Compare the two routes and return whether the plan's ints were certified.
+        """Compare the two routes and return whether a certificate accepted the plan.
 
-        An uncertified plan whose ints are exact within ``_SCAN_BITS`` and
-        above the tolerance is scanned on those ints, so the certificates run
-        once; only the other uncertified plans are rescaled."""
-        expected = _space_or_error(lambda: validate_metric(plan.dist, plan.family.approximate))
-        tol = FLOAT_TOLERANCE * plan.scale if plan.family.approximate else 0
-        positive = all(v > tol for i, row in enumerate(plan.int_dist) for v in row[i + 1 :])
-        certified = positive and metric_core._certified(plan.int_dist, plan.int_dist, 0)
-        on_ints = positive and plan.scale.bit_length() <= _SCAN_BITS
-        rescales, certificates = [], []
+        The plan's own ints are checked when their scale has at most
+        ``_SCAN_BITS`` bits, with no scaling; past that its distances are
+        scaled once.  Either way the certificates run at most once."""
+        expected = _space_or_error(lambda: oracles.validate_metric_reference(plan.dist, plan.family.approximate))
+        calls = {"_scan_ints": [], "_certified": []}
         with monkeypatch.context() as patch:
-            for name, calls in (("_integer_matrix", rescales), ("_certified", certificates)):
+            for name, seen in calls.items():
                 original = getattr(metric_core, name)
-                patch.setattr(metric_core, name, lambda *args, calls=calls, f=original: calls.append(args) or f(*args))
+                patch.setattr(metric_core, name, lambda *args, seen=seen, f=original: seen.append(args) or f(*args))
             constructions._plan_space.cache_clear()
-            assert _space_or_error(plan.space) == expected
-        assert bool(rescales) is not (certified or on_ints)
-        if certified or on_ints:
-            assert len(certificates) == 1
-        if certified:
-            assert plan.space().dist is plan.dist
-        return certified
+            found = _space_or_error(plan.space)
+        assert found == expected
+        on_ints = plan.scale.bit_length() <= _SCAN_BITS
+        assert len(calls["_scan_ints"]) == (not on_ints)
+        assert len(calls["_certified"]) <= 1
+        if not isinstance(found, FiniteMetricSpace):
+            return False
+        if on_ints:
+            assert found.dist is plan.dist and found.ints is plan.int_dist
+        return found.certificate in ("line", "ultrametric", "neighbour")
 
     @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
     def test_suite_plans_are_certified(self, name, monkeypatch):
@@ -912,6 +912,31 @@ class TestPlanSpace:
         family = _file_family(tmp_path, [[str(v) for v in row] for row in mat])
         plan = make_plan(family, range(1, 33), [0] * 32)
         assert not self._agrees(plan, monkeypatch)
+
+    def test_the_scanned_plan_is_scaled_once(self, monkeypatch):
+        # bench/adversarial.py's plan.space entry: no certificate accepts it
+        n = 64
+        scanned = validate_metric(_adversarial_module().scanned_matrix(n))
+        plan = make_plan(family_from_space(scanned, f"scanned:{n}"), range(1, n + 1), [0] * n)
+        assert plan.scale.bit_length() == 26082
+        assert not self._agrees(plan, monkeypatch)
+        assert plan.space().certificate == "scan"
+
+    @pytest.mark.parametrize("broken, error", [
+        (lambda d: {(7, 19): F(0)}, NegativeOrZeroOffDiagonal),
+        (lambda d: {(7, 19): F(0), (3, 30): F(0)}, NegativeOrZeroOffDiagonal),
+        (lambda d: {(7, 19): d(7, 8) + d(8, 19) + F(1, 2**61 - 1)}, TriangleViolation),
+        (lambda d: {(7, 19): F(5), (2, 5): F(9, 2)}, TriangleViolation),
+    ], ids=["zero", "two-zeros", "just-broken-triangle", "two-broken-triangles"])
+    def test_past_the_scan_bits_the_witness_is_the_reference_one(self, broken, error, monkeypatch):
+        base = prime_pairs_family(40)
+        defects = broken(base.oracle)
+        family = dataclasses.replace(base, oracle=lambda i, j: defects[i, j] if (i, j) in defects else base.oracle(i, j))
+        plan = make_plan(family, range(1, 41), [0] * 40)
+        assert plan.scale.bit_length() > _SCAN_BITS
+        assert not self._agrees(plan, monkeypatch)
+        with pytest.raises(error):
+            plan.space()
 
     @pytest.mark.parametrize("x_idx, r", [((1, 2, 3, 5, 6), (0, F(1, 2), 0, 0, 0)),
                                           ((1, 2, 3, 5), (0, F(1, 2), 0, 0))], ids=["odd", "even"])
@@ -1296,26 +1321,31 @@ class TestUltrametricTable:
 
 
 class TestUltrametricProbe:
-    """The 40-point probe accepts on its own ints what the old pair of calls,
-    ``is_ultrametric(validate_metric(probe))``, accepts; every other probe
-    takes that pair, so its errors and witnesses are the pair's."""
+    """The 40-point probe scales its distances once, runs the certificates and
+    Prim's certificate at most once each, and ends as the old pair of calls,
+    ``is_ultrametric(validate_metric(probe))``, on the old route."""
 
     def _outcome(self, family, n_pairs, monkeypatch, old: bool):
-        """``_outcome`` of ``radii_ultrametric``, with the old pair of calls if
-        ``old``, and whether it called ``validate_metric``."""
-        validated = []
-        validate = constructions.validate_metric
+        """``_outcome`` of ``radii_ultrametric``, with the probe's space built by
+        ``validate_metric_reference`` if ``old``, and how often it scaled, ran
+        the certificates and ran Prim's certificate."""
+        names = ("_scan_ints", "_certified", "_ultrametric_certificate")
+        calls = {name: [] for name in names}
         with monkeypatch.context() as patch:
             if old:
-                patch.setattr(constructions, "is_certified_ultrametric", lambda *args: False)
-            patch.setattr(constructions, "validate_metric", lambda *args: validated.append(args) or validate(*args))
-            return _outcome(radii_ultrametric, family, n_pairs), bool(validated)
+                patch.setattr(constructions, "scaled_space", lambda upper, n, approximate:
+                              oracles.validate_metric_reference(metric_core.distance_matrix(upper, n), approximate))
+            for name, seen in calls.items():
+                original = getattr(metric_core, name)
+                patch.setattr(metric_core, name, lambda *args, seen=seen, f=original: seen.append(args) or f(*args))
+            found = _outcome(radii_ultrametric, family, n_pairs)
+        return found, tuple(len(calls[name]) for name in names)
 
     @pytest.mark.parametrize("name", sorted(ULTRA_SUITE))
-    def test_suite_families_are_accepted_on_the_ints(self, name, monkeypatch):
+    def test_suite_families_are_accepted_by_prim_once(self, name, monkeypatch):
         make, n_pairs = ULTRA_SUITE[name]
-        found, validated = self._outcome(make(), n_pairs, monkeypatch, old=False)
-        assert (found, validated) == (self._outcome(make(), n_pairs, monkeypatch, old=True)[0], False)
+        found, counts = self._outcome(make(), n_pairs, monkeypatch, old=False)
+        assert (found, counts) == (self._outcome(make(), n_pairs, monkeypatch, old=True)[0], (1, 1, 1))
 
     @pytest.mark.parametrize("make, error", [
         (lambda: make_family("convline"), NotUltrametric),
@@ -1330,9 +1360,10 @@ class TestUltrametricProbe:
                               size=50, approximate=True), NegativeOrZeroOffDiagonal),
     ], ids=["convline", "remark:3", "broken-at-40", "zero", "within-tolerance"])
     def test_failing_probes_keep_the_old_witness(self, make, error, monkeypatch):
-        found, validated = self._outcome(make(), 3, monkeypatch, old=False)
+        found, (scales, certified, prim) = self._outcome(make(), 3, monkeypatch, old=False)
         assert found == self._outcome(make(), 3, monkeypatch, old=True)[0]
-        assert validated and found[0] is error
+        assert found[0] is error
+        assert scales == 1 and certified <= 1 and prim <= 1
         if error is NotUltrametric:
             family = make()
             witness = metric_core.is_ultrametric(oracles.truncate_reference(family, min(family.size or 40, 40)))[1]

@@ -48,7 +48,8 @@ def test_potentials_are_optimal_duals(case):
     supplies, demands, cost = HAND_BUILT[case]
     result = min_cost_transport(supplies, demands, cost)
     k = len(supplies)
-    u, v = result.potentials[:k], result.potentials[k:]
+    potentials = [F(p, result.cost_scale) for p in result.potentials]
+    u, v = potentials[:k], potentials[k:]
     flow = {(i, j): m for i, j, m in result.plan}
     for i in range(k):
         for j in range(len(demands)):

@@ -29,13 +29,14 @@ from lipfree import (
     validate_metric,
 )
 from lipfree import metric_core
+from lipfree.space_catalog import family_from_space
 from lipfree.metric_core import (
     _SCAN_BITS,
     FLOAT_TOLERANCE,
-    _integer_matrix,
     _line_certificate,
     _neighbour_certificate,
     _prim_certificate,
+    _scan_ints,
     as_fraction,
     integer_scale,
 )
@@ -46,7 +47,15 @@ from oracles import (
     triangle_scan,
     truncate_reference,
     ultrametric_scan,
+    validate_metric_reference,
 )
+
+
+def _scan_matrix(d):
+    """The rows of ``d`` scaled together by the one scaler, and their slack."""
+    n = len(d)
+    flat, _, slack = _scan_ints([v for row in d for v in row])
+    return [flat[i * n : (i + 1) * n] for i in range(n)], slack
 
 
 class TestValidateMetric:
@@ -301,7 +310,7 @@ class TestRoundedScans:
         if tiny_gap:
             pos.insert(1, pos[0] + F(1, 2 ** (2 * _SCAN_BITS)))
         d = [[abs(a - b) for b in pos] for a in pos]
-        assert _integer_matrix(d)[2] == 1
+        assert _scan_matrix(d)[1] == 1
         return d
 
     @pytest.mark.parametrize("seed", range(6))
@@ -323,7 +332,7 @@ class TestRoundedScans:
     def test_rounded_convline_is_certified_without_the_scan(self, monkeypatch):
         calls = _scan_calls(monkeypatch)
         space = truncate(make_family("convline"), 200)
-        assert _integer_matrix(space.dist)[2] == 1 and _line_certificate(space.dist)
+        assert _scan_matrix(space.dist)[1] == 1 and _line_certificate(space.dist)
         assert not calls
 
     def test_asymmetry_and_positivity_witnesses(self):
@@ -347,7 +356,7 @@ class TestRoundedScans:
         codes = [(1,) * m + (0,) * (n - m) for m in range(n)]
         d = dendrogram_lca_bruteforce(codes, levels)
         space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
-        assert _integer_matrix(space.dist)[2] == 1
+        assert _scan_matrix(space.dist)[1] == 1
         assert is_ultrametric(space) == (True, None)
         for _ in range(rng.randint(1, 3)):
             i, j = rng.sample(range(n), 2)
@@ -362,7 +371,7 @@ class TestRoundedScans:
         rng = random.Random(seed)
         n = 20
         d = _plane_matrix(rng, n)
-        rows, _, slack, _ = _integer_matrix(d)
+        rows, slack = _scan_matrix(d)
         assert slack == 1 and not _line_certificate(d) and not _prim_certificate(d)
         assert not _neighbour_certificate(rows, slack)
         tight = [
@@ -553,23 +562,41 @@ def _fetches_and_outcome(route, family, n, monkeypatch):
     return fetched, (space.dist, space.approximate)
 
 
+def _counted(call, monkeypatch, names=("_scan_ints", "_certified", "_triangle_scan")):
+    """``call()`` with the calls of each ``metric_core`` function in ``names``
+    counted: its result, and the counts in that order."""
+    calls = {name: [] for name in names}
+    with monkeypatch.context() as patch:
+        for name, seen in calls.items():
+            f = getattr(metric_core, name)
+            patch.setattr(metric_core, name, lambda *args, seen=seen, f=f: seen.append(args) or f(*args))
+        result = call()
+    return result, tuple(len(seen) for seen in calls.values())
+
+
+def _outcome(call):
+    """The space ``call()`` returns, with its ``approximate`` flag, or its
+    error's class, witness and message."""
+    try:
+        space = call()
+    except LipfreeError as exc:
+        return type(exc), vars(exc), str(exc)
+    return space.dist, space.approximate
+
+
 class TestTruncateRoute:
     """``truncate`` scales the distances it fetches once and certifies or scans
-    them on those ints; it returns the space, or raises the error, that the
-    full matrix through ``validate_metric`` gives (``truncate_reference``),
+    them once on those ints; it returns the space, or raises the error, that
+    the full matrix through the old route gives (``truncate_reference``),
     after the same fetches."""
 
     def _route(self, family, n, monkeypatch) -> tuple[int, int, int]:
-        """Compare the two routes; return how often ``truncate`` rescaled a
-        matrix, ran the certificates and ran the triangle scan."""
+        """Compare the two routes; return how often ``truncate`` scaled its
+        distances, ran the certificates and ran the triangle scan."""
         expected = _fetches_and_outcome(truncate_reference, family, n, monkeypatch)
-        counts = {name: [] for name in ("_integer_matrix", "_certified", "_triangle_scan")}
-        with monkeypatch.context() as patch:
-            for name, calls in counts.items():
-                f = getattr(metric_core, name)
-                patch.setattr(metric_core, name, lambda *args, calls=calls, f=f: calls.append(args) or f(*args))
-            assert _fetches_and_outcome(truncate, family, n, monkeypatch) == expected
-        return tuple(len(calls) for calls in counts.values())
+        found, counts = _counted(lambda: _fetches_and_outcome(truncate, family, n, monkeypatch), monkeypatch)
+        assert found == expected
+        return counts
 
     @pytest.mark.parametrize("label", CATALOG_LABELS)
     def test_catalog_truncations_are_certified_on_their_ints(self, label):
@@ -577,10 +604,10 @@ class TestTruncateRoute:
         with pytest.MonkeyPatch.context() as monkeypatch:
             for n in (1, 2, 3, 24, 40, 128):
                 if family.size is None or n <= family.size:
-                    assert self._route(family, n, monkeypatch) == (0, 1, 0), (label, n)
+                    assert self._route(family, n, monkeypatch) == (1, 1, 0), (label, n)
 
     @pytest.mark.parametrize("n", [180, 200])
-    def test_convline_past_the_scan_bits_is_rescaled(self, n, monkeypatch):
+    def test_convline_past_the_scan_bits_is_scaled_once(self, n, monkeypatch):
         family = make_family("convline")
         upper = [family.distance(i + 1, j + 1) for i, j in combinations(range(n), 2)]
         assert integer_scale(upper)[1].bit_length() > _SCAN_BITS
@@ -594,16 +621,16 @@ class TestTruncateRoute:
         path = tmp_path / "space.json"
         path.write_text(json.dumps({"dist": dist}))
         family = parse_family(f"file:{path}")
-        assert self._route(family, 12, monkeypatch) == (0, 1, 0)
+        assert self._route(family, 12, monkeypatch) == (1, 1, 0)
         assert truncate(family, 12).approximate
 
     @pytest.mark.parametrize("oracle, approximate, error, counts", [
         (lambda i, j: F(0) if (i, j) == (2, 4) else F(1), False, NegativeOrZeroOffDiagonal, (1, 0, 0)),
         (lambda i, j: F(-1) if (i, j) == (3, 5) else F(1), False, NegativeOrZeroOffDiagonal, (1, 0, 0)),
         (lambda i, j: F(1, 10**10) if (i, j) == (2, 4) else F(1), True, NegativeOrZeroOffDiagonal, (1, 0, 0)),
-        (lambda i, j: F(3) if (i, j) == (1, 3) else F(1), False, TriangleViolation, (0, 1, 1)),
-        (lambda i, j: F(2) + F(2, 10**9) if (i, j) == (2, 5) else F(1), True, TriangleViolation, (0, 1, 1)),
-        (lambda i, j: F(2) + F(1, 10**10) if (i, j) == (1, 3) else F(1), True, None, (0, 1, 1)),
+        (lambda i, j: F(3) if (i, j) == (1, 3) else F(1), False, TriangleViolation, (1, 1, 1)),
+        (lambda i, j: F(2) + F(2, 10**9) if (i, j) == (2, 5) else F(1), True, TriangleViolation, (1, 1, 1)),
+        (lambda i, j: F(2) + F(1, 10**10) if (i, j) == (1, 3) else F(1), True, None, (1, 1, 1)),
         (lambda i, j: "x" if (i, j) == (2, 3) else F(1), False, InvalidFamilyParameters, (0, 0, 0)),
         (lambda i, j: True if (i, j) == (2, 3) else F(1), False, InvalidFamilyParameters, (0, 0, 0)),
     ], ids=["zero", "negative", "within-tolerance", "broken-triangle", "broken-beyond-tolerance",
@@ -620,27 +647,45 @@ class TestTruncateRoute:
 
     def test_int_oracle_values_become_fractions(self, monkeypatch):
         family = MetricFamily(label="ints", oracle=lambda i, j: j - i, size=6)
-        assert self._route(family, 6, monkeypatch) == (0, 1, 0)
+        assert self._route(family, 6, monkeypatch) == (1, 1, 0)
         assert all(type(v) is F for row in truncate(family, 6).dist for v in row)
 
     def test_a_metric_no_certificate_accepts_is_scanned_on_its_ints(self, monkeypatch):
         # (i mod 4) on a line, plus 1 off the diagonal: no line, no ultrametric,
         # and points 0 and 3 lie farther apart than twice the least distance
         family = MetricFamily(label="mod4", oracle=lambda i, j: F(abs(i % 4 - j % 4) + 1, 3), size=12)
-        assert self._route(family, 12, monkeypatch) == (0, 1, 1)
+        assert self._route(family, 12, monkeypatch) == (1, 1, 1)
 
-    def test_prime_denominators_stop_before_scaling(self, monkeypatch):
-        # the lcm of the first pairs' primes passes the cap, so nothing is scaled
-        # and validate_metric rounds the matrix as before
+    @staticmethod
+    def _prime_family(broken=None):
+        """40 points at distances 1 + 1/p, a distinct prime p per pair, whose lcm
+        passes the cap within the first pairs; ``broken`` maps pairs to other values."""
         primes = _distinct_primes(40 * 39 // 2, 10**4)
         pairs = dict(zip(combinations(range(1, 41), 2), primes))
-        family = MetricFamily(label="primes", oracle=lambda i, j: 1 + F(1, pairs[i, j]), size=40)
+        broken = broken or {}
+        return MetricFamily(label="primes", size=40,
+                            oracle=lambda i, j: broken.get((i, j), 1 + F(1, pairs[i, j])))
+
+    def test_prime_denominators_are_scaled_once(self, monkeypatch):
+        # the lcm of the first pairs' primes passes the cap, so the values are floored
         scaled = []
         scale = metric_core.integer_scale
         monkeypatch.setattr(metric_core, "integer_scale",
                             lambda values, bits=None: scaled.append(bits) or scale(values, bits))
-        assert self._route(family, 40, monkeypatch) == (1, 1, 0)
+        assert self._route(self._prime_family(), 40, monkeypatch) == (1, 1, 0)
         assert scaled == [_SCAN_BITS]
+
+    @pytest.mark.parametrize("broken, error, counts", [
+        ({(7, 19): F(0)}, NegativeOrZeroOffDiagonal, (1, 0, 0)),
+        ({(7, 19): F(-1, 10007), (3, 30): F(0)}, NegativeOrZeroOffDiagonal, (1, 0, 0)),
+        ({(7, 19): 2 + F(1, 10007) + F(1, 10009)}, TriangleViolation, (1, 1, 1)),
+        ({(7, 19): F(3), (2, 5): F(5, 2)}, TriangleViolation, (1, 1, 1)),
+    ], ids=["zero", "negative-then-zero", "just-broken-triangle", "two-broken-triangles"])
+    def test_past_the_scan_bits_the_witness_is_the_reference_one(self, broken, error, counts, monkeypatch):
+        family = self._prime_family(broken)
+        assert self._route(family, 40, monkeypatch) == counts
+        with pytest.raises(error):
+            truncate(family, 40)
 
 
 def _lcm_of_distances(space) -> int:
@@ -661,6 +706,110 @@ FILE_ENTRIES = {
     "ints": lambda rng: rng.randint(3, 5),
     "floats": lambda rng: 1 + rng.randrange(8) / 8 + rng.randrange(2) / 10,
 }
+
+
+class TestOneRoute:
+    """``validate_metric`` and every other entry point take one route: one
+    scaling, at most one certificate run, and the space or the error (class,
+    witness and message) of ``validate_metric_reference``."""
+
+    @pytest.mark.parametrize("d, witness", [
+        ([[0, 0, 1], [0, 1, 1], [1, 1, 0]], (0, 1)),
+        ([[0, 1, 1], [1, 1, 1], [1, 1, 0]], (1, 1)),
+    ], ids=["off-diagonal-first", "diagonal-first"])
+    def test_positivity_witness_order(self, d, witness):
+        # row by row, the diagonal entry before the entries of its row
+        for check in (validate_metric, validate_metric_reference):
+            with pytest.raises(NegativeOrZeroOffDiagonal) as info:
+                check(d)
+            assert (info.value.i, info.value.j) == witness
+
+    @staticmethod
+    def _broken_copies(rng, d):
+        """``d`` and copies with one or two defects: an asymmetric, zero,
+        negative, nonzero diagonal or triangle-breaking entry."""
+        n = len(d)
+        yield d
+        for _ in range(12):
+            e = [list(row) for row in d]
+            for _ in range(rng.randint(1, 2)):
+                i, j = rng.sample(range(n), 2)
+                kind = rng.choice(["asymmetric", "zero", "negative", "diagonal", "long", "tiny"])
+                if kind == "asymmetric":
+                    e[i][j] += F(rng.choice([1, -1]), rng.choice([BIG_PRIME, 10**10, 3]))
+                elif kind == "zero":
+                    _set(e, i, j, F(0))
+                elif kind == "negative":
+                    _set(e, i, j, -e[i][j])
+                elif kind == "diagonal":
+                    e[i][i] = F(rng.choice([1, -1]), rng.choice([10**10, 7]))
+                elif kind == "long":
+                    _set(e, i, j, 3 * max(map(max, e)) + F(1, BIG_PRIME))
+                else:
+                    _set(e, i, j, F(1, 10**10))
+            yield e
+
+    @pytest.mark.parametrize("kind", ["convline", "primes", "mixed"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_validate_metric_is_the_reference(self, kind, seed, monkeypatch):
+        rng = random.Random(seed)
+        n = rng.randint(3, 14)
+        for d in self._broken_copies(rng, _big_denominator_matrix(rng, n, kind)):
+            for approximate in (False, True):
+                expected = _outcome(lambda: validate_metric_reference(d, approximate))
+                found, (scales, certified, _) = _counted(
+                    lambda: _outcome(lambda: validate_metric(d, approximate)), monkeypatch)
+                assert found == expected
+                assert scales <= 1 and certified <= 1
+
+    @pytest.mark.parametrize("kind", sorted(FILE_ENTRIES) + ["primes"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 24, 40])
+    def test_load_space_scales_once(self, kind, n, monkeypatch):
+        rng = random.Random(n)
+        if kind == "primes":
+            primes = iter(_distinct_primes(n * n, 10**4))
+            d = _weights_matrix(rng, n, lambda _: str(1 + F(1, next(primes))))
+        else:
+            d = _weights_matrix(rng, n, FILE_ENTRIES[kind])
+        text = json.dumps({"dist": d})
+        approximate = any(type(v) is float and not v.is_integer() for row in d for v in row)
+        space, counts = _counted(lambda: load_space(text), monkeypatch)
+        assert counts == (1, 1, 0)
+        assert (space.dist, space.approximate) == _outcome(lambda: validate_metric_reference(d, approximate))
+
+    @staticmethod
+    def _family_files():
+        """(JSON text, ultrametric) of files that reach each verdict of the check."""
+        n = 64
+        primes = _distinct_primes(n * n, 10**4)
+        levels = sorted((1 + F(1, p) for p in primes[:n]), reverse=True)
+        caterpillar = dendrogram_lca_bruteforce([(1,) * m + (0,) * (n - m) for m in range(n)], levels)
+        prime_weights = _weights_matrix(None, n, lambda _, p=iter(primes): str(1 + F(1, next(p))))
+        line = truncate(make_family("convline"), 24).dist
+        dendro = truncate(make_family("dendro", 5, 5), n).dist
+        for d, ultrametric in ((caterpillar, True), (dendro, True), (line, False),
+                               (_weights_matrix(random.Random(3), n, FILE_ENTRIES["strings"]), False),
+                               (prime_weights, False)):
+            yield json.dumps({"dist": [[str(v) for v in row] for row in d]}), ultrametric
+
+    def test_family_from_space_runs_prim_at_most_once(self, monkeypatch):
+        # a space Prim's certificate accepted is an ultrametric, and one that a
+        # later check accepted failed it; only a line has Prim still to run
+        names = ("_scan_ints", "_certified", "_ultrametric_certificate", "_ultrametric_scan")
+        found = []
+        for text, ultrametric in self._family_files():
+            family, counts = _counted(lambda: family_from_space(load_space(text), "f"), monkeypatch, names)
+            space = load_space(text)
+            assert family.ultrametric == ultrametric == (ultrametric_scan(space.dist) is None)
+            found.append((space.certificate, space.ints is not None, counts))
+        assert found == [
+            ("ultrametric", False, (1, 1, 1, 0)),  # past the cap: Prim on the floors, then the Fractions
+            ("ultrametric", True, (1, 1, 1, 0)),
+            ("line", True, (1, 1, 1, 1)),
+            ("neighbour", True, (1, 1, 1, 1)),
+            # past the cap and no ultrametric: the witness scan floors the entries again
+            ("neighbour", False, (2, 1, 1, 1)),
+        ]
 
 
 class TestSpaceInts:
@@ -718,6 +867,33 @@ class TestSpaceInts:
         assert bare == space and hash(bare) == hash(space) and repr(bare) == repr(space)
 
 
+class TestCertificateVerdict:
+    """A validated space names the check that accepted it, and ``is_ultrametric``
+    answers from that name where it decides: the same verdict and witness as
+    on the bare space, with Prim's certificate run at most once in all."""
+
+    @pytest.mark.parametrize("family, n, certificate", [
+        ("convline", 40, "line"),
+        ("convline", 200, "line"),
+        ("uniform:1", 40, "ultrametric"),
+        ("dendro:5:5", 64, "ultrametric"),
+        ("remark:3", 40, "neighbour"),
+        (MetricFamily(label="mod4", oracle=lambda i, j: F(abs(i % 4 - j % 4) + 1, 3), size=12), 12, "scan"),
+    ], ids=["convline", "convline-past-the-cap", "uniform", "dendro", "remark", "mod4"])
+    def test_verdicts(self, family, n, certificate, monkeypatch):
+        family = parse_family(family) if isinstance(family, str) else family
+        names = ("_scan_ints", "_ultrametric_certificate", "_ultrametric_scan")
+        space, (scales, prim, _) = _counted(lambda: truncate(family, n), monkeypatch, names)
+        assert space.certificate == certificate and scales == 1
+        bare = FiniteMetricSpace(space.dist, space.approximate)
+        assert bare.certificate is None and bare == space and repr(bare) == repr(space)
+        found, (rescales, more_prim, scans) = _counted(lambda: is_ultrametric(space), monkeypatch, names)
+        assert found == is_ultrametric(bare) == ((w := ultrametric_scan(space.dist)) is None, w)
+        assert prim + more_prim <= 1
+        assert rescales == (space.ints is None and certificate != "ultrametric")
+        assert scans == (certificate != "ultrametric")
+
+
 class TestIsUltrametric:
     def test_uniform_true(self):
         ok, witness = is_ultrametric(truncate(make_family("uniform", 1), 5))
@@ -766,7 +942,7 @@ class TestUltrametricCertificate:
     @pytest.mark.parametrize("d", _ultrametric_matrices())
     def test_ultrametrics_pass_and_nudged_copies_agree_with_the_scan(self, d):
         space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
-        rows, _, slack, _ = _integer_matrix(space.dist)
+        rows, slack = _scan_matrix(space.dist)
         assert slack == 0 and _prim_certificate(rows)
         assert is_ultrametric(space) == (True, None) and ultrametric_scan(d) is None
         rng = random.Random(len(d))
@@ -776,13 +952,13 @@ class TestUltrametricCertificate:
             _set(nudged, i, j, d[i][j] + rng.choice([1, -1]) * F(1, BIG_PRIME))
             space = FiniteMetricSpace(dist=tuple(map(tuple, nudged)))
             witness = ultrametric_scan(nudged)
-            assert _prim_certificate(_integer_matrix(space.dist)[0]) == (witness is None)
+            assert _prim_certificate(_scan_matrix(space.dist)[0]) == (witness is None)
             assert is_ultrametric(space) == (witness is None, witness)
 
     def test_metrics_that_are_not_ultrametrics(self):
         for label in ("convline", "intline", "remark:2"):
             space = truncate(make_family(*label.split(":")), 12)
-            assert not _prim_certificate(_integer_matrix(space.dist)[0])
+            assert not _prim_certificate(_scan_matrix(space.dist)[0])
             assert is_ultrametric(space) == (False, ultrametric_scan(space.dist))
 
     def test_rounded_scale_is_certified_on_fractions(self, monkeypatch):
@@ -792,7 +968,7 @@ class TestUltrametricCertificate:
         levels = sorted((1 + F(1, p) for p in primes), reverse=True)
         d = dendrogram_lca_bruteforce([(1,) * m + (0,) * (n - m) for m in range(n)], levels)
         space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
-        assert _integer_matrix(space.dist)[2] == 1
+        assert _scan_matrix(space.dist)[1] == 1
         assert _prim_certificate(space.dist)
 
         def no_scan(*args):
@@ -823,7 +999,7 @@ class TestUltrametricCertificate:
         eps = F(1, 2 ** (2 * _SCAN_BITS) + 1)
         d = [[F(0), 1 + eps, F(1)], [1 + eps, F(0), F(1)], [F(1), F(1), F(0)]]
         space = FiniteMetricSpace(dist=tuple(map(tuple, d)))
-        rows, _, slack, _ = _integer_matrix(space.dist)
+        rows, slack = _scan_matrix(space.dist)
         assert slack == 1 and _prim_certificate(rows)
         assert is_ultrametric(space) == (False, ultrametric_scan(d))
         tiny = F(1, 2 ** (_SCAN_BITS + 8))
@@ -834,7 +1010,7 @@ class TestUltrametricCertificate:
 
 
 class TestIsUltrametricOnInts:
-    """``is_ultrametric`` reads a space's ints, with no ``_integer_matrix``,
+    """``is_ultrametric`` reads a space's ints, with no ``_scan_ints``,
     and gives the verdict and witness it gives on the bare Fractions."""
 
     @staticmethod
@@ -855,8 +1031,8 @@ class TestIsUltrametricOnInts:
     def test_same_verdict_and_witness_with_and_without_ints(self, monkeypatch):
         spaces = list(self._spaces())
         rescales = []
-        matrix = metric_core._integer_matrix
-        monkeypatch.setattr(metric_core, "_integer_matrix", lambda *args: rescales.append(args) or matrix(*args))
+        matrix = metric_core._scan_ints
+        monkeypatch.setattr(metric_core, "_scan_ints", lambda *args: rescales.append(args) or matrix(*args))
         verdicts = Counter()
         for space in spaces:
             assert space.ints is not None
@@ -906,7 +1082,7 @@ class TestLineCertificate:
 
     @pytest.mark.parametrize("d", _line_matrices())
     def test_lines_pass_and_nudged_copies_agree_with_the_scan(self, d, monkeypatch):
-        rows, _, slack, _ = _integer_matrix(d)
+        rows, slack = _scan_matrix(d)
         assert slack == 0 and _line_certificate(rows)
         calls = _scan_calls(monkeypatch)
         assert validate_metric(d).dist == tuple(map(tuple, d)) and triangle_scan(d) is None
@@ -916,7 +1092,7 @@ class TestLineCertificate:
             i, j = rng.sample(range(len(d)), 2)
             nudged = [list(row) for row in d]
             _set(nudged, i, j, d[i][j] + rng.choice([1, -1]) * F(1, BIG_PRIME))
-            assert not _line_certificate(_integer_matrix(nudged)[0])
+            assert not _line_certificate(_scan_matrix(nudged)[0])
             expected = triangle_scan(nudged)
             if expected is None:
                 assert validate_metric(nudged).dist == tuple(map(tuple, nudged))
@@ -935,7 +1111,7 @@ class TestLineCertificate:
         calls = _scan_calls(monkeypatch)
         for seed in range(2):
             d = _plane_matrix(random.Random(seed), 12)
-            rows, _, slack, _ = _integer_matrix(d)
+            rows, slack = _scan_matrix(d)
             assert not (_line_certificate(d) or _prim_certificate(rows) or _neighbour_certificate(rows, slack))
             assert validate_metric(d).dist == tuple(map(tuple, d))
         assert len(calls) == 2
@@ -1006,7 +1182,7 @@ class TestNeighbourCertificate:
     def test_bounded_matrices_pass_without_the_scan(self, d, monkeypatch):
         calls = _scan_calls(monkeypatch)
         assert validate_metric(d).dist == tuple(map(tuple, d)) and not calls
-        rows, _, slack, _ = _integer_matrix(d)
+        rows, slack = _scan_matrix(d)
         assert slack == (len(d) == 200)  # 200 remark points round
         assert _neighbour_certificate(rows, slack)
         assert not _line_certificate(d) and not _prim_certificate(d)
@@ -1014,13 +1190,13 @@ class TestNeighbourCertificate:
     @pytest.mark.parametrize("d", [d for d in _neighbour_matrices() if len(d) <= 40])
     def test_nudged_copies_agree_with_the_scan(self, d):
         for nudged in _neighbour_nudges(d, F(1, BIG_PRIME)):
-            rows, _, slack, _ = _integer_matrix(nudged)
+            rows, slack = _scan_matrix(nudged)
             assert not _neighbour_certificate(rows, slack)
             _agrees_with_the_scan(nudged)
 
     def test_rounded_remark_passes_on_the_ints(self, monkeypatch):
         space = truncate(make_family("remark", 3), 200)
-        rows, _, slack, _ = _integer_matrix(space.dist)
+        rows, slack = _scan_matrix(space.dist)
         seen = []
         certificate = metric_core._neighbour_certificate
 
@@ -1041,7 +1217,7 @@ class TestNeighbourCertificate:
         near, far = 1 + eta, F(3, 2)
         d = [[F(0), near, near, far], [near, F(0), 2 * near + sign * margin, far],
              [near, 2 * near + sign * margin, F(0), far], [far, far, far, F(0)]]
-        rows, _, slack, _ = _integer_matrix(d)
+        rows, slack = _scan_matrix(d)
         assert slack == 1 and _neighbour_certificate(rows, 0) and not _neighbour_certificate(rows, 1)
         return d
 
@@ -1070,7 +1246,7 @@ class TestNeighbourCertificate:
                 eps = F(1, BIG_PRIME) if kind == "nudged" else F(rng.choice([1, -1]), 3**170)
                 d = rng.choice(_neighbour_nudges(d, eps))
                 if kind == "rounded":
-                    assert _integer_matrix(d)[2] == 1
+                    assert _scan_matrix(d)[1] == 1
             _agrees_with_the_scan(d)
 
 
