@@ -55,7 +55,7 @@ import oracles
 from lipfree import cli, constructions, flow, metric_core, norm_engine
 from lipfree.constructions import _DistanceTable, _monotone_chain
 from lipfree.space_catalog import family_from_space, ultrametric_from_codes
-from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE, truncate
+from lipfree.metric_core import _SCAN_BITS, truncate
 from oracles import (
     assert_scaled_ints,
     bump_eval,

@@ -547,19 +547,24 @@ CATALOG_LABELS = (
 )
 
 
+def _outcome(call):
+    """The space ``call()`` returns, with its ``approximate`` flag, or its
+    error's class, witness and message."""
+    try:
+        space = call()
+    except LipfreeError as exc:
+        return type(exc), vars(exc), str(exc)
+    return space.dist, space.approximate
+
+
 def _fetches_and_outcome(route, family, n, monkeypatch):
-    """The ``MetricFamily.distance`` calls of ``route(family, n)``, and its space's
-    ``dist`` and ``approximate`` or its error's class, witness and message."""
+    """The ``MetricFamily.distance`` calls of ``route(family, n)``, and its ``_outcome``."""
     fetched = []
     distance = metric_core.MetricFamily.distance
     with monkeypatch.context() as patch:
         patch.setattr(metric_core.MetricFamily, "distance",
                       lambda self, i, j: fetched.append((i, j)) or distance(self, i, j))
-        try:
-            space = route(family, n)
-        except LipfreeError as exc:
-            return fetched, (type(exc), vars(exc), str(exc))
-    return fetched, (space.dist, space.approximate)
+        return fetched, _outcome(lambda: route(family, n))
 
 
 def _counted(call, monkeypatch, names=("_scan_ints", "_certified", "_triangle_scan")):
@@ -572,16 +577,6 @@ def _counted(call, monkeypatch, names=("_scan_ints", "_certified", "_triangle_sc
             patch.setattr(metric_core, name, lambda *args, seen=seen, f=f: seen.append(args) or f(*args))
         result = call()
     return result, tuple(len(seen) for seen in calls.values())
-
-
-def _outcome(call):
-    """The space ``call()`` returns, with its ``approximate`` flag, or its
-    error's class, witness and message."""
-    try:
-        space = call()
-    except LipfreeError as exc:
-        return type(exc), vars(exc), str(exc)
-    return space.dist, space.approximate
 
 
 class TestTruncateRoute:
