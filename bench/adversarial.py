@@ -88,9 +88,16 @@ has a hash of the plan's (case, x_idx, r).
 The ``catalog_norm`` entry times ``free_norm``, with its function, on the
 truncations of the ``CATALOG_NORMS`` at each size in ``CATALOG_NORM_SIZES``,
 for the seeded element that supports every point (as in ``NORM_SIZES``).
-These common denominators stay within 256 bits, so the space keeps its ints
-and the transport and the c-transform run on them.  Each entry has a hash of
+These common denominators stay within 256 bits, so the space keeps its ints:
+the line and ultrametric truncations take the tree route, and ``remark:3``
+the transport and the c-transform on the ints.  Each entry has a hash of
 the value and the function.
+
+The ``tree_norm`` entry times ``free_norm`` on the ``TREE_NORM_POINTS``-point
+truncations of the ``TREE_NORMS``, an ultrametric clique and a dendrogram,
+for the seeded element that supports every point (as in ``NORM_SIZES``):
+the envelope of the tree route, where transport takes seconds.  Each entry
+has a hash of the norm alone, which does not depend on the route.
 """
 
 from __future__ import annotations
@@ -154,6 +161,8 @@ BOUNDED_FAMILIES = ("uniform:1", "remark:3")
 BOUNDED_PAIRS = (63, 255)
 CATALOG_NORMS = ("uniform:1", "convline", "dendro:3:9:128", "remark:3")
 CATALOG_NORM_SIZES = (40, 128)
+TREE_NORMS = ("uniform:1", "dendro:3:9:512")
+TREE_NORM_POINTS = 512
 
 
 def primes(count: int, start: int = 1000) -> list[int]:
@@ -377,6 +386,16 @@ def catalog_norm_timings() -> dict:
     return out
 
 
+def tree_norm_timings() -> dict:
+    out = {}
+    n = TREE_NORM_POINTS
+    for label in TREE_NORMS:
+        space, element = truncate(parse_family(label), n), full_element(n)
+        seconds, result = timed(lambda: free_norm(element, space))
+        out[f"free_norm {label} n={n}"] = {"s": seconds, "sha256": digest(result.value)}
+    return out
+
+
 def timed(call, setup=tuple) -> tuple[float, object]:
     """Median wall seconds of ``REPEATS`` calls ``call(*setup())``, each on
     arguments that an untimed ``setup()`` makes afresh, and the last call's result."""
@@ -424,7 +443,7 @@ def main() -> None:
                       "float_load": float_load_timings(), "float_norm": float_norm_timings(),
                       "projection": projection_timings(), "plan_space": plan_space_timings(),
                       "verify_l1": verify_l1_timings(), "bounded": bounded_timings(),
-                      "catalog_norm": catalog_norm_timings()}))
+                      "catalog_norm": catalog_norm_timings(), "tree_norm": tree_norm_timings()}))
 
 
 if __name__ == "__main__":

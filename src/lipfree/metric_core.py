@@ -93,7 +93,12 @@ class FiniteMetricSpace:
     ``scale``, exact integers, when that scale has at most ``_SCAN_BITS``
     bits; both are None past that.  ``certificate`` names what accepted the
     matrix: "line", "ultrametric" or "neighbour", or "scan" when no
-    certificate did and the triangle scan found no violated triple.  All three
+    certificate did and the triangle scan found no violated triple.
+    ``structure`` is what the line or ultrametric certificate found, kept
+    when the ints are exact: a line's coordinates, the row ``c`` of
+    ``_line_certificate`` (so ``ints[i][j] == abs(c[i] - c[j])``), or an
+    ultrametric's Prim order and keys, ``(order, keys)`` of
+    ``_prim_certificate`` (its dendrogram); ``free_norm`` reads it.  All four
     are None on a space built by hand, and none takes part in equality or
     repr, so a space equals itself however built.
     """
@@ -103,6 +108,7 @@ class FiniteMetricSpace:
     ints: Optional[tuple[tuple[int, ...], ...]] = field(default=None, compare=False, repr=False)
     scale: Optional[int] = field(default=None, compare=False, repr=False)
     certificate: Optional[str] = field(default=None, compare=False, repr=False)
+    structure: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -205,8 +211,8 @@ def _checked_space(dist, ints, scale: int, slack: int, approximate: bool) -> Fin
     a full row-major scan.  A diagonal entry within the tolerance is set to 0
     in place.  Then ``_certified`` runs once, and only if no certificate
     accepts the matrix does ``_triangle_scan`` look for the first violated
-    triple.  The space keeps ``ints`` and ``scale`` when the ints are exact,
-    and which check accepted it.
+    triple.  The space keeps ``ints``, ``scale`` and the certificate's
+    structure when the ints are exact, and which check accepted it.
     """
     exact_tol = FLOAT_TOLERANCE if approximate else 0
     tol = floor(exact_tol * scale)  # an int exceeds a bound iff it exceeds the bound's floor
@@ -219,26 +225,30 @@ def _checked_space(dist, ints, scale: int, slack: int, approximate: bool) -> Fin
             for j in range(i + 1, len(row)):
                 if row[j] <= tol and dist[i][j] <= exact_tol:
                     raise NegativeOrZeroOffDiagonal(i, j)
-    certificate = _certified(ints, dist, slack)
+    certificate, structure = _certified(ints, dist, slack)
     if certificate is None:
         _triangle_scan(ints, dist, tol - slack, exact_tol)
         certificate = "scan"
     if isinstance(dist, list):  # validate_metric's rows
         dist = tuple(map(tuple, dist))
-    kept = (None, None) if slack else (ints, scale)
-    return FiniteMetricSpace(dist, approximate, *kept, certificate)
+    if slack:  # rounded ints are not kept, nor what was found on them
+        ints = scale = structure = None
+    return FiniteMetricSpace(dist, approximate, ints, scale, certificate, structure)
 
 
-def _certified(ints, mat, slack) -> Optional[str]:
+def _certified(ints, mat, slack) -> tuple[Optional[str], Optional[tuple]]:
     """The first certificate that accepts ``mat``, scaled to ``ints`` by
-    ``_scan_ints``: "line", "ultrametric", "neighbour", or None."""
-    if _line_certificate(mat if slack else ints):  # rounded ints are not exact
-        return "line"
-    if _ultrametric_certificate(ints, mat, slack):
-        return "ultrametric"
+    ``_scan_ints`` ("line", "ultrametric", "neighbour", or None), and the
+    structure the line or ultrametric certificate found."""
+    coordinates = _line_certificate(mat if slack else ints)  # rounded ints are not exact
+    if coordinates is not None:
+        return "line", coordinates
+    dendrogram = _ultrametric_certificate(ints, mat, slack)
+    if dendrogram is not None:
+        return "ultrametric", dendrogram
     if _neighbour_certificate(ints, slack):
-        return "neighbour"
-    return None
+        return "neighbour", None
+    return None, None
 
 
 def exact_space(dist, ints, scale: int, approximate: bool = False) -> FiniteMetricSpace:
@@ -347,21 +357,24 @@ def truncate(family: MetricFamily, N: int) -> FiniteMetricSpace:
     return scaled_space(upper, N, family.approximate)
 
 
-def _line_certificate(rows) -> bool:
-    """Whether rows[i][j] = |c_i - c_j| for every i, j, where c = rows[a] and
-    a is the point farthest from point 0.
+def _line_certificate(rows) -> Optional[tuple]:
+    """c when rows[i][j] = |c_i - c_j| for every i, j, where c = rows[a] and
+    a is the point farthest from point 0; None otherwise.
 
     A matrix that passes is the metric of the points c_i on the real line.
     Every line metric passes: the point farthest from any point of a line is
     an end of its hull, so c_i is x_i measured from that end.
     """
     row_0 = rows[0]
-    c = rows[row_0.index(max(row_0))]
-    return all(list(row) == [abs(c_i - c_j) for c_j in c] for c_i, row in zip(c, rows))
+    c = tuple(rows[row_0.index(max(row_0))])
+    if all(list(row) == [abs(c_i - c_j) for c_j in c] for c_i, row in zip(c, rows)):
+        return c
+    return None
 
 
-def _prim_certificate(rows) -> bool:
-    """Whether rows[p_t][p_s] = max(k_{s+1}, ..., k_t) for every s < t.
+def _prim_certificate(rows) -> Optional[tuple]:
+    """(p, k) when rows[p_t][p_s] = max(k_{s+1}, ..., k_t) for every s < t;
+    None otherwise.
 
     p is Prim's order from point 0 and k_t the weight that attached p_t.  A
     matrix that passes is an ultrametric: for s < t < u the interval (s, u]
@@ -380,20 +393,24 @@ def _prim_certificate(rows) -> bool:
         keys.append(reach[t])
         row = rows[t]
         if [row[p] for p in reversed(order)] != list(accumulate(reversed(keys), max)):
-            return False
+            return None
         order.append(t)
         reach = list(map(min, reach, row))
-    return True
+    return tuple(order), tuple(keys)
 
 
-def _ultrametric_certificate(ints, mat, slack) -> bool:
-    """``_prim_certificate`` on ``mat``, scaled to ``ints`` by ``_scan_ints``.
+def _ultrametric_certificate(ints, mat, slack) -> Optional[tuple]:
+    """``_prim_certificate`` on ``mat``, scaled to ``ints`` by ``_scan_ints``:
+    Prim's order and keys on ``ints`` when it passes, else None.
 
     Exact ints (slack 0) decide alone.  Rounded ints are tested first all the
     same: rounding down is monotone, so it keeps an ultrametric one, and a
     matrix whose rounded ints fail is none; only a pass is settled on ``mat``.
     """
-    return _prim_certificate(ints) and (not slack or _prim_certificate(mat))
+    dendrogram = _prim_certificate(ints)
+    if dendrogram is None or (slack and _prim_certificate(mat) is None):
+        return None
+    return dendrogram
 
 
 def _neighbour_certificate(ints, slack) -> bool:

@@ -1,24 +1,38 @@
 """Exact norms over finite pointed metric spaces.
 
-The free-space norm of a finitely supported element has one primary engine
-and one independent oracle:
+The free-space norm of a finitely supported element has one primary engine,
+with two routes, and one independent oracle:
 
-* ``free_norm`` ships the positive part onto the negative part at metric
-  cost (Kantorovich-Rubinstein duality) with the exact min-cost transport of
-  ``flow``, and returns the value with a certificate: the optimal plan,
-  whose cost bounds the norm from above, and an attaining 1-Lipschitz
-  function built from the transport duals, whose pairing bounds it from
-  below.  The engine checks that both bounds meet the value before it
-  returns, so the value does not rest on the solver being right.  A space
-  that keeps its exact ``ints`` is transported on them, and the minimum
-  that defines the function at each point is found on integers (the
-  space's, or its row's scaled once), so the function costs one Fraction
-  per point; it serves every space.
+* ``free_norm`` returns the value with a certificate: an optimal transport
+  plan, whose cost bounds the norm from above, and an attaining 1-Lipschitz
+  function, whose pairing bounds it from below.  It checks that both bounds
+  meet the value before it returns.  The space's certificate picks the
+  route:
+
+  - a line or an ultrametric that keeps its certificate's structure
+    (``FiniteMetricSpace.structure``: the line's coordinates, or Prim's
+    order and keys) takes the tree route.  On a subset of an R-tree the norm
+    is the sum over the edges of length x |mass below the edge|, and one
+    pass up and one down the tree give the value, a greedy plan and the
+    function, in O(n log n) on integers.  The function is 1-Lipschitz
+    because the tree carries the metric, which the certificate showed when
+    the space was built; the structure is read against the space's ints in
+    O(n) first.
+  - every other space is transported: the positive part ships onto the
+    negative part at metric cost (Kantorovich-Rubinstein duality) with the
+    exact min-cost transport of ``flow``, and the function is the
+    c-transform of the transport duals, 1-Lipschitz by construction, so the
+    value does not rest on the solver being right.  A space that keeps its
+    exact ``ints`` is transported on them, and the minimum that defines the
+    function at each point is found on integers (the space's, or its row's
+    scaled once).
+
+  Either way the function costs one Fraction per point.
   ``free_norm_flow`` is its value alone.
 * ``free_norm_lp`` solves the defining linear program over base-normalised
   Lipschitz functions with an exact rational simplex, and returns an
-  attaining function.  It shares no code with the transport route and no
-  product path calls it; the test suite requires the two to agree exactly.
+  attaining function.  It shares no code with either route and no product
+  path calls it; the test suite requires them to agree exactly.
 
 The restriction of the LP to the support plus the base point is justified by
 1-Lipschitz extension: any function feasible on those points extends to the
@@ -144,15 +158,197 @@ def _shortest_paths(rows, points) -> list:
 
 
 def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
-    """Free-space norm as an exact optimal transport, with its certificate.
+    """Free-space norm with its certificate: an optimal plan and an attaining
+    1-Lipschitz function.
 
     The balancing coefficient a_0 = -sum a_i is appended at the base point,
-    and the positive part ships onto the negative part at metric cost.  The
-    attaining function is the c-transform of the sink duals beta_j,
+    and the positive part ships onto the negative part at metric cost.  A
+    space that keeps the structure of its line or ultrametric certificate
+    takes the tree route (``_tree_norm``), in O(n log n); every other space
+    takes the exact transport (``_transport_norm``).  Before returning, both
+    check that the plan's marginals are the element's, and that the plan's
+    cost on ``space.dist`` and the pairing of the function with the element
+    each equal the value.
+    """
+    if space.structure is None:
+        return _transport_norm(element, space)
+    element.check_supported(space)
+    masses = _balanced(element)
+    if not masses:
+        return _zero(space)
+    return _checked(_tree_norm(masses, space), element, masses, space.dist)
+
+
+def _balanced(element: FreeElement) -> dict:
+    """The element's coefficients by point, with the base balance a_0 = -sum a_i."""
+    masses = dict(element.support)
+    balance = -sum(masses.values(), Fraction(0))
+    if balance != 0:
+        masses[0] = balance
+    return masses
+
+
+def _zero(space: FiniteMetricSpace) -> FreeNormResult:
+    return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
+
+
+def _checked(result: FreeNormResult, element: FreeElement, masses: dict, dist) -> FreeNormResult:
+    """``result`` once its plan's marginals are ``masses``, and its plan's cost
+    on ``dist`` and its function's pairing with ``element`` are its value."""
+    shipped = dict.fromkeys(masses, Fraction(0))
+    for x, y, m in result.plan:
+        shipped[x] += m
+        shipped[y] -= m
+    if shipped != masses:
+        raise AssertionError("plan marginals differ from the element")
+    if sum((m * dist[x][y] for x, y, m in result.plan), Fraction(0)) != result.value:
+        raise AssertionError("plan cost differs from the norm")
+    if pairing(result.function, element) != result.value:
+        raise AssertionError("pairing of the attaining function differs from the norm")
+    return result
+
+
+def _tree_norm(masses: dict, space: FiniteMetricSpace) -> FreeNormResult:
+    """The norm on the tree that carries a line or an ultrametric.
+
+    On a subset of an R-tree the norm is the sum over the edges of length x
+    |mass below the edge| (Godard, *Proc. AMS* 138, 2010; Evans and Matsen,
+    *JRSS B* 74, 2012).  The tree comes from ``space.structure`` in O(n):
+    for a line, the path of its points in coordinate order, each edge a gap;
+    for an ultrametric, the single-linkage tree of Prim's order and keys
+    (``_dendrogram``), each edge from a cluster of height h to its parent of
+    height H of length (H - h) / 2.  Lengths are ints over ``space.scale``
+    (twice it for an ultrametric) and the masses ints over their lcm.
+
+    The structure is first read against ``space.ints`` in O(n): a line's
+    coordinates must be the row of its nearest end, and then the tree
+    distance |c_i - c_j| is at most rho(i, j) by the triangle inequality, so
+    f is 1-Lipschitz on the space; an ultrametric's keys must be the
+    distances between consecutive points of Prim's order.
+
+    One bottom-up pass adds up the value and each node's mass below, and
+    matches the opposite-signed masses left in different subtrees where
+    they meet, greedily: what crosses an edge is then its mass below, so
+    the plan costs the value.  One top-down pass sets f(v) = f(parent) +
+    sign(mass below v) x length(v), which is 1-Lipschitz on the tree and
+    pairs to the value; f(0) = 0 costs one Fraction per point.
+    """
+    n, ints = space.n, space.ints
+    if space.certificate == "line":
+        c = space.structure
+        up = sorted(range(n), key=c.__getitem__, reverse=True)  # the root, the nearest end, last
+        if ints[up[-1]] != c:
+            raise AssertionError("the line's coordinates are not its end's distances")
+        parent, length = [0] * n, [0] * n
+        for v, u in zip(up, up[1:]):
+            parent[v], length[v] = u, c[v] - c[u]
+        half = 1
+    else:
+        order, keys = space.structure
+        if any(ints[s][t] != k for s, t, k in zip(order, order[1:], keys)):
+            raise AssertionError("Prim's keys are not the distances along Prim's order")
+        parent, height, up = _dendrogram(order, keys)
+        length = [height[u] - h for u, h in zip(parent, height)]
+        half = 2
+    mass_ints, mass_scale = integer_scale(list(masses.values()))
+    below = [0] * len(parent)
+    left = [[] for _ in parent]  # per node, the (point, mass) not yet matched, all of one sign
+    for p, m in zip(masses, mass_ints):
+        below[p], left[p] = m, [(p, m)]
+    total, plan = 0, []
+    for v in up[:-1]:
+        m, u = below[v], parent[v]
+        total += length[v] * abs(m)
+        below[u] += m
+        left[u] = _matched(left[u], left[v], plan)
+    f = [0] * len(parent)
+    for v in reversed(up[:-1]):
+        m = below[v]
+        f[v] = f[parent[v]] + (length[v] if m > 0 else -length[v] if m < 0 else 0)
+    unit = half * space.scale
+    function = LipFunction(tuple(Fraction(f_p - f[0], unit) for f_p in f[:n]))
+    plan.sort()
+    return FreeNormResult(
+        Fraction(total, unit * mass_scale),
+        function,
+        tuple((x, y, Fraction(m, mass_scale)) for x, y, m in plan),
+    )
+
+
+def _dendrogram(order, keys) -> tuple[list, list, list]:
+    """The single-linkage tree of Prim's ``order`` and ``keys``: each node's
+    parent and height, and the nodes in an order that puts every child
+    before its parent (the root last).
+
+    Points keep their labels as leaves, of height 0, and the clusters follow
+    them, one per distinct height of a merge.  Every ball is an interval of
+    Prim's order and k_t = rho(p_{t-1}, p_t), so the tree is the max-rooted
+    Cartesian tree of the keys with equal keys merged.  One stack holds its
+    right spine, heights rising towards the bottom; a node is popped once
+    its last child has come, which gives the order.
+    """
+    parent, height = [0] * len(order), [0] * len(order)
+    up, spine = [], [order[0]]
+    for t, k in zip(order[1:], keys):
+        child = spine.pop()
+        up.append(child)
+        while spine and height[spine[-1]] < k:
+            node = spine.pop()
+            parent[child] = node
+            up.append(node)
+            child = node
+        if spine and height[spine[-1]] == k:
+            node = spine[-1]
+        else:
+            node = len(height)
+            parent.append(0)
+            height.append(k)
+            spine.append(node)
+        parent[child] = node
+        spine.append(t)
+    while spine:
+        child = spine.pop()
+        up.append(child)
+        if spine:
+            parent[child] = spine[-1]
+    return parent, height, up
+
+
+def _matched(left: list, right: list, plan: list) -> list:
+    """Two subtrees' unmatched (point, mass) lists, each of one sign, merged
+    where they meet: opposite signs are matched greedily into ``plan`` as
+    (source, sink, mass), and the list returned holds what is left, all of
+    one sign.  The longer list is extended in place, so each entry is copied
+    O(log n) times."""
+    if len(left) < len(right):
+        left, right = right, left
+    if not right:
+        return left
+    if (left[0][1] > 0) == (right[0][1] > 0):
+        left.extend(right)
+        return left
+    sources, sinks = (left, right) if left[0][1] > 0 else (right, left)
+    while sources and sinks:
+        (x, a), (y, b) = sources[-1], sinks[-1]
+        m = min(a, -b)
+        plan.append((x, y, m))
+        if a == m:
+            sources.pop()
+        else:
+            sources[-1] = (x, a - m)
+        if b == -m:
+            sinks.pop()
+        else:
+            sinks[-1] = (y, b + m)
+    return sources or sinks
+
+
+def _transport_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
+    """``free_norm`` as an exact optimal transport, on every space.
+
+    The attaining function is the c-transform of the sink duals beta_j,
     f(x) = min_j (beta_j + rho(x, y_j)) - f(0), which is 1-Lipschitz on the
-    whole space.  Before returning, the plan's marginals, the plan's cost on
-    ``space.dist`` and the pairing of f with the element are each checked to
-    equal the value.
+    whole space.
 
     A space with ``ints`` is transported on them, and the c-transform runs
     on them too: the duals come back as ints in the same units, each point's
@@ -180,14 +376,11 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     their raw rows.
     """
     element.check_supported(space)
-    masses = dict(element.support)
-    balance = -sum(masses.values(), Fraction(0))
-    if balance != 0:
-        masses[0] = balance
+    masses = _balanced(element)
     sources = [(p, c) for p, c in sorted(masses.items()) if c > 0]
     sinks = [(p, -c) for p, c in sorted(masses.items()) if c < 0]
     if not sources:
-        return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
+        return _zero(space)
     dist, ints = space.dist, space.ints
     if space.approximate:
         dist = _shortest_paths(dist, {0, *masses})
@@ -213,18 +406,7 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     base, s0 = least[0]  # so that f(0) = 0
     function = LipFunction(tuple(Fraction(v * s0 - base * s, s * s0 * beta_scale * scale) for v, s in least))
     plan = tuple((sources[i][0], sinks[j][0], m) for i, j, m in transport.plan)
-
-    shipped = dict.fromkeys(masses, Fraction(0))
-    for x, y, m in plan:
-        shipped[x] += m
-        shipped[y] -= m
-    if shipped != masses:
-        raise AssertionError("transport plan marginals differ from the element")
-    if sum((m * dist[x][y] for x, y, m in plan), Fraction(0)) != value:
-        raise AssertionError("transport plan cost differs from the norm")
-    if pairing(function, element) != value:
-        raise AssertionError("pairing of the dual function differs from the norm")
-    return FreeNormResult(value, function, plan)
+    return _checked(FreeNormResult(value, function, plan), element, masses, dist)
 
 
 def free_norm_flow(element: FreeElement, space: FiniteMetricSpace) -> Fraction:
@@ -308,10 +490,14 @@ def nonrotund_witness(space: FiniteMetricSpace) -> tuple[FreeElement, FreeElemen
     """Two distinct unit vectors u, v with ||u + v|| = 2, all exact.
 
     Takes the lexicographically smallest pair of non-base points x, y and
-    normalises their evaluation elements by the distance to the base.  Then
-    ||u + v|| = 2 iff |rho(x, 0) - rho(y, 0)| <= rho(x, y), which every
-    metric meets; an approximate space that breaks it by its tolerance
-    raises ExactnessRequired.
+    normalises their evaluation elements by the distance to the base:
+    u = delta_x / rho(x, 0), v = delta_y / rho(y, 0), so ||u||, ||v|| <= 1
+    and ||u + v|| <= 2.  The function f = rho(., 0) pairs to 1 with u and
+    with v, so to 2 with u + v, and it is 1-Lipschitz on {0, x, y} exactly
+    when |rho(x, 0) - rho(y, 0)| <= rho(x, y), which every metric meets;
+    then it extends to the whole space and attains all three norms.  An
+    approximate space that breaks it by its tolerance raises
+    ExactnessRequired.
     """
     if space.n < 3:
         raise TooFewPoints("a witness needs at least 3 points")
@@ -320,9 +506,4 @@ def nonrotund_witness(space: FiniteMetricSpace) -> tuple[FreeElement, FreeElemen
         raise ExactnessRequired(f"the triangle (0, {x}, {y}) fails, so ||u + v|| < 2")
     u = FreeElement.from_pairs([(x, 1 / space.dist[x][0])])
     v = FreeElement.from_pairs([(y, 1 / space.dist[y][0])])
-    norm_u = free_norm(u, space).value
-    norm_v = free_norm(v, space).value
-    norm_sum = free_norm(u.plus(v), space).value
-    if not (norm_u == 1 and norm_v == 1 and norm_sum == 2):
-        raise AssertionError("witness post-conditions failed; norm engine is broken")
     return u, v

@@ -947,7 +947,7 @@ class TestUltrametricCertificate:
             _set(nudged, i, j, d[i][j] + rng.choice([1, -1]) * F(1, BIG_PRIME))
             space = FiniteMetricSpace(dist=tuple(map(tuple, nudged)))
             witness = ultrametric_scan(nudged)
-            assert _prim_certificate(_scan_matrix(space.dist)[0]) == (witness is None)
+            assert (_prim_certificate(_scan_matrix(space.dist)[0]) is not None) == (witness is None)
             assert is_ultrametric(space) == (witness is None, witness)
 
     def test_metrics_that_are_not_ultrametrics(self):
@@ -1295,3 +1295,55 @@ class TestLipFunction:
     def test_values_exact(self):
         f = LipFunction.from_values([0, "2/3", -1])
         assert f(1) == F(2, 3)
+
+
+def _rebuilt_ints(space):
+    """The ints that the space's kept structure describes."""
+    if space.certificate == "line":
+        c = space.structure
+        return tuple(tuple(abs(a - b) for b in c) for a in c)
+    order, keys = space.structure
+    rows = [[0] * space.n for _ in range(space.n)]
+    for s, t in combinations(range(space.n), 2):  # rho(p_s, p_t) = max(k_{s+1}, ..., k_t)
+        rows[order[s]][order[t]] = rows[order[t]][order[s]] = max(keys[s:t])
+    return tuple(map(tuple, rows))
+
+
+class TestKeptStructure:
+    """A space keeps what its line or ultrametric certificate found while its
+    ints are exact, and the ints follow from it."""
+
+    @pytest.mark.parametrize(
+        "label", ["uniform:1:12", "convline:40", "intline:12", "geomline:40", "dendro:3:9:128:40", "remark:3:12"]
+    )
+    def test_catalog_truncations(self, label):
+        name, *params, n = label.split(":")
+        space = truncate(make_family(name, *params), int(n))
+        if space.certificate in ("line", "ultrametric"):
+            assert _rebuilt_ints(space) == space.ints
+        else:
+            assert space.structure is None
+
+    def test_suite_plan_spaces(self):
+        from test_constructions import SUITE_PLANS
+
+        kept = 0
+        for make in SUITE_PLANS.values():
+            space = make().space()
+            if space.certificate in ("line", "ultrametric"):
+                assert _rebuilt_ints(space) == space.ints
+                kept += 1
+            else:
+                assert space.structure is None
+        assert kept > 0
+
+    def test_exact_float_line_keeps_its_coordinates(self):
+        xs = [0.0, 0.125, 0.5, 1.75, 3.0]
+        space = load_space(json.dumps({"dist": [[abs(a - b) for b in xs] for a in xs]}))
+        assert space.approximate and space.certificate == "line"
+        assert _rebuilt_ints(space) == space.ints
+
+    def test_rounded_ints_keep_none(self):
+        # convline's common denominator passes _SCAN_BITS at 180 points
+        space = truncate(make_family("convline"), 180)
+        assert space.certificate == "line" and space.ints is None and space.structure is None

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import random
@@ -19,6 +20,7 @@ from lipfree import (
     TooFewPoints,
     ball_section,
     delta,
+    free_element_from_json,
     free_norm,
     free_norm_flow,
     free_norm_lp,
@@ -32,8 +34,11 @@ from lipfree import (
     two_point_norm,
     validate_metric,
 )
+from lipfree import norm_engine
+from lipfree.cli import main
 from lipfree.flow import min_cost_transport
 from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE
+from lipfree.norm_engine import _transport_norm
 from oracles import (
     assert_certificate,
     free_norm_reference,
@@ -467,6 +472,15 @@ class TestNonrotundWitness:
         assert free_norm_lp(v, space).value == 1
         assert free_norm_lp(u.plus(v), space).value == 2
 
+    def test_runs_no_norm(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the witness ran a norm")
+
+        monkeypatch.setattr(norm_engine, "free_norm", refuse)
+        space = parse_space("remark:3:5")
+        u, v = nonrotund_witness(space)
+        assert free_norm_lp(u.plus(v), space).value == 2
+
 
 def _adversarial_module():
     path = Path(__file__).resolve().parents[1] / "bench" / "adversarial.py"
@@ -490,11 +504,11 @@ def _elements(rng, n):
 
 
 class TestCTransformOnIntegers:
-    """``free_norm`` returns what the Fraction c-transform of ``oracles`` returns."""
+    """The transport route returns what the Fraction c-transform of ``oracles`` returns."""
 
     def _agree(self, space, elements):
         for mu in elements:
-            assert free_norm(mu, space) == free_norm_reference(mu, space), mu
+            assert _transport_norm(mu, space) == free_norm_reference(mu, space), mu
 
     @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
     def test_suite_spaces(self, name):
@@ -523,21 +537,21 @@ class TestCTransformOnIntegers:
         base_sink = FreeElement.from_pairs([(1, 1), (4, F(2, 3))])
         for mu in (single_sink, base_sink, FreeElement.from_pairs([])):
             self._agree(space, [mu])
-        assert free_norm(base_sink, space).plan == ((1, 0, 1), (4, 0, F(2, 3)))
+        assert _transport_norm(base_sink, space).plan == ((1, 0, 1), (4, 0, F(2, 3)))
         point = validate_metric([[0]])
         self._agree(point, [FreeElement.from_pairs([]), delta(0)])
-        assert free_norm(delta(0), point).function.values == (0,)
+        assert _transport_norm(delta(0), point).function.values == (0,)
 
 
 class TestFreeNormOnSpaceInts:
-    """``free_norm`` on a space's ints returns the value, function and plan
-    that it returns on the same Fractions without them."""
+    """The transport route on a space's ints returns the value, function and
+    plan that it returns on the same Fractions without them."""
 
     def _agree(self, space, elements):
         bare = FiniteMetricSpace(space.dist, space.approximate)
         assert bare.ints is None
         for mu in elements:
-            assert free_norm(mu, space) == free_norm(mu, bare), mu
+            assert _transport_norm(mu, space) == _transport_norm(mu, bare), mu
 
     @pytest.mark.parametrize("label", [*CATALOG_SPACES, "dendro:3:9:128:40", "remark:3:40", "convline:40"])
     def test_catalog_truncations(self, label):
@@ -576,3 +590,127 @@ class TestFreeNormOnSpaceInts:
             space = plan.space()
             assert space.ints is None
             self._agree(space, _elements(random.Random(plan.n_points), space.n)[::3])
+
+
+TREE_FAMILIES = ("uniform:1", "convline", "intline", "geomline", "dendro:3:9:128")
+TREE_SPACES = [
+    *(f"{family}:{n}" for n in (12, 40, 128) for family in TREE_FAMILIES),
+    "uniform:5/2:12", "dendro:1:8:12", "dendro:2:6:12",
+]
+
+
+def _tree_elements(rng, n):
+    """Random elements of a few support sizes up to every point."""
+    sizes = sorted({min(size, n - 1) for size in (1, 2, 3, 6, n // 2, n - 1)})
+    elements = [random_element(rng, n, size) for size in sizes]
+    return [*elements, FreeElement.from_pairs((p, rand_fraction(rng, signed=True)) for p in range(1, n))]
+
+
+def _dyadic_float_line(rng, n):
+    # multiples of 1/8: every float difference is exact, so the line certificate passes
+    xs = rng.sample([k / 8 for k in range(-60, 60)], n)
+    return [[abs(a - b) for b in xs] for a in xs]
+
+
+class TestTreeRoute:
+    """On a line or an ultrametric that keeps its certificate's structure,
+    ``free_norm`` reads the tree, and agrees with the transport."""
+
+    def _agree(self, space, elements):
+        assert space.certificate in ("line", "ultrametric") and space.structure is not None
+        bare = FiniteMetricSpace(space.dist, space.approximate)
+        for mu in elements:
+            result = free_norm(mu, space)
+            assert result.value == _transport_norm(mu, bare).value, mu
+            assert_certificate(result, mu, space)
+            assert lip_norm(result.function, space) <= 1
+
+    @pytest.mark.parametrize("label", TREE_SPACES)
+    def test_catalog_truncations(self, label):
+        space = parse_space(label)
+        self._agree(space, _tree_elements(random.Random(label), space.n))
+
+    def test_uniform_512(self):
+        # every distance is 1: a function is 1-Lipschitz iff its values span at
+        # most 1, and the norm is half the total mass, base balance included
+        space = parse_space("uniform:1:512")
+        bare = FiniteMetricSpace(space.dist)
+        rng = random.Random(512)
+        full = FreeElement.from_pairs((p, rand_fraction(rng, signed=True)) for p in range(1, 512))
+        for mu in [*(random_element(rng, 512, size) for size in (1, 5, 24)), full]:
+            result = free_norm(mu, space)
+            masses = [c for _, c in mu.support]
+            assert result.value == (sum(map(abs, masses)) + abs(sum(masses))) / 2
+            if mu is not full:
+                assert result.value == _transport_norm(mu, bare).value
+            assert_certificate(result, mu, space)
+            assert max(result.function.values) - min(result.function.values) <= 1
+
+    @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
+    def test_suite_plan_spaces(self, name):
+        space = SUITE_PLANS[name]().space()
+        if space.certificate in ("line", "ultrametric"):
+            self._agree(space, _tree_elements(random.Random(name), space.n))
+        else:
+            assert space.structure is None
+
+    @pytest.mark.parametrize("make", [_dyadic_float_line, _float_line])
+    def test_float_line_files(self, make):
+        rng = random.Random(make.__name__)
+        trees = 0
+        for n in (2, 3, 5, 8, 13, 21) * 3:
+            space = load_space(json.dumps({"dist": make(rng, n)}))
+            assert space.approximate
+            if space.structure is not None:
+                trees += 1
+                self._agree(space, _tree_elements(rng, n))
+        assert trees == 18 if make is _dyadic_float_line else trees > 0
+
+    def test_no_line_or_ultrametric_reaches_the_transport(self, run_cli, monkeypatch):
+        def refuse(*args):
+            raise RuntimeError("the transport was reached")
+
+        monkeypatch.setattr(norm_engine, "min_cost_transport", refuse)
+        element = '[{"point":1,"coef":"1"},{"point":2,"coef":"-1/2"},{"point":4,"coef":"2"},{"point":7,"coef":"-3"}]'
+        for label in ("uniform:1:9", "convline:9", "dendro:3:9:128:9"):
+            code, out, err = run_cli("norm", "--space", label, "--element", element, "--with-function")
+            assert (code, err) == (0, "")
+            space, mu = parse_space(label), free_element_from_json(element)
+            values = json.loads(out)
+            assert F(values["norm"]) == free_norm_lp(mu, space).value
+            assert lip_norm(LipFunction.from_values(values["function"]), space) <= 1
+        with pytest.raises(RuntimeError, match="transport was reached"):
+            run_cli("norm", "--space", "remark:3:9", "--element", element)
+
+    @pytest.mark.parametrize("label", ["dendro:3:9:128:40", "dendro:1:8:12", "convline:40", "intline:40"])
+    def test_a_corrupted_structure_fails_a_check(self, label):
+        # two keys, or two coordinates, swapped
+        space = parse_space(label)
+        rng = random.Random(label)
+        for _ in range(20):
+            if space.certificate == "ultrametric":
+                order, keys = space.structure
+                i, j = rng.sample(sorted(set(keys)), 2)
+                i, j = keys.index(i), keys.index(j)
+                swapped = list(keys)
+                swapped[i], swapped[j] = keys[j], keys[i]
+                structure = (order, tuple(swapped))
+            else:
+                swapped = list(space.structure)
+                i, j = rng.sample(range(1, len(swapped)), 2)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                structure = tuple(swapped)
+            corrupted = dataclasses.replace(space, structure=structure)
+            mu = random_element(rng, space.n, rng.randint(1, space.n - 1))
+            with pytest.raises(AssertionError):
+                free_norm(mu, corrupted)
+
+
+@pytest.fixture
+def run_cli(capsys):
+    def invoke(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    return invoke
