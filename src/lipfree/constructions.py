@@ -770,74 +770,56 @@ def _thinned_chain(
     A decreasing chain has needed + 1 points and value d_s = rho(y_s, y_{s+1})
     at position s (the trailing point only closes the last row); an
     increasing chain has ``needed`` points and value e_s = rho(y_1, y_s) at
-    s >= 1.  The thinning's limit is ``d_limit``, or else the value at the
-    end of the fully extended chain.  With ``d_limit`` the picks depend only
-    on the chain's prefix, so the chain stops growing once they are complete.
+    s >= 1.  ``_thinning`` picks the positions in one pass over the values,
+    against ``d_limit``, or else against the value at the end of the fully
+    extended chain.  With ``d_limit`` the picks of a prefix of the chain are
+    a prefix of its picks, so the extension's ``stop`` asks the same pass
+    about the growing chain, and the chain stops growing once they are
+    complete.
     """
 
-    def value(chain: list[int], s: int):
+    def values(chain: list[int]):
         if decreasing:
-            return table.distance(chain[s], chain[s + 1])
-        return None if s == 0 else table.distance(chain[0], chain[s])
+            return (table.distance(s, t) for s, t in zip(chain, chain[1:]))
+        return (None if s == 0 else table.distance(chain[0], t) for s, t in enumerate(chain))
 
-    def values(chain: list[int], start: int):
-        end = len(chain) - 1 if decreasing else len(chain)
-        return (value(chain, s) for s in range(start, end))
-
-    thin = _decreasing_thinning if decreasing else _increasing_thinning
     stop = None
     if d_limit is not None:
-        thinning = thin(d_limit, needed)
-        stop = lambda chain: thinning.feed(values(chain, thinning.fed))
+        stop = lambda chain: len(_thinning(values(chain), d_limit, needed, decreasing)) == needed
     chain = _monotone_chain(table, needed + 1 if decreasing else needed, decreasing, stop)
     if chain is None:
         return None
-    if d_limit is None:
-        thinning = thin(value(chain, len(chain) - 2 if decreasing else len(chain) - 1), needed)
-    if not thinning.feed(values(chain, thinning.fed)):
+    found = list(values(chain))
+    picked = _thinning(found, found[-1] if d_limit is None else d_limit, needed, decreasing)
+    if len(picked) < needed:
         return None
-    return [chain[s] for s in thinning.picked], [value(chain, s) for s in thinning.picked]
+    return [chain[s] for s in picked], [found[s] for s in picked]
 
 
-class _Thinning:
-    """The thinning step, fed a chain's values in order.
+def _thinning(values, limit: Fraction, needed: int, decreasing: bool) -> list[int]:
+    """The thinning's picks among a chain's ``values``, at most ``needed``.
 
-    Position 0 is always picked; a later position is picked when
-    ``keeps(value, value at the last pick)``, until ``needed`` are picked.
-    Each value is decided when it is fed, so the picks of a prefix of the
-    chain are a prefix of the chain's picks.
+    Position 0 is always picked.  A later value v is picked when it lies in
+    the window that the last picked value w sets: limit <= v <= (3 limit +
+    w) / 4 when decreasing; (limit + w) / 2 <= v <= limit when increasing,
+    where the chain's first point has no value (None), and the first window
+    is only 2 v >= limit.  Each position is decided by the values up to it.
     """
-
-    def __init__(self, keeps: Callable, needed: int):
-        self.keeps = keeps
-        self.needed = needed
-        self.picked: list[int] = []
-        self.last = None
-        self.fed = 0
-
-    def feed(self, values) -> bool:
-        """Decide the next positions from ``values``; whether ``needed`` are picked."""
-        for value in values:
-            if len(self.picked) == self.needed:
-                break
-            if not self.picked or self.keeps(value, self.last):
-                self.picked.append(self.fed)
-                self.last = value
-            self.fed += 1
-        return len(self.picked) == self.needed
-
-
-def _decreasing_thinning(d_inf: Fraction, needed: int) -> _Thinning:
-    return _Thinning(lambda d, last: d_inf <= d <= (3 * d_inf + last) / 4, needed)
-
-
-def _increasing_thinning(d_sup: Fraction, needed: int) -> _Thinning:
-    # e_0 is None: position 0 is the chain's first point, whose value is
-    # carried by the later points
-    def keeps(e, last):
-        return 2 * e >= d_sup if last is None else (d_sup + last) / 2 <= e <= d_sup
-
-    return _Thinning(keeps, needed)
+    picked: list[int] = []
+    low = high = None
+    for s, value in enumerate(values):
+        if picked and not (low <= value and (high is None or value <= high)):
+            continue
+        picked.append(s)
+        if len(picked) == needed:
+            break
+        if decreasing:
+            low, high = limit, (3 * limit + value) / 4
+        elif value is None:
+            low, high = limit / 2, None
+        else:
+            low, high = (limit + value) / 2, limit
+    return picked
 
 
 # ---------------------------------------------------------------------------

@@ -480,10 +480,22 @@ class FreeElement:
     """Finitely supported vector sum a_i * delta_{x_i} (sparse, exact).
 
     The base point never appears in the support (delta_0 is the zero
-    element); zero coefficients and duplicate indices are normalised away.
+    element); zero coefficients and duplicate indices are normalised away
+    by ``from_pairs``.  A support built directly must already be in that
+    form: int points strictly increasing from 1, each with a nonzero
+    Fraction, or ValueError.
     """
 
     support: tuple[tuple[int, Fraction], ...]
+
+    def __post_init__(self):
+        last = 0
+        for p, c in self.support:
+            if not isinstance(p, int) or p <= last:
+                raise ValueError("support points must be ints strictly increasing from 1")
+            if not isinstance(c, Fraction) or c == 0:
+                raise ValueError("support coefficients must be nonzero Fractions")
+            last = p
 
     @staticmethod
     def from_pairs(pairs) -> "FreeElement":

@@ -5,8 +5,12 @@ with two routes, and one independent oracle:
 
 * ``free_norm`` returns the value with a certificate: an optimal transport
   plan, whose cost bounds the norm from above, and an attaining 1-Lipschitz
-  function, whose pairing bounds it from below.  It checks that both bounds
-  meet the value before it returns.  The space's certificate picks the
+  function, whose pairing bounds it from below.  It is the one entry that
+  certifies: it balances the element at the base, picks the route, closes
+  an approximate space's rows under shortest paths, and checks that both
+  bounds meet the value before it returns.  The two route kernels,
+  ``_tree_norm`` and ``_transport_norm``, only compute (value, plan,
+  function) from the balanced masses.  The space's certificate picks the
   route:
 
   - a line or an ultrametric that keeps its certificate's structure
@@ -161,55 +165,62 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
     """Free-space norm with its certificate: an optimal plan and an attaining
     1-Lipschitz function.
 
-    The balancing coefficient a_0 = -sum a_i is appended at the base point,
-    and the positive part ships onto the negative part at metric cost.  A
-    space that keeps the structure of its line or ultrametric certificate
-    takes the tree route (``_tree_norm``), in O(n log n); every other space
-    takes the exact transport (``_transport_norm``).  Before returning, both
-    check that the plan's marginals are the element's, and that the plan's
-    cost on ``space.dist`` and the pairing of the function with the element
-    each equal the value.
+    This is the one entry that certifies the norm; the two kernels only
+    compute.  The support is checked against the space, the balancing
+    coefficient a_0 = -sum a_i is appended at the base point, and the zero
+    element returns at once.  Then the positive part ships onto the negative
+    part at metric cost: a space that keeps the structure of its line or
+    ultrametric certificate takes the tree route (``_tree_norm``), in
+    O(n log n); every other space takes the exact transport
+    (``_transport_norm``).
+
+    An approximate space (float entries, accepted within the validation
+    tolerance) may break a triangle by up to that tolerance, so direct
+    transport can exceed the defining LP.  Before it is transported, copies
+    of the rows of the support and the base are closed under shortest paths
+    within those points (Floyd-Warshall), which is all the LP's constraints
+    allow, on the rows the transport reads and on the Fractions the plan's
+    cost is checked on, so both run at the LP's value.  Points outside the
+    support keep their raw rows.  A tree needs no closure: its certificate
+    held on exact ints.
+
+    Before returning, it checks that the plan's marginals are the element's,
+    and that the plan's cost on those distances and the pairing of the
+    function with the element each equal the value.
     """
-    if space.structure is None:
-        return _transport_norm(element, space)
     element.check_supported(space)
-    masses = _balanced(element)
-    if not masses:
-        return _zero(space)
-    return _checked(_tree_norm(masses, space), element, masses, space.dist)
-
-
-def _balanced(element: FreeElement) -> dict:
-    """The element's coefficients by point, with the base balance a_0 = -sum a_i."""
     masses = dict(element.support)
     balance = -sum(masses.values(), Fraction(0))
     if balance != 0:
         masses[0] = balance
-    return masses
-
-
-def _zero(space: FiniteMetricSpace) -> FreeNormResult:
-    return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
-
-
-def _checked(result: FreeNormResult, element: FreeElement, masses: dict, dist) -> FreeNormResult:
-    """``result`` once its plan's marginals are ``masses``, and its plan's cost
-    on ``dist`` and its function's pairing with ``element`` are its value."""
+    if not masses:
+        return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
+    dist = space.dist
+    if space.structure is not None:
+        value, plan, function = _tree_norm(masses, space)
+    else:
+        ints = space.ints
+        if space.approximate:
+            dist = _shortest_paths(dist, {0, *masses})
+            if ints is not None:
+                ints = _shortest_paths(ints, {0, *masses})
+        value, plan, function = _transport_norm(masses, dist, ints, space.scale)
     shipped = dict.fromkeys(masses, Fraction(0))
-    for x, y, m in result.plan:
+    for x, y, m in plan:
         shipped[x] += m
         shipped[y] -= m
     if shipped != masses:
         raise AssertionError("plan marginals differ from the element")
-    if sum((m * dist[x][y] for x, y, m in result.plan), Fraction(0)) != result.value:
+    if sum((m * dist[x][y] for x, y, m in plan), Fraction(0)) != value:
         raise AssertionError("plan cost differs from the norm")
-    if pairing(result.function, element) != result.value:
+    if pairing(function, element) != value:
         raise AssertionError("pairing of the attaining function differs from the norm")
-    return result
+    return FreeNormResult(value, function, plan)
 
 
-def _tree_norm(masses: dict, space: FiniteMetricSpace) -> FreeNormResult:
-    """The norm on the tree that carries a line or an ultrametric.
+def _tree_norm(masses: dict, space: FiniteMetricSpace) -> tuple:
+    """The norm of the balanced ``masses`` on the tree that carries a line or
+    an ultrametric: (value, plan, function), which ``free_norm`` checks.
 
     On a subset of an R-tree the norm is the sum over the edges of length x
     |mass below the edge| (Godard, *Proc. AMS* 138, 2010; Evans and Matsen,
@@ -268,10 +279,10 @@ def _tree_norm(masses: dict, space: FiniteMetricSpace) -> FreeNormResult:
     unit = half * space.scale
     function = LipFunction(tuple(Fraction(f_p - f[0], unit) for f_p in f[:n]))
     plan.sort()
-    return FreeNormResult(
+    return (
         Fraction(total, unit * mass_scale),
-        function,
         tuple((x, y, Fraction(m, mass_scale)) for x, y, m in plan),
+        function,
     )
 
 
@@ -343,50 +354,34 @@ def _matched(left: list, right: list, plan: list) -> list:
     return sources or sinks
 
 
-def _transport_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
-    """``free_norm`` as an exact optimal transport, on every space.
+def _transport_norm(masses: dict, dist, ints, scale: Optional[int]) -> tuple:
+    """The norm of the balanced ``masses`` as an exact optimal transport:
+    (value, plan, function), which ``free_norm`` checks.
 
-    The attaining function is the c-transform of the sink duals beta_j,
-    f(x) = min_j (beta_j + rho(x, y_j)) - f(0), which is 1-Lipschitz on the
-    whole space.
+    ``dist`` are the distances, and ``ints`` the same times ``scale``
+    (exact integers) or None.  The attaining function is the c-transform of the
+    sink duals beta_j, f(x) = min_j (beta_j + rho(x, y_j)) - f(0), which is
+    1-Lipschitz on the whole space.
 
-    A space with ``ints`` is transported on them, and the c-transform runs
-    on them too: the duals come back as ints in the same units, each point's
-    least b + row[y] is one int minimum, and f(x) is one Fraction: its
-    difference from the base point's minimum over ``space.scale``.  Costs
-    scaled by one factor leave every choice of the search unchanged, so the
-    plan and the duals are those of the Fractions.  A space without them
-    (its common denominator passes ``_SCAN_BITS``, or it was built by hand)
-    is transported on its Fractions, and each point's distances to the sinks
-    are scaled by ``integer_scale`` a row at a time: a scale per point, not
-    one for the whole n x l block, since with a distinct prime denominator
-    in every entry the block's lcm is the product of all n * l primes
-    (20,177 bits on the 64-point matrix of ``bench/adversarial.py``, where
-    the duals' lcm has 662).  The duals come back as ints over the transport's
-    cost scale, and one gcd brings them to that lcm.  The one loop of the
-    c-transform serves both.
-
-    An approximate space (float entries, accepted within the validation
-    tolerance) may break a triangle by up to that tolerance, so direct
-    transport can exceed the defining LP.  There copies of the rows of the
-    support and the base are first closed under shortest paths within those
-    points (Floyd-Warshall), which is all the LP's constraints allow, on the
-    rows the transport reads and on the Fractions the plan's cost is checked
-    on, so both run at the LP's value.  Points outside the support keep
-    their raw rows.
+    With ``ints`` the transport and the c-transform run on them: the duals
+    come back as ints in the same units, each point's least b + row[y] is
+    one int minimum, and f(x) is one Fraction: its difference from the base
+    point's minimum over ``scale``.  Costs scaled by one factor leave every
+    choice of the search unchanged, so the plan and the duals are those of
+    the Fractions.  Without them (the space's common denominator passes
+    ``_SCAN_BITS``, or it was built by hand) the transport runs on the
+    Fractions, and each point's distances to the sinks are scaled by
+    ``integer_scale`` a row at a time: a scale per point, not one for the
+    whole n x l block, since with a distinct prime denominator in every entry
+    the block's lcm is the product of all n * l primes (20,177 bits on the
+    64-point matrix of ``bench/adversarial.py``, where the duals' lcm has
+    662).  The duals come back as ints over the transport's cost scale, and
+    one gcd brings them to that lcm.  The one loop of the c-transform serves
+    both.
     """
-    element.check_supported(space)
-    masses = _balanced(element)
     sources = [(p, c) for p, c in sorted(masses.items()) if c > 0]
     sinks = [(p, -c) for p, c in sorted(masses.items()) if c < 0]
-    if not sources:
-        return _zero(space)
-    dist, ints = space.dist, space.ints
-    if space.approximate:
-        dist = _shortest_paths(dist, {0, *masses})
-        if ints is not None:
-            ints = _shortest_paths(ints, {0, *masses})
-    rows, scale = (dist, 1) if ints is None else (ints, space.scale)
+    rows, scale = (dist, 1) if ints is None else (ints, scale)
     transport = min_cost_transport(
         [c for _, c in sources],
         [c for _, c in sinks],
@@ -406,7 +401,7 @@ def _transport_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormR
     base, s0 = least[0]  # so that f(0) = 0
     function = LipFunction(tuple(Fraction(v * s0 - base * s, s * s0 * beta_scale * scale) for v, s in least))
     plan = tuple((sources[i][0], sinks[j][0], m) for i, j, m in transport.plan)
-    return _checked(FreeNormResult(value, function, plan), element, masses, dist)
+    return value, plan, function
 
 
 def free_norm_flow(element: FreeElement, space: FiniteMetricSpace) -> Fraction:

@@ -39,8 +39,6 @@ from lipfree import (
 from lipfree.constructions import (
     ONE,
     ZERO,
-    _decreasing_thinning,
-    _increasing_thinning,
     _plan_length,
     _resolve_d_limit,
     _scan_limit,
@@ -479,14 +477,27 @@ def monotone_chain_reference(family: MetricFamily, scan: int, length: int, decre
             cursor[depth] = cand + 1
 
 
-def _picks(thinning, values) -> Optional[list[int]]:
-    """The library's thinning over every value: its picks, or None if too few."""
-    return thinning.picked if thinning.feed(values) else None
+def thinning_reference(values: list, limit: Fraction, needed: int, decreasing: bool) -> Optional[list[int]]:
+    """The first ``needed`` positions of the thinning, or None if there are fewer:
+    position 0, then each position s whose value passes against the value
+    at the last picked position, by the rule in ``radii_ultrametric_reference``."""
+    if decreasing:
+        def keeps(d, prev):
+            return limit <= d <= (3 * limit + prev) / 4
+    else:
+        def keeps(e, prev):  # prev is None at the first point, which has no value
+            return 2 * e >= limit if prev is None else (limit + prev) / 2 <= e <= limit
+    picked = [0]
+    for s in range(1, len(values)):
+        if len(picked) < needed and keeps(values[s], values[picked[-1]]):
+            picked.append(s)
+    return picked if len(picked) == needed else None
 
 
 def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> EmbeddingPlan:
-    """``radii_ultrametric`` on direct ``family.distance`` calls and the two
-    searches above; every other step is the library's.
+    """``radii_ultrametric`` on direct ``family.distance`` calls, the two
+    searches above and a thinning written from the rule below; every other
+    step is the library's.
 
     Radii inside an ultrametric family via the bounded trichotomy.
 
@@ -497,6 +508,12 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
     (increasing case, thinned by e_next >= (d + e_prev) / 2, radii
     r_2n = r_{2n+1} = rho/2); a set with all pairwise distances equal
     (constant case, r_n = d/2).  All three produce exact plans.
+
+    The thinning keeps the chain's first position and then each value that
+    passes against the last kept one, in one scan: d <= d_next <= (3 d +
+    d_prev) / 4, or (d + e_prev) / 2 <= e_next <= d, where the first point
+    has no value and the first kept e only needs 2 e >= d.  The limit d is
+    ``family.d_limit``, else the value at the end of the chain.
     """
     L = _plan_length(n_pairs)
     scan = min(family.size or 512, 512)
@@ -510,7 +527,7 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
         # row values d_s = rho(y_s, y_{s+1}); the trailing point only closes the last row
         d_vals = [family.distance(chain[s], chain[s + 1]) for s in range(len(chain) - 1)]
         d_inf = family.d_limit if family.d_limit is not None else d_vals[-1]
-        picked = _picks(_decreasing_thinning(d_inf, L), d_vals)
+        picked = thinning_reference(d_vals, d_inf, L, decreasing=True)
         if picked is not None:
             x_idx = [chain[s] for s in picked]
             d_sel = [d_vals[s] for s in picked]
@@ -526,7 +543,7 @@ def radii_ultrametric_reference(family: MetricFamily, n_pairs: int) -> Embedding
             family.distance(chain[0], chain[s]) for s in range(1, len(chain))
         ]
         d_sup = family.d_limit if family.d_limit is not None else e_vals[-1]
-        picked = _picks(_increasing_thinning(d_sup, L), e_vals)
+        picked = thinning_reference(e_vals, d_sup, L, decreasing=False)
         if picked is not None:
             x_idx = [chain[s] for s in picked]
             radii = [ZERO] * L

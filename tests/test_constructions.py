@@ -53,7 +53,7 @@ from lipfree import (
 )
 import oracles
 from lipfree import cli, constructions, flow, metric_core, norm_engine
-from lipfree.constructions import _DistanceTable, _monotone_chain
+from lipfree.constructions import _DistanceTable, _monotone_chain, _thinning
 from lipfree.space_catalog import family_from_space, ultrametric_from_codes
 from lipfree.metric_core import _SCAN_BITS, truncate
 from oracles import (
@@ -68,6 +68,7 @@ from oracles import (
     rand_fraction,
     random_metric_space,
     separation_reference,
+    thinning_reference,
     verify_linfty_reference,
     verify_projection_reference,
 )
@@ -1469,6 +1470,29 @@ class TestDistinctDistances:
         plan = radii_ultrametric(dataclasses.replace(family, oracle=counting), 2)
         assert plan.case == "ultra-increasing"
         assert sum(calls.values()) < 20000
+
+    @pytest.mark.parametrize("decreasing", [True, False])
+    def test_the_thinning_follows_the_rule_and_its_prefixes(self, decreasing):
+        # values approach the limit slowly, so the windows skip some of them;
+        # the extension's stop hook relies on the picks of a prefix being a
+        # prefix of the picks
+        rng = random.Random(int(decreasing))
+        skipped = 0
+        for _ in range(300):
+            limit = F(rng.randint(1, 8), rng.randint(1, 3))
+            gaps, k = [], 1
+            for _ in range(rng.randint(1, 30)):
+                k += rng.randint(1, 3)
+                gaps.append(limit / k)
+            values = [limit + g for g in gaps] if decreasing else [None] + [limit - g for g in gaps]
+            needed = rng.randint(1, len(values))
+            picked = _thinning(values, limit, needed, decreasing)
+            assert (picked if len(picked) == needed else None) == thinning_reference(values, limit, needed, decreasing)
+            skipped += picked != list(range(len(picked)))
+            for end in range(len(values) + 1):
+                head = _thinning(values[:end], limit, needed, decreasing)
+                assert head == picked[: len(head)]
+        assert skipped > 100
 
 
 class TestAdmissibility:

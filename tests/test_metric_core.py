@@ -1286,6 +1286,44 @@ class TestFreeElement:
         blob = json.dumps(free_element_to_json(mu))
         assert free_element_from_json(blob) == mu
 
+    @pytest.mark.parametrize(
+        "support",
+        [
+            ((0, F(1)),),  # the base point
+            ((-1, F(1)),),
+            ((2, F(1)), (1, F(1))),  # decreasing
+            ((1, F(1)), (1, F(2))),  # repeated
+            ((1, F(1)), (3, F(1)), (3, F(-1))),
+            ((1, F(0)),),
+            ((1, F(1)), (2, F(0))),
+            ((1, 1),),  # an int, not a Fraction
+            ((1, 0.5),),
+            ((1, "1/2"),),
+            ((1.0, F(1)),),
+            (("1", F(1)),),
+        ],
+    )
+    def test_a_support_not_from_pairs_is_refused(self, support):
+        with pytest.raises(ValueError):
+            FreeElement(support=support)
+
+    def test_from_pairs_scaled_and_plus_are_unaffected(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            pairs = [(rng.randrange(6), F(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(rng.randrange(8))]
+            acc = {}
+            for p, c in pairs:
+                acc[p] = acc.get(p, 0) + c
+            mu = FreeElement.from_pairs(pairs)
+            assert mu.support == tuple((p, c) for p, c in sorted(acc.items()) if p and c)
+            factor = F(rng.randint(-3, 3), rng.randint(1, 3))
+            assert mu.scaled(factor).support == tuple((p, c * factor) for p, c in mu.support if factor)
+            nu = FreeElement.from_pairs(pairs[::-1][:3])
+            total = {p: acc.get(p, 0) for p in acc}
+            for p, c in nu.support:
+                total[p] = total.get(p, 0) + c
+            assert mu.plus(nu).support == tuple((p, c) for p, c in sorted(total.items()) if p and c)
+
 
 class TestLipFunction:
     def test_base_value_must_vanish(self):

@@ -38,7 +38,6 @@ from lipfree import norm_engine
 from lipfree.cli import main
 from lipfree.flow import min_cost_transport
 from lipfree.metric_core import _SCAN_BITS, FLOAT_TOLERANCE
-from lipfree.norm_engine import _transport_norm
 from oracles import (
     assert_certificate,
     free_norm_reference,
@@ -503,12 +502,18 @@ def _elements(rng, n):
     return [*elements, full]
 
 
+def _transported(mu, space):
+    """``free_norm`` on the space without its tree, as a space built by hand
+    reaches it: on the transport route."""
+    return free_norm(mu, dataclasses.replace(space, structure=None))
+
+
 class TestCTransformOnIntegers:
     """The transport route returns what the Fraction c-transform of ``oracles`` returns."""
 
     def _agree(self, space, elements):
         for mu in elements:
-            assert _transport_norm(mu, space) == free_norm_reference(mu, space), mu
+            assert _transported(mu, space) == free_norm_reference(mu, space), mu
 
     @pytest.mark.parametrize("name", sorted(SUITE_PLANS))
     def test_suite_spaces(self, name):
@@ -537,10 +542,10 @@ class TestCTransformOnIntegers:
         base_sink = FreeElement.from_pairs([(1, 1), (4, F(2, 3))])
         for mu in (single_sink, base_sink, FreeElement.from_pairs([])):
             self._agree(space, [mu])
-        assert _transport_norm(base_sink, space).plan == ((1, 0, 1), (4, 0, F(2, 3)))
+        assert _transported(base_sink, space).plan == ((1, 0, 1), (4, 0, F(2, 3)))
         point = validate_metric([[0]])
         self._agree(point, [FreeElement.from_pairs([]), delta(0)])
-        assert _transport_norm(delta(0), point).function.values == (0,)
+        assert _transported(delta(0), point).function.values == (0,)
 
 
 class TestFreeNormOnSpaceInts:
@@ -551,7 +556,7 @@ class TestFreeNormOnSpaceInts:
         bare = FiniteMetricSpace(space.dist, space.approximate)
         assert bare.ints is None
         for mu in elements:
-            assert _transport_norm(mu, space) == _transport_norm(mu, bare), mu
+            assert _transported(mu, space) == free_norm(mu, bare), mu
 
     @pytest.mark.parametrize("label", [*CATALOG_SPACES, "dendro:3:9:128:40", "remark:3:40", "convline:40"])
     def test_catalog_truncations(self, label):
@@ -621,7 +626,7 @@ class TestTreeRoute:
         bare = FiniteMetricSpace(space.dist, space.approximate)
         for mu in elements:
             result = free_norm(mu, space)
-            assert result.value == _transport_norm(mu, bare).value, mu
+            assert result.value == free_norm(mu, bare).value, mu
             assert_certificate(result, mu, space)
             assert lip_norm(result.function, space) <= 1
 
@@ -642,7 +647,7 @@ class TestTreeRoute:
             masses = [c for _, c in mu.support]
             assert result.value == (sum(map(abs, masses)) + abs(sum(masses))) / 2
             if mu is not full:
-                assert result.value == _transport_norm(mu, bare).value
+                assert result.value == free_norm(mu, bare).value
             assert_certificate(result, mu, space)
             assert max(result.function.values) - min(result.function.values) <= 1
 
@@ -682,6 +687,13 @@ class TestTreeRoute:
         with pytest.raises(RuntimeError, match="transport was reached"):
             run_cli("norm", "--space", "remark:3:9", "--element", element)
 
+    def test_equal_merge_heights_make_one_cluster(self):
+        # every key of uniform:1 is 1: one cluster holds every point
+        space = parse_space("uniform:1:12")
+        parent, height, up = norm_engine._dendrogram(*space.structure)
+        assert height[12:] == [space.scale] and up[-1] == 12
+        assert parent[:12] == [12] * 12
+
     @pytest.mark.parametrize("label", ["dendro:3:9:128:40", "dendro:1:8:12", "convline:40", "intline:40"])
     def test_a_corrupted_structure_fails_a_check(self, label):
         # two keys, or two coordinates, swapped
@@ -704,6 +716,54 @@ class TestTreeRoute:
             mu = random_element(rng, space.n, rng.randint(1, space.n - 1))
             with pytest.raises(AssertionError):
                 free_norm(mu, corrupted)
+
+
+def _mass_off(value, plan, function):
+    (x, y, m), *rest = plan
+    return value, ((x, y, m + F(1, 7)), *rest), function
+
+
+def _value_off(value, plan, function):
+    return value + 1, plan, function
+
+
+def _function_off(value, plan, function):
+    # the plan's largest point is in the support, and not the base
+    p = max(max(x, y) for x, y, _ in plan)
+    values = list(function.values)
+    values[p] += 1
+    return value, plan, LipFunction(tuple(values))
+
+
+class TestCertificateChecks:
+    """``free_norm`` checks what either kernel returns: each corruption
+    fails its own check, on both routes."""
+
+    @pytest.mark.parametrize("label", ["uniform:1:12", "convline:12", "remark:3:12"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_mass_off, "plan marginals differ from the element"),
+            (_value_off, "plan cost differs from the norm"),
+            (_function_off, "pairing of the attaining function differs from the norm"),
+        ],
+    )
+    def test_each_check_fires(self, label, corrupt, message, monkeypatch):
+        space = parse_space(label)
+        kernel = "_tree_norm" if label != "remark:3:12" else "_transport_norm"
+        assert (space.structure is not None) == (kernel == "_tree_norm")
+        real, calls = getattr(norm_engine, kernel), []
+
+        def corrupted(*args):
+            calls.append(args)
+            return corrupt(*real(*args))
+
+        monkeypatch.setattr(norm_engine, kernel, corrupted)
+        elements = _tree_elements(random.Random(label), space.n)
+        for mu in elements:
+            with pytest.raises(AssertionError, match=message):
+                free_norm(mu, space)
+        assert len(calls) == len(elements)
 
 
 @pytest.fixture
