@@ -1,6 +1,6 @@
 """Committed mutations: does the test suite catch each one?
 
-    python3 bench/mutants.py [--only TEXT]
+    python3 bench/mutants.py
 
 Each entry of ``MUTANTS`` is (file under ``src/``, exact old text,
 replacement, test files).  For each entry the runner copies ``src/`` to a
@@ -10,7 +10,6 @@ temporary directory, so no cache or example database lands in the repo).
 A mutant is killed when pytest fails, and survives when it passes.  One line
 per mutant gives the verdict, the seconds taken and the old text's first
 line; the last line gives the kill rate and the total seconds.
-``--only`` runs the entries whose old text contains TEXT.
 
 A change that rewrites mutated code updates the entry in the same change:
 ``tests/test_mutants.py`` checks that every old text occurs once.
@@ -18,7 +17,6 @@ A change that rewrites mutated code updates the entry in the same change:
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -172,17 +170,13 @@ def run(mutant: Mutant) -> tuple[str, float]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", default="", help="run the entries whose old text contains this")
-    args = parser.parse_args()
-    chosen = [m for m in MUTANTS if args.only in m.old]
     killed, total = 0, 0.0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         verdict, seconds = run(mutant)
         killed += verdict == "killed"
         total += seconds
         print(f"{verdict:8} {seconds:7.1f} s  {mutant.file}: {mutant.old.strip().splitlines()[0]}", flush=True)
-    print(f"killed {killed} of {len(chosen)} in {total:.1f} s")
+    print(f"killed {killed} of {len(MUTANTS)} in {total:.1f} s")
 
 
 if __name__ == "__main__":

@@ -20,10 +20,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count, islice
 from math import ceil
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ExactnessRequired,
@@ -770,56 +770,68 @@ def _thinned_chain(
     A decreasing chain has needed + 1 points and value d_s = rho(y_s, y_{s+1})
     at position s (the trailing point only closes the last row); an
     increasing chain has ``needed`` points and value e_s = rho(y_1, y_s) at
-    s >= 1.  ``_thinning`` picks the positions in one pass over the values,
+    s >= 1.  ``_thinning`` decides the positions in one pass over the values,
     against ``d_limit``, or else against the value at the end of the fully
-    extended chain.  With ``d_limit`` the picks of a prefix of the chain are
-    a prefix of its picks, so the extension's ``stop`` asks the same pass
-    about the growing chain, and the chain stops growing once they are
-    complete.
+    extended chain.  With ``d_limit`` each position is decided by the values
+    up to it, so the extension's ``stop`` resumes one such pass as the chain
+    grows, reading each new value once, and the chain stops growing once the
+    picks are complete.
     """
 
-    def values(chain: list[int]):
+    def value(chain: list[int], s: int):
         if decreasing:
-            return (table.distance(s, t) for s, t in zip(chain, chain[1:]))
-        return (None if s == 0 else table.distance(chain[0], t) for s, t in enumerate(chain))
+            return table.distance(chain[s], chain[s + 1])
+        return None if s == 0 else table.distance(chain[0], chain[s])
 
     stop = None
     if d_limit is not None:
-        stop = lambda chain: len(_thinning(values(chain), d_limit, needed, decreasing)) == needed
+        flags, read, picks = None, 0, 0
+
+        def stop(chain: list[int]) -> bool:
+            nonlocal flags, read, picks
+            if flags is None:  # the extension passes one list and only appends to it
+                flags = _thinning((value(chain, s) for s in count()), d_limit, needed, decreasing)
+            ready = len(chain) - decreasing
+            picks += sum(islice(flags, ready - read))
+            read = ready
+            return picks == needed
+
     chain = _monotone_chain(table, needed + 1 if decreasing else needed, decreasing, stop)
     if chain is None:
         return None
-    found = list(values(chain))
-    picked = _thinning(found, found[-1] if d_limit is None else d_limit, needed, decreasing)
+    found = [value(chain, s) for s in range(len(chain) - decreasing)]
+    limit = found[-1] if d_limit is None else d_limit
+    picked = list(compress(count(), _thinning(found, limit, needed, decreasing)))
     if len(picked) < needed:
         return None
     return [chain[s] for s in picked], [found[s] for s in picked]
 
 
-def _thinning(values, limit: Fraction, needed: int, decreasing: bool) -> list[int]:
-    """The thinning's picks among a chain's ``values``, at most ``needed``.
+def _thinning(values, limit: Fraction, needed: int, decreasing: bool) -> Iterator[bool]:
+    """Whether the thinning picks each of a chain's ``values``, until ``needed`` are picked.
 
     Position 0 is always picked.  A later value v is picked when it lies in
     the window that the last picked value w sets: limit <= v <= (3 limit +
     w) / 4 when decreasing; (limit + w) / 2 <= v <= limit when increasing,
     where the chain's first point has no value (None), and the first window
-    is only 2 v >= limit.  Each position is decided by the values up to it.
+    is only 2 v >= limit.  Each flag is yielded before the next value is
+    read, so the values may be produced as the chain grows.
     """
-    picked: list[int] = []
+    picks = 0
     low = high = None
-    for s, value in enumerate(values):
-        if picked and not (low <= value and (high is None or value <= high)):
-            continue
-        picked.append(s)
-        if len(picked) == needed:
-            break
-        if decreasing:
-            low, high = limit, (3 * limit + value) / 4
-        elif value is None:
-            low, high = limit / 2, None
-        else:
-            low, high = (limit + value) / 2, limit
-    return picked
+    for value in values:
+        pick = not picks or (low <= value and (high is None or value <= high))
+        if pick:
+            picks += 1
+            if decreasing:
+                low, high = limit, (3 * limit + value) / 4
+            elif value is None:
+                low, high = limit / 2, None
+            else:
+                low, high = (limit + value) / 2, limit
+        yield pick
+        if picks == needed:
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -207,8 +207,8 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
         value, plan, function = _transport_norm(masses, dist, ints, space.scale)
     shipped = dict.fromkeys(masses, Fraction(0))
     for x, y, m in plan:
-        shipped[x] += m
-        shipped[y] -= m
+        shipped[x] = shipped.get(x, 0) + m
+        shipped[y] = shipped.get(y, 0) - m
     if shipped != masses:
         raise AssertionError("plan marginals differ from the element")
     if sum((m * dist[x][y] for x, y, m in plan), Fraction(0)) != value:

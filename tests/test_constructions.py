@@ -1471,6 +1471,22 @@ class TestDistinctDistances:
         assert plan.case == "ultra-increasing"
         assert sum(calls.values()) < 20000
 
+    def test_the_stop_hook_reads_each_value_once(self, monkeypatch):
+        # with d_limit = 1 the picks are the points 1, 4, 16, 64, 256, so the
+        # extension grows the chain to 257 points; rerunning the pass from
+        # position 0 before each extension read about 33,000 values
+        reads = Counter()
+        real = _DistanceTable.distance
+
+        def counting(table, i, j):
+            reads[i, j] += 1
+            return real(table, i, j)
+
+        monkeypatch.setattr(_DistanceTable, "distance", counting)
+        plan = radii_ultrametric(dataclasses.replace(harmonic_caterpillar_family(), d_limit=F(1)), 2)
+        assert plan.x_idx == (1, 4, 16, 64, 256)
+        assert sum(reads.values()) < 2000
+
     @pytest.mark.parametrize("decreasing", [True, False])
     def test_the_thinning_follows_the_rule_and_its_prefixes(self, decreasing):
         # values approach the limit slowly, so the windows skip some of them;
@@ -1486,13 +1502,17 @@ class TestDistinctDistances:
                 gaps.append(limit / k)
             values = [limit + g for g in gaps] if decreasing else [None] + [limit - g for g in gaps]
             needed = rng.randint(1, len(values))
-            picked = _thinning(values, limit, needed, decreasing)
+            picked = _picks(values, limit, needed, decreasing)
             assert (picked if len(picked) == needed else None) == thinning_reference(values, limit, needed, decreasing)
             skipped += picked != list(range(len(picked)))
             for end in range(len(values) + 1):
-                head = _thinning(values[:end], limit, needed, decreasing)
+                head = _picks(values[:end], limit, needed, decreasing)
                 assert head == picked[: len(head)]
         assert skipped > 100
+
+
+def _picks(values, limit, needed, decreasing):
+    return list(itertools.compress(itertools.count(), _thinning(values, limit, needed, decreasing)))
 
 
 class TestAdmissibility:

@@ -727,6 +727,13 @@ def _value_off(value, plan, function):
     return value + 1, plan, function
 
 
+def _arc_off_support(value, plan, function):
+    # the plan names every mass, so one past its largest point holds none
+    (x, y, m), *rest = plan
+    q = max(max(a, b) for a, b, _ in plan) + 1
+    return value, ((x, q, m), *rest), function
+
+
 def _function_off(value, plan, function):
     # the plan's largest point is in the support, and not the base
     p = max(max(x, y) for x, y, _ in plan)
@@ -744,6 +751,7 @@ class TestCertificateChecks:
         "corrupt, message",
         [
             (_mass_off, "plan marginals differ from the element"),
+            (_arc_off_support, "plan marginals differ from the element"),
             (_value_off, "plan cost differs from the norm"),
             (_function_off, "pairing of the attaining function differs from the norm"),
         ],
