@@ -41,15 +41,29 @@ METRIC = ("tests/test_metric_core.py",)
 CONSTRUCTIONS = ("tests/test_constructions.py",)
 
 MUTANTS = [
-    # free_norm's three certificate checks
-    Mutant("lipfree/norm_engine.py", "    if shipped != masses:\n", "    if False:\n", NORM),
+    # free_norm's three certificate checks on ints, a scale dropped from one
+    # cross-multiplication, and the base balance's sign
     Mutant(
         "lipfree/norm_engine.py",
-        "    if sum((m * dist[x][y] for x, y, m in plan), Fraction(0)) != value:\n",
+        "    if len(shipped) != len(masses) or any(s * scale != c * flow_scale for s, c in zip(shipped.values(), coefs))"
+        ":\n",
         "    if False:\n",
         NORM,
     ),
-    Mutant("lipfree/norm_engine.py", "    if pairing(function, element) != value:\n", "    if False:\n", NORM),
+    Mutant(
+        "lipfree/norm_engine.py",
+        "    if sum(m * d for m, d in zip(flows, arcs)) * den != num * flow_scale * arc_scale:\n",
+        "    if False:\n",
+        NORM,
+    ),
+    Mutant(
+        "lipfree/norm_engine.py",
+        "    if sum(c * v for c, v in zip(coefs, values)) * den != num * scale * value_scale:\n",
+        "    if False:\n",
+        NORM,
+    ),
+    Mutant("lipfree/norm_engine.py", "num * flow_scale * arc_scale", "num * arc_scale", NORM),
+    Mutant("lipfree/norm_engine.py", "    balance = -sum(coefs)\n", "    balance = sum(coefs)\n", NORM),
     # the tree's two O(n) structure checks
     Mutant("lipfree/norm_engine.py", "        if ints[up[-1]] != c:\n", "        if False:\n", NORM),
     Mutant(

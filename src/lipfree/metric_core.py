@@ -76,7 +76,7 @@ def fraction_str(value: Fraction) -> str:
 
     A numerator or denominator with more digits than Python's integer-string
     digit limit raises ResultTooLarge."""
-    value = Fraction(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)
     try:
         return str(value)
     except ValueError as exc:
@@ -505,7 +505,7 @@ class FreeElement:
             if point < 0:
                 raise ValueError("point indices must be nonnegative")
             c = as_fraction(coef)
-            acc[point] = acc.get(point, Fraction(0)) + c
+            acc[point] = acc[point] + c if point in acc else c
         support = tuple(
             (p, c) for p, c in sorted(acc.items()) if p != 0 and c != 0
         )

@@ -8,7 +8,8 @@ with two routes, and one independent oracle:
   function, whose pairing bounds it from below.  It is the one entry that
   certifies: it balances the element at the base, picks the route, closes
   an approximate space's rows under shortest paths, and checks that both
-  bounds meet the value before it returns.  The two route kernels,
+  bounds meet the value before it returns, on ints scaled once per group
+  and cross-multiplied with the value.  The two route kernels,
   ``_tree_norm`` and ``_transport_norm``, only compute (value, plan,
   function) from the balanced masses.  The space's certificate picks the
   route:
@@ -167,12 +168,12 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
 
     This is the one entry that certifies the norm; the two kernels only
     compute.  The support is checked against the space, the balancing
-    coefficient a_0 = -sum a_i is appended at the base point, and the zero
-    element returns at once.  Then the positive part ships onto the negative
-    part at metric cost: a space that keeps the structure of its line or
-    ultrametric certificate takes the tree route (``_tree_norm``), in
-    O(n log n); every other space takes the exact transport
-    (``_transport_norm``).
+    coefficient a_0 = -sum a_i (a sum of ints) is appended at the base
+    point, and the zero element returns at once.  Then the positive part
+    ships onto the negative part at metric cost: a space that keeps the
+    structure of its line or ultrametric certificate takes the tree route
+    (``_tree_norm``), in O(n log n); every other space takes the exact
+    transport (``_transport_norm``).
 
     An approximate space (float entries, accepted within the validation
     tolerance) may break a triangle by up to that tolerance, so direct
@@ -186,13 +187,18 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
 
     Before returning, it checks that the plan's marginals are the element's,
     and that the plan's cost on those distances and the pairing of the
-    function with the element each equal the value.
+    function with the element each equal the value.  The checks are exact
+    on ints: the masses, the plan's masses, the distances on its arcs and
+    the function on the support are each scaled once by ``integer_scale``,
+    and each sum meets the value by cross-multiplying with the scales.
     """
     element.check_supported(space)
     masses = dict(element.support)
-    balance = -sum(masses.values(), Fraction(0))
-    if balance != 0:
-        masses[0] = balance
+    coefs, scale = integer_scale(list(masses.values()))  # the masses over scale, with the balance
+    balance = -sum(coefs)
+    if balance:
+        masses[0] = Fraction(balance, scale)
+        coefs.append(balance)
     if not masses:
         return FreeNormResult(Fraction(0), LipFunction((Fraction(0),) * space.n), ())
     dist = space.dist
@@ -205,15 +211,20 @@ def free_norm(element: FreeElement, space: FiniteMetricSpace) -> FreeNormResult:
             if ints is not None:
                 ints = _shortest_paths(ints, {0, *masses})
         value, plan, function = _transport_norm(masses, dist, ints, space.scale)
-    shipped = dict.fromkeys(masses, Fraction(0))
-    for x, y, m in plan:
+    num, den = value.numerator, value.denominator
+    flows, flow_scale = integer_scale([m for _, _, m in plan])
+    shipped = dict.fromkeys(masses, 0)
+    for (x, y, _), m in zip(plan, flows):
         shipped[x] = shipped.get(x, 0) + m
         shipped[y] = shipped.get(y, 0) - m
-    if shipped != masses:
+    # a point of the plan outside the masses adds a key
+    if len(shipped) != len(masses) or any(s * scale != c * flow_scale for s, c in zip(shipped.values(), coefs)):
         raise AssertionError("plan marginals differ from the element")
-    if sum((m * dist[x][y] for x, y, m in plan), Fraction(0)) != value:
+    arcs, arc_scale = integer_scale([dist[x][y] for x, y, _ in plan])
+    if sum(m * d for m, d in zip(flows, arcs)) * den != num * flow_scale * arc_scale:
         raise AssertionError("plan cost differs from the norm")
-    if pairing(function, element) != value:
+    values, value_scale = integer_scale([function.values[p] for p in masses])  # f(0) = 0 pairs to 0
+    if sum(c * v for c, v in zip(coefs, values)) * den != num * scale * value_scale:
         raise AssertionError("pairing of the attaining function differs from the norm")
     return FreeNormResult(value, function, plan)
 

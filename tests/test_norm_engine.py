@@ -742,23 +742,59 @@ def _function_off(value, plan, function):
     return value, plan, LipFunction(tuple(values))
 
 
+# off by less than any scale of the spaces and elements below
+TINY = F(1, 10**30 + 57)
+
+
+def _value_nudged(value, plan, function):
+    return value + TINY, plan, function
+
+
+def _mass_nudged(value, plan, function):
+    (x, y, m), *rest = plan
+    return value, ((x, y, m + TINY), *rest), function
+
+
+def _checked_space(label):
+    """A catalog truncation, or a space whose checks scale their own ints:
+    one built by hand, a file past ``_SCAN_BITS`` and an approximate file."""
+    if label == "bare convline:12":
+        space = FiniteMetricSpace(parse_space("convline:12").dist)
+        assert space.ints is None
+    elif label == "primes:12":
+        mat = _adversarial_module().adversarial_matrix(12)  # a distinct prime denominator per entry
+        assert lcm(*(v.denominator for row in mat for v in row)).bit_length() > _SCAN_BITS
+        space = load_space(json.dumps({"dist": [[str(v) for v in row] for row in mat]}))
+        assert space.ints is None
+    elif label == "floats:12":
+        space = load_space(json.dumps({"dist": _float_weights(random.Random(label), 12)}))
+        assert space.approximate
+    else:
+        space = parse_space(label)
+    return space
+
+
 class TestCertificateChecks:
     """``free_norm`` checks what either kernel returns: each corruption
-    fails its own check, on both routes."""
+    fails its own check, on both routes and on spaces without ``ints``."""
 
-    @pytest.mark.parametrize("label", ["uniform:1:12", "convline:12", "remark:3:12"])
+    @pytest.mark.parametrize(
+        "label", ["uniform:1:12", "convline:12", "remark:3:12", "bare convline:12", "primes:12", "floats:12"]
+    )
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             (_mass_off, "plan marginals differ from the element"),
+            (_mass_nudged, "plan marginals differ from the element"),
             (_arc_off_support, "plan marginals differ from the element"),
             (_value_off, "plan cost differs from the norm"),
+            (_value_nudged, "plan cost differs from the norm"),
             (_function_off, "pairing of the attaining function differs from the norm"),
         ],
     )
     def test_each_check_fires(self, label, corrupt, message, monkeypatch):
-        space = parse_space(label)
-        kernel = "_tree_norm" if label != "remark:3:12" else "_transport_norm"
+        space = _checked_space(label)
+        kernel = "_tree_norm" if label in ("uniform:1:12", "convline:12") else "_transport_norm"
         assert (space.structure is not None) == (kernel == "_tree_norm")
         real, calls = getattr(norm_engine, kernel), []
 
